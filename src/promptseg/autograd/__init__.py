@@ -4,7 +4,6 @@ from .tensor import (
     ShapeError,
     Tape,
     Tensor,
-    backward,
     no_grad,
     shadow_precision,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "ShapeError",
     "Tape",
     "Tensor",
-    "backward",
     "no_grad",
     "shadow_precision",
 ]

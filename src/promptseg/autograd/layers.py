@@ -4,6 +4,10 @@ Initialization follows Kaiming-normal fan-in scaling for convolutions
 (std = sqrt(2 / fan_in), zero biases) and 1/sqrt(fan_in) for linear maps.
 Every initializer takes an explicit numpy Generator so construction is
 reproducible from a seed.
+
+A module names its state in a ``tensors()`` table, which is also the
+checkpoint layout.  Its trainable parameters are the ``Tensor`` entries of
+that table; batch-norm running statistics are plain arrays and fall outside.
 """
 
 import numpy as np
@@ -30,9 +34,6 @@ class Conv2d:
     def tensors(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-    def trainable_tensors(self, prefix):
-        return self.tensors(prefix)
-
 
 class BatchNorm2d:
     def __init__(self, channels, trainable=True, momentum=0.1, eps=1e-5):
@@ -51,9 +52,6 @@ class BatchNorm2d:
             f"{prefix}.running_var": self.state.running_var,
         }
 
-    def trainable_tensors(self, prefix):
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
-
 
 class Linear:
     def __init__(self, d_in, d_out, rng, trainable=True, std=None):
@@ -68,8 +66,37 @@ class Linear:
     def tensors(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-    def trainable_tensors(self, prefix):
-        return self.tensors(prefix)
+
+def parameters(tensors):
+    """The ``Tensor`` entries of a name->Tensor/array table, in table order."""
+    return [t for t in tensors.values() if isinstance(t, Tensor)]
+
+
+def conv_bn_stages(widths, kernel, rng, trainable=True):
+    """Stride-2 conv-BN pairs from RGB through ``widths``, padded to halve H and W."""
+    stages, c_in = [], 3
+    for c_out in widths:
+        conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=kernel // 2,
+                      trainable=trainable)
+        stages.append((conv, BatchNorm2d(c_out, trainable=trainable)))
+        c_in = c_out
+    return stages
+
+
+def run_stages(stages, x, training):
+    """relu(bn(conv(x))) through every stage."""
+    for conv, bn in stages:
+        x = ops.relu(bn(conv(x), training))
+    return x
+
+
+def stage_tensors(stages):
+    """The stages' tensors named ``stage{i}.conv.*`` and ``stage{i}.bn.*``."""
+    out = {}
+    for i, (conv, bn) in enumerate(stages):
+        out.update(conv.tensors(f"stage{i}.conv"))
+        out.update(bn.tensors(f"stage{i}.bn"))
+    return out
 
 
 def tensor_arrays(tensors):

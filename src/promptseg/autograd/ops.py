@@ -188,16 +188,6 @@ def tanh(x):
     return apply_op("tanh", out, (x,), backward_fn)
 
 
-def sigmoid(x):
-    _as_tensor(x, "x")
-    out = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward_fn(g):
-        return (g * out * (1.0 - out),)
-
-    return apply_op("sigmoid", out, (x,), backward_fn)
-
-
 def softmax(x, axis=-1):
     _as_tensor(x, "x")
     z = x.data - x.data.max(axis=axis, keepdims=True)
@@ -320,53 +310,35 @@ def l2_normalize_tensor(x, eps=1e-8):
     return apply_op("l2_normalize_tensor", out, (x,), backward_fn)
 
 
-def cross_entropy(logits, target, ignore_index=None):
-    """Mean cross-entropy from raw logits against integer class targets.
-
-    Accepts (B, K) with (B,) targets or (B, K, H, W) with (B, H, W) targets.
-    Pixels equal to ``ignore_index`` contribute nothing; the mean is over the
-    remaining positions.
-    """
+def cross_entropy(logits, target):
+    """Mean cross-entropy of (B, K, H, W) raw logits against (B, H, W) integer targets."""
     _as_tensor(logits, "logits")
     target = np.asarray(target)
     if not np.issubdtype(target.dtype, np.integer):
         raise TypeError("cross_entropy target must be an integer array")
-    if logits.ndim == 2:
-        b, k = logits.shape
-        x3 = logits.data.reshape(b, k, 1)
-        t2 = target.reshape(b, 1)
-    elif logits.ndim == 4:
-        b, k, h, w = logits.shape
-        if target.shape != (b, h, w):
-            raise ShapeError(f"target shape {target.shape} does not match logits {logits.shape}")
-        x3 = logits.data.reshape(b, k, h * w)
-        t2 = target.reshape(b, h * w)
-    else:
-        raise ShapeError(f"cross_entropy logits must be 2-D or 4-D, got {logits.shape}")
-
-    valid = np.ones(t2.shape, dtype=bool) if ignore_index is None else (t2 != ignore_index)
-    checked = t2[valid]
-    if checked.size and (checked.min() < 0 or checked.max() >= k):
+    if logits.ndim != 4:
+        raise ShapeError(f"cross_entropy logits must be 4-D, got {logits.shape}")
+    b, k, h, w = logits.shape
+    if target.shape != (b, h, w):
+        raise ShapeError(f"target shape {target.shape} does not match logits {logits.shape}")
+    x3 = logits.data.reshape(b, k, h * w)
+    t2 = target.reshape(b, 1, h * w)
+    if t2.min() < 0 or t2.max() >= k:
         raise ValueError(f"cross_entropy target out of range for {k} classes")
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy has no valid target positions")
+    n = b * h * w
 
     m = x3.max(axis=1, keepdims=True)
     z = x3 - m
     lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
-    t_safe = np.where(valid, t2, 0)
-    picked = np.take_along_axis(x3, t_safe[:, None, :], axis=1)[:, 0]
-    nll = (lse - picked) * valid
-    loss = np.asarray(nll.sum() / n_valid)
+    picked = np.take_along_axis(x3, t2, axis=1)[:, 0]
+    loss = np.asarray((lse - picked).sum() / n)
 
     def backward_fn(g):
         if not logits.requires_grad:
             return (None,)
         p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
-        np.put_along_axis(p, t_safe[:, None, :], np.take_along_axis(p, t_safe[:, None, :], axis=1) - 1.0, axis=1)
-        p *= valid[:, None, :]
-        p *= g.reshape(()) / n_valid
+        np.put_along_axis(p, t2, np.take_along_axis(p, t2, axis=1) - 1.0, axis=1)
+        p *= g.reshape(()) / n
         return (p.reshape(logits.shape),)
 
     return apply_op("cross_entropy", loss, (logits,), backward_fn)

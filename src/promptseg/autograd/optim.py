@@ -126,7 +126,3 @@ class CosineWarmRestarts:
         return self.min_lr + (self.base_lr - self.min_lr) * 0.5 * (
             1.0 + math.cos(math.pi * t_cur / period)
         )
-
-
-def lr_at(schedule, step):
-    return schedule.lr_at(step)

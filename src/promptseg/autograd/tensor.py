@@ -113,12 +113,6 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self):
-        return Tensor._raw(self.data)
-
     def backward(self, seed=None):
         if self._tape is None:
             raise RuntimeError("tensor was not produced on a live tape")
@@ -228,11 +222,6 @@ def _accumulate(leaf, g):
     leaf.grad += g
 
 
-def backward(output, seed=None):
-    """Free-function form of ``Tape.backward`` for the tape that produced ``output``."""
-    output.backward(seed)
-
-
 def apply_op(op_name, out_data, inputs, backward_fn):
     """Shared epilogue for every op: finite check, wrap, record if needed."""
     guard_finite(out_data, op_name)
@@ -306,29 +295,11 @@ def scale(a, s):
     return apply_op("scale", a.data * s, (a,), backward_fn)
 
 
-def add_scalar(a, s):
-    s = float(s)
-
-    def backward_fn(g):
-        return (g,)
-
-    return apply_op("add_scalar", a.data + s, (a,), backward_fn)
-
-
 def sum_all(a):
     def backward_fn(g):
         return (np.full_like(a.data, g.reshape(())),)
 
     return apply_op("sum_all", a.data.sum(keepdims=False).reshape(()), (a,), backward_fn)
-
-
-def mean_all(a):
-    n = a.data.size
-
-    def backward_fn(g):
-        return (np.full_like(a.data, g.reshape(()) / n),)
-
-    return apply_op("mean_all", a.data.mean().reshape(()), (a,), backward_fn)
 
 
 def reshape(a, shape):

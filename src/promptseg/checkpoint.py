@@ -6,8 +6,10 @@ f32 payload, and finally CRC32 over everything before it.  Records are read
 until exactly the CRC remains, so the count is implicit.
 """
 
+import os
 import struct
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,6 +17,24 @@ from .errors import FormatError, KindMismatchError
 
 MAGIC = b"SAGE"
 VERSION = 1
+
+
+@contextmanager
+def atomic_open(path, mode="w"):
+    """Write through a temp file beside ``path`` that replaces it on success.
+
+    A write that raises, or a process killed mid-write, leaves any earlier
+    file at ``path`` as it was; on an exception the temp file is removed.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path, kind: str, tensors: dict) -> None:
@@ -36,7 +56,7 @@ def save_checkpoint(path, kind: str, tensors: dict) -> None:
         parts.append(struct.pack(f"<{a.ndim}I", *a.shape) if a.ndim else b"")
         parts.append(a.tobytes())
     blob = b"".join(parts)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 

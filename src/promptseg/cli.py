@@ -15,13 +15,15 @@ import sys
 
 import numpy as np
 
-from .config import default_config, load_config, save_config
+from .checkpoint import atomic_open
+from .config import config_hash, default_config, load_config, save_config
 from .datasets import Sample, load_domain, save_domain
 from .errors import FormatError, StageError
 from .fusion import SharedEncoder, infer
-from .oracle import seal
+from .oracle import load_oracle, seal
 from .pipeline import (
     STYLE_NAMES,
+    MetricsReport,
     ablate_fusion,
     ablate_generators,
     ablate_init,
@@ -35,8 +37,11 @@ from .pipeline import (
     stage_eval,
     stage_oracle,
     stage_spg,
+    target_mean,
     write_csv,
 )
+from .prompts import load_generator
+from .scenes import PALETTE
 
 log = logging.getLogger("promptseg")
 
@@ -115,8 +120,6 @@ def ensure_oracle(cfg, domains, run_dir, retrain=False):
     so a staged invocation like ``train-apf --no-tanh`` rebuilds its own
     prerequisites there rather than picking up mismatched artifacts.
     """
-    from .oracle import load_oracle
-
     path = os.path.join(run_dir, "oracle.ckpt")
     if os.path.exists(path) and not retrain:
         model = load_oracle(path)
@@ -127,8 +130,6 @@ def ensure_oracle(cfg, domains, run_dir, retrain=False):
 
 
 def ensure_gens(cfg, domains, oracle, run_dir, seed, retrain=False):
-    from .prompts import load_generator
-
     seed_dir = os.path.join(run_dir, f"seed{seed}")
     paths = {n: os.path.join(seed_dir, f"spg_{n}.ckpt") for n in STYLE_NAMES}
     if all(os.path.exists(p) for p in paths.values()) and not retrain:
@@ -222,8 +223,6 @@ def write_ppm(path, rgb):
 
 
 def cmd_infer(cfg, args):
-    from .scenes import PALETTE
-
     run_dir = _run_dir(cfg, create=False)
     seed = cfg.seeds[0]
     _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
@@ -254,7 +253,7 @@ def cmd_ablate(cfg, args):
     csv_path = os.path.join(run_dir, f"ablate_{args.suite}.csv")
     table.to_csv(csv_path)
     md = table.to_markdown()
-    with open(os.path.join(run_dir, f"ablate_{args.suite}.md"), "w") as f:
+    with atomic_open(os.path.join(run_dir, f"ablate_{args.suite}.md")) as f:
         f.write(md)
     print(md, end="")
     print(f"-> {csv_path}")
@@ -268,9 +267,6 @@ def cmd_attention_report(cfg, args):
         _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
         _, att = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
         attention.extend(att)
-    from .pipeline import MetricsReport
-    from .config import config_hash
-
     report = MetricsReport(config_hash=config_hash(cfg), rows=[],
                            attention=attention)
     rows = attention_report(cfg, report)
@@ -285,15 +281,10 @@ def cmd_attention_report(cfg, args):
 
 def cmd_run_all(cfg, args):
     report = run_pipeline(cfg)
-    run_dir = run_dir_for(cfg)
-    print(f"report -> {os.path.join(run_dir, 'report.csv')}")
-    tgt = [r for r in report.rows if r["domain"].split("_val")[0]
-           not in STYLE_NAMES and r["domain"] != "base_val"]
-    if tgt:
-        base = float(np.mean([r["baseline_miou"] for r in tgt]))
-        fused = float(np.mean([r["sage_miou"] for r in tgt]))
-        print(f"target mIoU: baseline {base:.4f}, fused {fused:.4f} "
-              f"({fused - base:+.4f})  [{report.wall_clock:.0f}s]")
+    print(f"report -> {os.path.join(run_dir_for(cfg), 'report.csv')}")
+    base, fused = target_mean(report, "baseline_miou"), target_mean(report)
+    print(f"target mIoU: baseline {base:.4f}, fused {fused:.4f} "
+          f"({fused - base:+.4f})  [{report.wall_clock:.0f}s]")
 
 
 COMMANDS = {

@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .checkpoint import atomic_open
 from .errors import FormatError
 from .prompts import INIT_STRATEGIES, VARIANTS
 from .styles import StyleJitter
@@ -93,6 +94,7 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def validate(self):
+        """Reject a config that cannot run, before any stage spends compute."""
         if self.data.size % 8:
             raise ValueError(f"size must be divisible by 8, got {self.data.size}")
         for field in ("base_train", "base_val", "styled_train", "styled_val",
@@ -103,6 +105,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown variant {self.spg.variant!r}")
         if self.spg.init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {self.spg.init!r}")
+        for name in ("oracle", "spg", "apf"):
+            section = getattr(self, name)
+            if section.iters < 0 or section.batch < 1 or section.lr <= 0:
+                raise ValueError(f"{name} needs iters >= 0, batch >= 1 and lr > 0")
+        if self.spg.meta_iters < 0:
+            raise ValueError("spg.meta_iters must be >= 0")
+        if self.apf.embed_dim < 1:
+            raise ValueError("apf.embed_dim must be >= 1")
+        pad, border = self.spg.pad, self.spg.variant in ("border", "a_border")
+        if border and (pad < 1 or 2 * pad >= self.data.size):
+            raise ValueError(f"spg.pad {pad} does not fit a {self.data.size}px border")
         if not self.seeds:
             raise ValueError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -153,7 +166,7 @@ def from_dict(payload: dict, path="<config>") -> ExperimentConfig:
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(to_json(cfg))
         f.write("\n")
 

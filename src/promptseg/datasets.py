@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .errors import FormatError
 from .scenes import Sample, SceneSpec, render_scene
 from .seeding import mix_seed
@@ -74,7 +75,7 @@ def save_domain(path, samples):
         parts.append(np.ascontiguousarray(s.image, dtype="<f4").tobytes())
         parts.append(np.ascontiguousarray(s.mask, dtype=np.uint8).tobytes())
     blob = b"".join(parts)
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(blob)
         f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 

@@ -8,29 +8,26 @@ fusion weights.  Only the two heads ever train; encoder, generators, and
 the segmentation oracle stay byte-identical through the whole phase.
 """
 
-import dataclasses
-import logging
-
 import numpy as np
 
 from .autograd import Tape, Tensor, no_grad
 from .autograd import ops
 from .autograd.layers import (
-    BatchNorm2d,
-    Conv2d,
     Linear,
+    conv_bn_stages,
     load_tensor_arrays,
+    parameters,
+    run_stages,
+    stage_tensors,
     tensor_arrays,
 )
-from .autograd.optim import AdamW, CosineWarmRestarts, lr_at
+from .autograd.optim import AdamW, CosineWarmRestarts
 from .autograd.tensor import ShapeError, reshape
 from .checkpoint import load_checkpoint, pack_u64, save_checkpoint, unpack_u64
-from .datasets import stack_images, stack_masks
 from .oracle import fingerprint_tensors
 from .prompts import attach_prompt
 from .seeding import stream
-
-log = logging.getLogger(__name__)
+from .train import fit
 
 
 class SharedEncoder:
@@ -43,31 +40,14 @@ class SharedEncoder:
     def __init__(self, rng, widths=(16, 32, 64), kernel=5):
         self.widths = tuple(widths)
         self.kernel = kernel
-        pad = kernel // 2
-        self.stages = []
-        c_in = 3
-        for c_out in self.widths:
-            conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=pad, trainable=False)
-            bn = BatchNorm2d(c_out, trainable=False)
-            self.stages.append((conv, bn))
-            c_in = c_out
+        self.stages = conv_bn_stages(self.widths, kernel, rng, trainable=False)
 
     @classmethod
     def from_seg_model(cls, model):
         """Reuse the segmentation model's encoder stages (copied, then frozen)."""
         enc = cls(stream(0, "enc-shell"), model.widths, model.kernel)
-        stage_arrays = {
-            name: arr
-            for name, arr in tensor_arrays(model.tensors()).items()
-            if name.startswith("stage")
-        }
-        load_tensor_arrays(enc.tensors(), stage_arrays)
+        load_tensor_arrays(enc.tensors(), tensor_arrays(stage_tensors(model.stages)))
         return enc
-
-    @classmethod
-    def random(cls, seed, widths=(16, 32, 64), kernel=5):
-        """Frozen random-weights fallback (ablation baseline)."""
-        return cls(stream(seed, "enc-random"), widths, kernel)
 
     @property
     def feature_dim(self):
@@ -79,18 +59,11 @@ class SharedEncoder:
             x = Tensor(np.asarray(x, np.float32))
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"encoder expects (B, 3, H, W), got {x.shape}")
-        h = x
-        for conv, bn in self.stages:
-            h = ops.relu(bn(conv(h), training=False))
-        pooled = ops.adaptive_avg_pool_to_1(h)
+        pooled = ops.adaptive_avg_pool_to_1(run_stages(self.stages, x, training=False))
         return reshape(pooled, (x.shape[0], self.feature_dim))
 
     def tensors(self):
-        out = {}
-        for i, (conv, bn) in enumerate(self.stages):
-            out.update(conv.tensors(f"stage{i}.conv"))
-            out.update(bn.tensors(f"stage{i}.bn"))
-        return out
+        return stage_tensors(self.stages)
 
     def fingerprint(self):
         return fingerprint_tensors(self.tensors())
@@ -111,11 +84,6 @@ class FusionHeads:
         out = dict(self.wx.tensors("wx"))
         out.update(self.wp.tensors("wp"))
         return out
-
-    trainable_tensors = tensors
-
-    def parameter_count(self):
-        return sum(t.size for t in self.tensors().values())
 
 
 def collect_prompts(generators, x, per_channel=True):
@@ -183,58 +151,31 @@ def infer(x, generators, enc, heads, oracle, per_channel=True,
     return mask
 
 
-@dataclasses.dataclass(frozen=True)
-class ApfHyper:
-    iters: int = 4000
-    batch: int = 8
-    lr: float = 1e-4
-    betas: tuple = (0.5, 0.999)
-    min_lr: float = 1e-5
-    # first cosine restart after this fraction of the budget, periods doubling
-    restart_frac: float = 1 / 8
-    t_mult: int = 2
-
-    def __post_init__(self):
-        if self.iters < 0 or self.batch <= 0 or self.lr <= 0:
-            raise ValueError("ApfHyper requires iters >= 0, batch > 0, lr > 0")
+def _apf_schedule(apf):
+    t0 = max(1, int(apf.iters * apf.restart_frac))
+    return CosineWarmRestarts(apf.lr, apf.min_lr, t0, apf.t_mult)
 
 
-def _apf_schedule(hyper):
-    t0 = max(1, int(hyper.iters * hyper.restart_frac))
-    return CosineWarmRestarts(hyper.lr, hyper.min_lr, t0, hyper.t_mult)
-
-
-def train_apf(heads, samples, generators, enc, oracle, hyper, seed=0,
-              per_channel=True, use_softmax=True, use_tanh=True):
+def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
     """Optimize W_x and W_p against the sealed oracle on source images.
 
-    Everything else is frozen: prompts enter as constants, the encoder
-    records nothing on the tape, and the oracle only hands back input
-    gradients.  Returns the per-iteration loss curve.
+    ``apf`` is the config section: budget, optimizer and schedule settings
+    plus the three fusion flags.  Everything else is frozen: prompts enter
+    as constants, the encoder records nothing on the tape, and the oracle
+    only hands back input gradients.  Returns the per-iteration loss curve.
     """
-    if not samples:
-        raise ValueError("source domain is empty")
-    params = list(heads.trainable_tensors().values())
-    opt = AdamW(params, betas=hyper.betas, weight_decay=0.0)
-    schedule = _apf_schedule(hyper)
-    picker = stream(seed, "apf-batches")
-    losses = []
-    for it in range(hyper.iters):
-        idx = picker.integers(0, len(samples), size=hyper.batch)
-        xb = stack_images(samples, idx)
-        yb = stack_masks(samples, idx)
+    opt = AdamW(parameters(heads.tensors()), betas=apf.betas, weight_decay=0.0)
+
+    def step(xb, yb):
         with Tape() as tape:
-            prompted, _, _ = fusion_forward(
-                xb, generators, enc, heads, per_channel, use_softmax, use_tanh
-            )
+            prompted, _, _ = fusion_forward(xb, generators, enc, heads, apf.per_channel,
+                                            apf.use_softmax, apf.use_tanh)
         loss, grad_x = oracle.input_grad(prompted.data, yb)
         tape.backward(prompted, seed=grad_x)
-        opt.step(lr_at(schedule, it))
-        opt.zero_grad()
-        losses.append(loss)
-        if it % max(1, hyper.iters // 5) == 0:
-            log.info("apf %d/%d loss %.4f", it, hyper.iters, loss)
-    return losses
+        return loss
+
+    return fit(samples, step, opt, _apf_schedule(apf), stream(seed, "apf-batches"),
+               apf.iters, apf.batch, "apf")
 
 
 def save_heads(path, heads, encoder_fingerprint):

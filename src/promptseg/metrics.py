@@ -1,7 +1,4 @@
-"""Segmentation metrics and the per-run report structure."""
-
-import json
-from dataclasses import dataclass, field
+"""Segmentation metrics."""
 
 import numpy as np
 
@@ -35,48 +32,3 @@ def miou(pred, gt, class_count):
     iou[seen] = inter[seen] / union[seen]
     mean = float(np.nanmean(iou[seen])) if seen.any() else float("nan")
     return iou, mean
-
-
-@dataclass
-class DomainMetrics:
-    domain: str
-    miou_baseline: float
-    miou: float
-    iou: list  # per class; None where the class never appeared
-    attention_mean: list | None = None  # mean fusion weight per style
-
-
-@dataclass
-class MetricsReport:
-    config_hash: str
-    seed: int
-    domains: list = field(default_factory=list)
-    # wall-clock lives outside the deterministic payload; see to_meta_json
-    wall_clock_s: float = 0.0
-
-    def to_csv(self) -> str:
-        """Deterministic byte-stable CSV (no timings)."""
-        k = max((len(d.iou) for d in self.domains), default=0)
-        n = max((len(d.attention_mean or []) for d in self.domains), default=0)
-        cols = ["config", "seed", "domain", "miou_baseline", "miou"]
-        cols += [f"iou_{i}" for i in range(k)]
-        cols += [f"attention_{i}" for i in range(n)]
-        lines = [",".join(cols)]
-        for d in self.domains:
-            row = [self.config_hash, str(self.seed), d.domain,
-                   _fmt(d.miou_baseline), _fmt(d.miou)]
-            row += [_fmt(v) for v in d.iou] + [""] * (k - len(d.iou))
-            att = d.attention_mean or []
-            row += [_fmt(v) for v in att] + [""] * (n - len(att))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def to_meta_json(self) -> str:
-        """The non-deterministic sidecar: wall-clock timing only."""
-        return json.dumps({"wall_clock_s": self.wall_clock_s}, indent=2) + "\n"
-
-
-def _fmt(v):
-    if v is None or (isinstance(v, float) and np.isnan(v)):
-        return ""
-    return f"{float(v):.6f}"

@@ -10,24 +10,24 @@ receive gradients.
 """
 
 import hashlib
-import logging
 
 import numpy as np
 
 from .autograd import Tape, Tensor, no_grad
 from .autograd import ops
 from .autograd.layers import (
-    BatchNorm2d,
     Conv2d,
+    conv_bn_stages,
     load_tensor_arrays,
+    parameters,
+    run_stages,
+    stage_tensors,
     tensor_arrays,
 )
-from .autograd.optim import AdamW
+from .autograd.optim import AdamW, MultiStepLr
 from .checkpoint import load_checkpoint, save_checkpoint
-from .datasets import stack_images, stack_masks
 from .seeding import stream
-
-log = logging.getLogger(__name__)
+from .train import fit
 
 
 class SegModel:
@@ -37,55 +37,26 @@ class SegModel:
         self.class_count = class_count
         self.widths = tuple(widths)
         self.kernel = kernel
-        pad = kernel // 2
-        self.stages = []
-        c_in = 3
-        for c_out in self.widths:
-            conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=pad)
-            bn = BatchNorm2d(c_out)
-            self.stages.append((conv, bn))
-            c_in = c_out
-        self.head = Conv2d(c_in, class_count, 1, rng)
-
-    def encode(self, x, training):
-        h = x
-        for conv, bn in self.stages:
-            h = ops.relu(bn(conv(h), training))
-        return h
+        self.stages = conv_bn_stages(self.widths, kernel, rng)
+        self.head = Conv2d(self.widths[-1], class_count, 1, rng)
 
     def forward(self, x, training=False):
         _, _, h_in, w_in = x.shape
         if h_in % 8 or w_in % 8:
             raise ValueError(f"spatial dims must be divisible by 8, got {h_in}x{w_in}")
-        h = self.encode(x, training)
-        logits = self.head(h)
+        logits = self.head(run_stages(self.stages, x, training))
         return ops.bilinear_upsample(logits, h_in, w_in)
 
     def tensors(self):
-        out = {}
-        for i, (conv, bn) in enumerate(self.stages):
-            out.update(conv.tensors(f"stage{i}.conv"))
-            out.update(bn.tensors(f"stage{i}.bn"))
+        out = stage_tensors(self.stages)
         out.update(self.head.tensors("head"))
         return out
 
-    def trainable(self):
-        out = {}
-        for i, (conv, bn) in enumerate(self.stages):
-            out.update(conv.trainable_tensors(f"stage{i}.conv"))
-            out.update(bn.trainable_tensors(f"stage{i}.bn"))
-        out.update(self.head.trainable_tensors("head"))
-        return out
-
     def parameter_count(self):
-        return sum(t.size for t in self.trainable().values())
-
-    def set_trainable(self, flag):
-        for t in self.trainable().values():
-            t.requires_grad = flag
+        return sum(t.size for t in parameters(self.tensors()))
 
 
-def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3, class_count=None,
+def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3,
                     widths=(16, 32, 64), kernel=5):
     """Cross-entropy training of a fresh SegModel on the base domain.
 
@@ -94,27 +65,17 @@ def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3, class_count=Non
     """
     if not samples:
         raise ValueError("base domain is empty")
-    if class_count is None:
-        class_count = samples[0].class_count
-    model = SegModel(class_count, stream(seed, "oracle-init"), widths, kernel)
-    if iters <= 0:
-        return model, []
-    picker = stream(seed, "oracle-batches")
-    opt = AdamW(list(model.trainable().values()), betas=(0.9, 0.999), weight_decay=0.0)
-    losses = []
-    for it in range(iters):
-        idx = picker.integers(0, len(samples), size=batch_size)
-        x = Tensor(stack_images(samples, idx))
-        y = stack_masks(samples, idx)
+    model = SegModel(samples[0].class_count, stream(seed, "oracle-init"), widths, kernel)
+    opt = AdamW(parameters(model.tensors()), betas=(0.9, 0.999), weight_decay=0.0)
+
+    def step(xb, yb):
         with Tape() as tape:
-            logits = model.forward(x, training=True)
-            loss = ops.cross_entropy(logits, y)
+            loss = ops.cross_entropy(model.forward(Tensor(xb), training=True), yb)
         tape.backward(loss)
-        opt.step(lr)
-        opt.zero_grad()
-        losses.append(loss.item())
-        if it % max(1, iters // 5) == 0:
-            log.info("oracle pretrain %d/%d loss %.4f", it, iters, losses[-1])
+        return loss.item()
+
+    losses = fit(samples, step, opt, MultiStepLr(lr), stream(seed, "oracle-batches"),
+                 iters, batch_size, "oracle pretrain")
     return model, losses
 
 
@@ -139,7 +100,8 @@ class OracleHandle:
     """
 
     def __init__(self, model: SegModel):
-        model.set_trainable(False)
+        for t in parameters(model.tensors()):
+            t.requires_grad = False
         self._model = model
         self._fingerprint = fingerprint_tensors(model.tensors())
 

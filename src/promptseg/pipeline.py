@@ -7,6 +7,8 @@ wall-clock time goes to a side file that takes no part in that contract.
 """
 
 import dataclasses
+import functools
+import itertools
 import json
 import logging
 import os
@@ -15,24 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import no_grad
+from .checkpoint import atomic_open
 from .config import ExperimentConfig, config_hash, save_config
 from .datasets import DomainSpec, domain_digest, make_domain, save_domain
 from .errors import StageError
 from .fusion import (
-    ApfHyper,
     FusionHeads,
     SharedEncoder,
-    fusion_forward,
     infer,
+    load_heads,
     save_heads,
     train_apf,
 )
 from .metrics import miou
-from .oracle import pretrain_oracle, save_oracle, seal
+from .oracle import load_oracle, pretrain_oracle, save_oracle, seal
 from .prompts import (
-    SpgHyper,
     StylePromptGenerator,
+    load_generator,
     meta_pretrain,
     save_generator,
     train_spg,
@@ -44,6 +45,7 @@ log = logging.getLogger(__name__)
 
 STYLE_NAMES = tuple(style_presets())
 TARGET_NAMES = tuple(TARGET_STYLES)
+TARGET_DOMAINS = tuple(f"{t}_val" for t in TARGET_NAMES)
 CLASS_COUNT = 6
 
 
@@ -61,6 +63,7 @@ def _stage(name):
     """Decorator: failures inside a stage abort with the stage name attached."""
 
     def wrap(fn):
+        @functools.wraps(fn)
         def run(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
@@ -69,8 +72,6 @@ def _stage(name):
             except Exception as e:
                 raise StageError(f"stage {name!r} failed: {e}") from e
 
-        run.__name__ = fn.__name__
-        run.__doc__ = fn.__doc__
         return run
 
     return wrap
@@ -136,17 +137,6 @@ def stage_oracle(cfg, domains, run_dir=None):
     return model, seal(model), losses
 
 
-def spg_hyper(cfg) -> SpgHyper:
-    s = cfg.spg
-    return SpgHyper(iters=s.iters, batch=s.batch, lr=s.lr, momentum=s.momentum)
-
-
-def apf_hyper(cfg) -> ApfHyper:
-    a = cfg.apf
-    return ApfHyper(iters=a.iters, batch=a.batch, lr=a.lr, betas=a.betas,
-                    min_lr=a.min_lr, restart_frac=a.restart_frac, t_mult=a.t_mult)
-
-
 @_stage("train-spg")
 def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
     """Train one generator per style against the sealed oracle.
@@ -166,11 +156,10 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
     }
     subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
     if s.init == "meta":
-        meta_pretrain(gens, subsets, oracle, spg_hyper(cfg), iters=s.meta_iters,
-                      seed=seed)
+        meta_pretrain(gens, subsets, oracle, s, seed=seed)
     names = STYLE_NAMES if only is None else (only,)
     for name in names:
-        train_spg(gens[name], subsets[name], oracle, spg_hyper(cfg), seed=seed)
+        train_spg(gens[name], subsets[name], oracle, s, seed=seed)
         if seed_dir is not None:
             save_generator(os.path.join(seed_dir, f"spg_{name}.ckpt"), gens[name])
     return gens if only is None else {only: gens[only]}
@@ -188,9 +177,7 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
         source += list(domains["base_train"])[: cfg.data.styled_train]
     heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=a.embed_dim,
                         seed=seed)
-    train_apf(heads, source, list(gens.values()), enc, oracle, apf_hyper(cfg),
-              seed=seed, per_channel=a.per_channel, use_softmax=a.use_softmax,
-              use_tanh=a.use_tanh)
+    train_apf(heads, source, list(gens.values()), enc, oracle, a, seed=seed)
     if seed_dir is not None:
         save_heads(os.path.join(seed_dir, "apf.ckpt"), heads, enc.fingerprint())
     return heads
@@ -198,9 +185,7 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
 
 def eval_domains(cfg) -> tuple:
     """Names of the validation domains a report covers."""
-    return ("base_val",) + tuple(f"{s}_val" for s in STYLE_NAMES) + tuple(
-        f"{t}_val" for t in TARGET_NAMES
-    )
+    return ("base_val",) + tuple(f"{s}_val" for s in STYLE_NAMES) + TARGET_DOMAINS
 
 
 @_stage("eval")
@@ -249,7 +234,7 @@ def _fmt(value):
 
 
 def write_csv(path, rows, columns):
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write(",".join(columns) + "\n")
         for row in rows:
             f.write(",".join(_fmt(row[c]) for c in columns) + "\n")
@@ -296,7 +281,7 @@ def run_pipeline(cfg: ExperimentConfig, out_root=None) -> MetricsReport:
         meta = {"config_hash": report.config_hash,
                 "wall_clock_sec": round(report.wall_clock, 3),
                 "oracle_fingerprint": oracle.fingerprint}
-        with open(os.path.join(run_dir, "report_meta.json"), "w") as f:
+        with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
     return report
@@ -304,8 +289,7 @@ def run_pipeline(cfg: ExperimentConfig, out_root=None) -> MetricsReport:
 
 def target_mean(report: MetricsReport, column="sage_miou") -> float:
     """Mean over all (target domain, seed) cells of the report."""
-    names = {f"{t}_val" for t in TARGET_NAMES}
-    vals = [r[column] for r in report.rows if r["domain"] in names]
+    vals = [r[column] for r in report.rows if r["domain"] in TARGET_DOMAINS]
     return float(np.mean(vals))
 
 
@@ -316,10 +300,6 @@ def run_dir_for(cfg, out_root=None) -> str:
 
 def load_seed_artifacts(cfg, run_dir, seed):
     """Rehydrate (model, oracle, enc, gens, heads) from a finished run."""
-    from .fusion import load_heads
-    from .oracle import load_oracle
-    from .prompts import load_generator
-
     oracle_path = os.path.join(run_dir, "oracle.ckpt")
     if not os.path.exists(oracle_path):
         raise StageError(f"no oracle checkpoint at {oracle_path}; "
@@ -357,18 +337,12 @@ def _shared_world(cfg):
     return domains, model, oracle, digests
 
 
-def _arm_mean_targets(cfg, domains, model, oracle) -> dict:
-    """Mean target mIoU per seed for one configuration arm."""
-    per_seed = {}
-    names = tuple(f"{t}_val" for t in TARGET_NAMES)
-    enc = SharedEncoder.from_seg_model(model)
-    for seed in cfg.seeds:
-        gens = stage_spg(cfg, domains, oracle, seed, None)
-        heads = stage_apf(cfg, domains, gens, enc, oracle, seed, None)
-        rows, _ = stage_eval(cfg, domains, gens, enc, heads, oracle, seed,
-                             names=names)
-        per_seed[seed] = float(np.mean([r["sage_miou"] for r in rows]))
-    return per_seed
+def _fused_target_miou(cfg, domains, gens, enc, oracle, seed) -> float:
+    """Train fusion heads for one arm and seed; mean fused mIoU over the targets."""
+    heads = stage_apf(cfg, domains, gens, enc, oracle, seed, None)
+    rows, _ = stage_eval(cfg, domains, gens, enc, heads, oracle, seed,
+                         names=TARGET_DOMAINS)
+    return float(np.mean([r["sage_miou"] for r in rows]))
 
 
 @dataclass
@@ -407,17 +381,29 @@ class AblationTable:
         return "\n".join(lines) + "\n"
 
 
-def _suite(cfg, suite, arm_cfgs) -> AblationTable:
-    domains, model, oracle, digests = _shared_world(cfg)
-    arms = []
-    for name, arm_cfg in arm_cfgs:
-        log.info("ablation %s arm %s", suite, name)
-        per_seed = _arm_mean_targets(arm_cfg, domains, model, oracle)
-        arms.append({"arm": name, "per_seed": per_seed,
-                     "mean": float(np.mean(list(per_seed.values())))})
+def _table(suite, per_arm, oracle, digests) -> AblationTable:
+    """An ablation table from {arm name: {seed: target mIoU}}, in arm order."""
+    arms = [{"arm": name, "per_seed": per_seed,
+             "mean": float(np.mean(list(per_seed.values())))}
+            for name, per_seed in per_arm.items()]
     return AblationTable(suite=suite, arms=arms,
                          oracle_fingerprint=oracle.fingerprint,
                          data_digests=digests)
+
+
+def _suite(cfg, suite, arm_cfgs) -> AblationTable:
+    """Arms that each train their own generators on one shared world."""
+    domains, model, oracle, digests = _shared_world(cfg)
+    enc = SharedEncoder.from_seg_model(model)
+    per_arm = {}
+    for name, arm_cfg in arm_cfgs:
+        log.info("ablation %s arm %s", suite, name)
+        per_arm[name] = {}
+        for seed in arm_cfg.seeds:
+            gens = stage_spg(arm_cfg, domains, oracle, seed, None)
+            per_arm[name][seed] = _fused_target_miou(arm_cfg, domains, gens, enc,
+                                                     oracle, seed)
+    return _table(suite, per_arm, oracle, digests)
 
 
 def ablate_generators(cfg, variants=("border", "a_border", "full", "a_full")):
@@ -447,32 +433,18 @@ def ablate_fusion(cfg) -> AblationTable:
     """
     domains, model, oracle, digests = _shared_world(cfg)
     enc = SharedEncoder.from_seg_model(model)
-    combos = [(pn, sm, th) for pn in (True, False) for sm in (True, False)
-              for th in (True, False)]
-    names = {c: "+".join(tag for tag, on in
-                         zip(("pn", "softmax", "tanh"), c) if on) or "none"
-             for c in combos}
-    arms = {names[c]: {} for c in combos}
-    tgt = tuple(f"{t}_val" for t in TARGET_NAMES)
+    arms = {"+".join(tag for tag, on in zip(("pn", "softmax", "tanh"), flags) if on)
+            or "none": flags for flags in itertools.product((True, False), repeat=3)}
+    per_arm = {name: {} for name in arms}
     for seed in cfg.seeds:
         gens = stage_spg(cfg, domains, oracle, seed, None)
-        for combo in combos:
-            pn, sm, th = combo
+        for name, (pn, sm, th) in arms.items():
             arm_cfg = dataclasses.replace(
                 cfg, apf=dataclasses.replace(
                     cfg.apf, per_channel=pn, use_softmax=sm, use_tanh=th))
-            heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, None)
-            rows, _ = stage_eval(arm_cfg, domains, gens, enc, heads, oracle,
-                                 seed, names=tgt)
-            arms[names[combo]][seed] = float(np.mean(
-                [r["sage_miou"] for r in rows]
-            ))
-    table = [{"arm": name, "per_seed": per_seed,
-              "mean": float(np.mean(list(per_seed.values())))}
-             for name, per_seed in arms.items()]
-    return AblationTable(suite="fusion", arms=table,
-                         oracle_fingerprint=oracle.fingerprint,
-                         data_digests=digests)
+            per_arm[name][seed] = _fused_target_miou(arm_cfg, domains, gens, enc,
+                                                     oracle, seed)
+    return _table("fusion", per_arm, oracle, digests)
 
 
 def attention_report(cfg, report: MetricsReport) -> list:

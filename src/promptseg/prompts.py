@@ -14,20 +14,23 @@ Variants:
 """
 
 import dataclasses
-import logging
 
 import numpy as np
 
 from .autograd import Tape, Tensor
 from .autograd import ops
-from .autograd.layers import Conv2d, BatchNorm2d, load_tensor_arrays, tensor_arrays
-from .autograd.optim import MultiStepLr, SgdMomentum, lr_at
+from .autograd.layers import (
+    BatchNorm2d,
+    Conv2d,
+    load_tensor_arrays,
+    parameters,
+    tensor_arrays,
+)
+from .autograd.optim import MultiStepLr, SgdMomentum
 from .autograd.tensor import ShapeError, add, broadcast_to_batch, mul, reshape
 from .checkpoint import load_checkpoint, pack_tag, save_checkpoint, unpack_tag
-from .datasets import stack_images, stack_masks
 from .seeding import mix_seed, stream
-
-log = logging.getLogger(__name__)
+from .train import fit
 
 VARIANTS = ("border", "a_border", "full", "a_full")
 INIT_STRATEGIES = ("zero", "uniform", "normal", "meta")
@@ -104,8 +107,6 @@ class BorderTemplate:
     def tensors(self, prefix="template"):
         return {f"{prefix}.{name}": t for name, t in self.sides.items()}
 
-    trainable_tensors = tensors
-
 
 class FullTemplate:
     """A single learnable canvas covering the whole image."""
@@ -123,32 +124,6 @@ class FullTemplate:
 
     def tensors(self, prefix="template"):
         return {f"{prefix}.canvas": self.canvas}
-
-    trainable_tensors = tensors
-
-
-def init_template(strategy, seed, channels=3, height=64, width=64, pad=6):
-    """A fresh border template drawn with the named strategy.
-
-    "meta" draws exactly like "normal"; the distinguishing pretraining phase
-    is applied later by meta_pretrain.
-    """
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"unknown init strategy {strategy!r}")
-    rng = stream(seed, "template", strategy)
-    return BorderTemplate(channels, height, width, pad, strategy, rng)
-
-
-def disassemble_prompt(canvas, pad):
-    """Slice an assembled (B, C, H, W) canvas back into its four border blocks."""
-    canvas = np.asarray(canvas)
-    h, w = canvas.shape[-2:]
-    return {
-        "top": canvas[..., :pad, :],
-        "bottom": canvas[..., h - pad :, :],
-        "left": canvas[..., pad : h - pad, :pad],
-        "right": canvas[..., pad : h - pad, w - pad :],
-    }
 
 
 class ModulatorBlock:
@@ -170,12 +145,6 @@ class ModulatorBlock:
         out = {}
         for name in ("conv1", "bn1", "conv2", "bn2", "proj", "proj_bn"):
             out.update(getattr(self, name).tensors(f"{prefix}.{name}"))
-        return out
-
-    def trainable_tensors(self, prefix):
-        out = {}
-        for name in ("conv1", "bn1", "conv2", "bn2", "proj", "proj_bn"):
-            out.update(getattr(self, name).trainable_tensors(f"{prefix}.{name}"))
         return out
 
 
@@ -226,13 +195,6 @@ class ModulatorNetwork:
         for i, block in enumerate(self.blocks):
             out.update(block.tensors(f"{prefix}.block{i}"))
         out.update(self.head.tensors(f"{prefix}.head"))
-        return out
-
-    def trainable_tensors(self, prefix="modulator"):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.trainable_tensors(f"{prefix}.block{i}"))
-        out.update(self.head.trainable_tensors(f"{prefix}.head"))
         return out
 
 
@@ -293,14 +255,8 @@ class StylePromptGenerator:
             out.update(self.modulator.tensors("modulator"))
         return out
 
-    def trainable_tensors(self):
-        out = dict(self.template.trainable_tensors("template"))
-        if self.modulator is not None:
-            out.update(self.modulator.trainable_tensors("modulator"))
-        return out
-
     def parameter_count(self):
-        return sum(t.size for t in self.trainable_tensors().values())
+        return sum(t.size for t in parameters(self.tensors()))
 
 
 def attach_prompt(x, prompt):
@@ -312,66 +268,46 @@ def attach_prompt(x, prompt):
     return add(x, prompt)
 
 
-@dataclasses.dataclass(frozen=True)
-class SpgHyper:
-    iters: int = 2000
-    batch: int = 8
-    lr: float = 1e-4
-    momentum: float = 0.9
-    # milestone epochs {150, 180, 210} of a 240-epoch run, kept as fractions
-    # so the schedule shape survives any iteration budget
-    milestone_fracs: tuple = (150 / 240, 180 / 240, 210 / 240)
-    gamma: float = 0.1
-
-    def __post_init__(self):
-        if self.iters < 0 or self.batch <= 0 or self.lr <= 0:
-            raise ValueError("SpgHyper requires iters >= 0, batch > 0, lr > 0")
+# milestone epochs {150, 180, 210} of a 240-epoch run, kept as fractions so
+# the schedule shape survives any iteration budget
+MILESTONE_FRACS = (150 / 240, 180 / 240, 210 / 240)
+GAMMA = 0.1
 
 
-def _spg_schedule(hyper):
-    milestones = tuple(sorted({int(f * hyper.iters) for f in hyper.milestone_fracs}))
-    return MultiStepLr(hyper.lr, milestones, hyper.gamma)
+def _spg_schedule(spg):
+    milestones = tuple(sorted({int(f * spg.iters) for f in MILESTONE_FRACS}))
+    return MultiStepLr(spg.lr, milestones, GAMMA)
 
 
-def train_spg(gen, samples, oracle, hyper, seed=0):
+def train_spg(gen, samples, oracle, spg, seed=0):
     """Optimize one generator against the sealed oracle on its stylized domain.
 
-    Per iteration: batch, generate, attach, ask the oracle for the input
+    ``spg`` is the config section (iters, batch, lr, momentum).  Per
+    iteration: batch, generate, attach, ask the oracle for the input
     gradient, chain it into the local tape, momentum step.  Returns the
     per-iteration loss curve.
     """
-    if not samples:
-        raise ValueError("stylized domain is empty")
-    params = list(gen.trainable_tensors().values())
-    opt = SgdMomentum(params, hyper.momentum)
-    schedule = _spg_schedule(hyper)
-    picker = stream(seed, "spg-batches", gen.style)
-    losses = []
-    for it in range(hyper.iters):
-        idx = picker.integers(0, len(samples), size=hyper.batch)
-        xb = stack_images(samples, idx)
-        yb = stack_masks(samples, idx)
+    opt = SgdMomentum(parameters(gen.tensors()), spg.momentum)
+
+    def step(xb, yb):
         with Tape() as tape:
-            prompt = gen.generate(xb, training=True)
-            prompted = attach_prompt(xb, prompt)
+            prompted = attach_prompt(xb, gen.generate(xb, training=True))
         loss, grad_x = oracle.input_grad(prompted.data, yb)
         tape.backward(prompted, seed=grad_x)
-        opt.step(lr_at(schedule, it))
-        opt.zero_grad()
-        losses.append(loss)
-        if it % max(1, hyper.iters // 5) == 0:
-            log.info("spg[%s] %d/%d loss %.4f", gen.style, it, hyper.iters, loss)
-    return losses
+        return loss
+
+    return fit(samples, step, opt, _spg_schedule(spg), stream(seed, "spg-batches", gen.style),
+               spg.iters, spg.batch, f"spg[{gen.style}]")
 
 
-def meta_pretrain(generators, style_subsets, oracle, hyper=None, iters=200, seed=0):
+def meta_pretrain(generators, style_subsets, oracle, spg, seed=0):
     """Short per-style warmup pass shared by all generators before main training.
 
-    Each generator runs the ordinary training loop for a small budget on its
-    own style subset.  Zero iterations is a no-op by construction.
+    Each generator runs the ordinary training loop for ``spg.meta_iters``
+    iterations on its own style subset.  Zero iterations is a no-op by
+    construction.
     """
-    hyper = hyper or SpgHyper()
-    warm = dataclasses.replace(hyper, iters=iters)
+    warm = dataclasses.replace(spg, iters=spg.meta_iters)
     for style, gen in generators.items():
         train_spg(gen, style_subsets[style], oracle, warm, seed=mix_seed(seed, "meta"))
     return generators

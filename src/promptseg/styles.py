@@ -104,14 +104,6 @@ TARGET_STYLES = {
 }
 
 
-def params_vector(params: StyleParams) -> np.ndarray:
-    """Fields as a flat vector with hue scaled to ~unit range (for distances)."""
-    raw = [getattr(params, f.name) for f in fields(params)]
-    v = np.array(raw, dtype=np.float64)
-    v[0] /= 90.0
-    return v
-
-
 @dataclass(frozen=True)
 class StyleJitter:
     """Per-field uniform half-widths applied around a mean StyleParams."""

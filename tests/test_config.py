@@ -95,6 +95,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             from_dict(override)
 
+    @pytest.mark.parametrize("section", ["oracle", "spg", "apf"])
+    @pytest.mark.parametrize("field, value", [("iters", -1), ("batch", 0), ("lr", 0.0)])
+    def test_bad_budget_rejected(self, section, field, value):
+        with pytest.raises(ValueError, match=section):
+            from_dict({section: {field: value}})
+
+    @pytest.mark.parametrize("override", [
+        {"spg": {"meta_iters": -1}},
+        {"apf": {"embed_dim": 0}},
+        {"spg": {"variant": "border", "pad": 0}},
+        {"spg": {"variant": "a_border", "pad": 32}},
+        {"data": {"size": 16}, "spg": {"pad": 8}},
+    ])
+    def test_bad_shapes_rejected(self, override):
+        with pytest.raises(ValueError):
+            from_dict(override)
+
+    @pytest.mark.parametrize("variant", ["full", "a_full"])
+    def test_full_variants_ignore_pad(self, variant):
+        # the full-canvas templates build no border, so pad never applies
+        from_dict({"spg": {"variant": variant, "pad": 32}})
+
 
 class TestHashing:
     def test_hash_is_stable(self):

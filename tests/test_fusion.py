@@ -8,8 +8,8 @@ from promptseg.autograd import ops
 from promptseg.autograd.layers import tensor_arrays
 from promptseg.autograd.tensor import ShapeError
 from promptseg.errors import FormatError
+from promptseg.config import ApfConfig, ExperimentConfig
 from promptseg.fusion import (
-    ApfHyper,
     FusionHeads,
     SharedEncoder,
     _apf_schedule,
@@ -23,7 +23,6 @@ from promptseg.fusion import (
     save_heads,
     train_apf,
 )
-from promptseg.autograd.optim import lr_at
 from promptseg.datasets import DomainSpec, make_domain
 from promptseg.oracle import SegModel, seal
 from promptseg.prompts import StylePromptGenerator, save_generator
@@ -38,6 +37,11 @@ TANH1 = float(np.tanh(1.0))
 def toy_oracle(seed=0, classes=4):
     model = SegModel(classes, stream(seed, "toy-oracle"), widths=(4, 6, 8), kernel=3)
     return model, seal(model)
+
+
+def random_encoder(seed):
+    """A frozen encoder with random weights drawn from its own seed stream."""
+    return SharedEncoder(stream(seed, "enc-random"), widths=(4, 6, 8), kernel=3)
 
 
 def toy_setup(n=3, size=16, variant="border", seed=0):
@@ -80,13 +84,13 @@ class TestSharedEncoder:
         )
 
     def test_encoder_params_are_frozen(self):
-        enc = SharedEncoder.random(0, widths=(4, 6, 8), kernel=3)
+        enc = random_encoder(0)
         for t in enc.tensors().values():
             if isinstance(t, Tensor):
                 assert not t.requires_grad
 
     def test_encode_shape_and_determinism(self, rng):
-        enc = SharedEncoder.random(3, widths=(4, 6, 8), kernel=3)
+        enc = random_encoder(3)
         x = rng.uniform(0, 1, (5, 3, 16, 16)).astype(np.float32)
         with no_grad():
             a = enc.encode(x)
@@ -96,29 +100,29 @@ class TestSharedEncoder:
 
     def test_encode_is_pure(self, rng):
         # eval-mode batch norm must not update running statistics
-        enc = SharedEncoder.random(3, widths=(4, 6, 8), kernel=3)
+        enc = random_encoder(3)
         before = clone_state(enc)
         with no_grad():
             enc.encode(rng.uniform(0, 1, (4, 3, 16, 16)).astype(np.float32))
         assert states_equal(before, clone_state(enc))
 
     def test_random_is_seed_reproducible(self):
-        a = SharedEncoder.random(7, widths=(4, 6, 8), kernel=3)
-        b = SharedEncoder.random(7, widths=(4, 6, 8), kernel=3)
-        c = SharedEncoder.random(8, widths=(4, 6, 8), kernel=3)
+        a = random_encoder(7)
+        b = random_encoder(7)
+        c = random_encoder(8)
         assert states_equal(clone_state(a), clone_state(b))
         assert not states_equal(clone_state(a), clone_state(c))
 
     def test_encode_rejects_bad_shapes(self):
-        enc = SharedEncoder.random(0, widths=(4, 6, 8), kernel=3)
+        enc = random_encoder(0)
         with pytest.raises(ShapeError):
             enc.encode(np.zeros((2, 1, 16, 16), np.float32))
         with pytest.raises(ShapeError):
             enc.encode(np.zeros((3, 16, 16), np.float32))
 
     def test_fingerprint_tracks_weights(self):
-        a = SharedEncoder.random(0, widths=(4, 6, 8), kernel=3)
-        b = SharedEncoder.random(0, widths=(4, 6, 8), kernel=3)
+        a = random_encoder(0)
+        b = random_encoder(0)
         assert a.fingerprint() == b.fingerprint()
         b.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
         assert a.fingerprint() != b.fingerprint()
@@ -393,7 +397,7 @@ def apf_smoke():
         "fp": handle.fingerprint,
     }
     losses = train_apf(heads, dom, gens, enc, handle,
-                       ApfHyper(iters=30, batch=4, lr=1e-2), seed=3)
+                       ApfConfig(iters=30, batch=4, lr=1e-2), seed=3)
     return handle, enc, gens, heads, before, losses
 
 
@@ -417,21 +421,21 @@ class TestTrainApf:
     def test_empty_source_rejected(self):
         _, handle, enc, gens, heads, _ = toy_setup(n=2)
         with pytest.raises(ValueError):
-            train_apf(heads, [], gens, enc, handle, ApfHyper(iters=1))
+            train_apf(heads, [], gens, enc, handle, ApfConfig(iters=1))
 
     def test_schedule_restarts(self):
-        sched = _apf_schedule(ApfHyper(iters=800, lr=1e-3, min_lr=1e-5))
-        assert lr_at(sched, 0) == pytest.approx(1e-3)
+        sched = _apf_schedule(ApfConfig(iters=800, lr=1e-3, min_lr=1e-5))
+        assert sched.lr_at(0) == pytest.approx(1e-3)
         # lr decays within the first period of 100 steps, then jumps back
-        assert lr_at(sched, 99) < 2e-4
-        assert lr_at(sched, 100) == pytest.approx(1e-3)
-        assert lr_at(sched, 299) < lr_at(sched, 150)
+        assert sched.lr_at(99) < 2e-4
+        assert sched.lr_at(100) == pytest.approx(1e-3)
+        assert sched.lr_at(299) < sched.lr_at(150)
 
     def test_bad_hyper_rejected(self):
         with pytest.raises(ValueError):
-            ApfHyper(iters=-1)
+            ExperimentConfig(apf=ApfConfig(iters=-1)).validate()
         with pytest.raises(ValueError):
-            ApfHyper(lr=0.0)
+            ExperimentConfig(apf=ApfConfig(lr=0.0)).validate()
 
 
 class TestHeadsPersistence:

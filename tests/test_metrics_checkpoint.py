@@ -1,14 +1,19 @@
+import os
+
 import numpy as np
 import pytest
 
+from promptseg import checkpoint
 from promptseg.checkpoint import (
+    atomic_open,
     load_checkpoint,
     pack_u64,
     save_checkpoint,
     unpack_u64,
 )
 from promptseg.errors import FormatError, KindMismatchError
-from promptseg.metrics import DomainMetrics, MetricsReport, confusion, miou
+from promptseg.metrics import confusion, miou
+from promptseg.pipeline import write_csv
 
 
 class TestMiou:
@@ -64,33 +69,6 @@ class TestMiou:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             confusion(np.zeros((2, 2)), np.zeros((3, 3)), 4)
-
-
-class TestReport:
-    def _report(self):
-        return MetricsReport(
-            config_hash="abc123",
-            seed=7,
-            domains=[
-                DomainMetrics("source_val", 0.91, 0.92, [1.0, 0.8, None, 0.9], [0.2, 0.3]),
-                DomainMetrics("dusk", 0.5, 0.6, [0.9, 0.4, 0.2, None], [0.4, 0.1]),
-            ],
-            wall_clock_s=12.5,
-        )
-
-    def test_csv_is_deterministic_and_excludes_timing(self):
-        a, b = self._report(), self._report()
-        b.wall_clock_s = 999.0
-        assert a.to_csv() == b.to_csv()
-        assert "12.5" not in a.to_csv()
-
-    def test_csv_row_per_domain(self):
-        lines = self._report().to_csv().strip().split("\n")
-        assert len(lines) == 3
-        assert lines[1].startswith("abc123,7,source_val,")
-
-    def test_meta_sidecar_carries_timing(self):
-        assert "12.5" in self._report().to_meta_json()
 
 
 class TestCheckpointIo:
@@ -159,3 +137,41 @@ class TestCheckpointIo:
     def test_u64_fingerprint_pack_round_trip(self):
         for value in (0, 1, 2**63 + 12345, 2**64 - 1):
             assert unpack_u64(pack_u64(value)) == value
+
+
+class TestAtomicWrites:
+    """A write that fails part-way leaves the earlier file and no temp file."""
+
+    def test_checkpoint_failing_before_crc_keeps_old_file(self, tmp_path, rng, monkeypatch):
+        path = tmp_path / "oracle.ckpt"
+        save_checkpoint(path, "ORCL", {"w": np.ones(3, np.float32)})
+        before = path.read_bytes()
+
+        class FailingCrc:
+            # the payload is already in the file when the trailer is computed
+            @staticmethod
+            def crc32(data):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint, "zlib", FailingCrc)
+        with pytest.raises(OSError):
+            save_checkpoint(path, "ORCL", {"w": rng.normal(size=(64, 64)).astype(np.float32)})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["oracle.ckpt"]
+
+    def test_csv_failing_mid_row_keeps_old_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_csv(path, [{"a": 1.0}], ["a"])
+        before = path.read_bytes()
+        with pytest.raises(KeyError):
+            write_csv(path, [{"a": 2.0}, {"b": 3.0}], ["a"])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.csv"]
+
+    def test_success_replaces_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path) as f:
+            f.write("new")
+        assert path.read_text() == "new"
+        assert os.listdir(tmp_path) == ["out.txt"]

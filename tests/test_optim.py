@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promptseg.autograd import Tensor
-from promptseg.autograd.optim import AdamW, CosineWarmRestarts, MultiStepLr, SgdMomentum, lr_at
+from promptseg.autograd.optim import AdamW, CosineWarmRestarts, MultiStepLr, SgdMomentum
 
 
 class TestSgdMomentum:
@@ -71,44 +71,44 @@ class TestAdamW:
 class TestMultiStep:
     def test_paper_milestones(self):
         sched = MultiStepLr(1e-4, milestones=(150, 180, 210), gamma=0.1)
-        assert lr_at(sched, 0) == pytest.approx(1e-4)
-        assert lr_at(sched, 149) == pytest.approx(1e-4)
-        assert lr_at(sched, 160) == pytest.approx(1e-5)
-        assert lr_at(sched, 200) == pytest.approx(1e-6)
-        assert lr_at(sched, 239) == pytest.approx(1e-7)
+        assert sched.lr_at(0) == pytest.approx(1e-4)
+        assert sched.lr_at(149) == pytest.approx(1e-4)
+        assert sched.lr_at(160) == pytest.approx(1e-5)
+        assert sched.lr_at(200) == pytest.approx(1e-6)
+        assert sched.lr_at(239) == pytest.approx(1e-7)
 
     def test_non_increasing(self):
         sched = MultiStepLr(1.0, milestones=(3, 7, 9), gamma=0.5)
-        values = [lr_at(sched, s) for s in range(15)]
+        values = [sched.lr_at(s) for s in range(15)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(v > 0 for v in values)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            lr_at(MultiStepLr(1.0), -1)
+            MultiStepLr(1.0).lr_at(-1)
 
 
 class TestCosineWarmRestarts:
     def test_restart_boundary_returns_base(self):
         sched = CosineWarmRestarts(1e-4, min_lr=1e-5, t0=10, t_mult=3)
-        assert lr_at(sched, 0) == pytest.approx(1e-4)
+        assert sched.lr_at(0) == pytest.approx(1e-4)
         # periods: [0,10), [10,40), [40,130)
-        assert lr_at(sched, 10) == pytest.approx(1e-4)
-        assert lr_at(sched, 40) == pytest.approx(1e-4)
+        assert sched.lr_at(10) == pytest.approx(1e-4)
+        assert sched.lr_at(40) == pytest.approx(1e-4)
 
     def test_midpoint_is_average(self):
         sched = CosineWarmRestarts(2e-3, min_lr=4e-4, t0=8, t_mult=1)
-        assert lr_at(sched, 4) == pytest.approx((2e-3 + 4e-4) / 2, abs=1e-9)
+        assert sched.lr_at(4) == pytest.approx((2e-3 + 4e-4) / 2, abs=1e-9)
         sched = CosineWarmRestarts(1e-4, min_lr=1e-5, t0=10, t_mult=3)
-        assert lr_at(sched, 25) == pytest.approx((1e-4 + 1e-5) / 2, abs=1e-9)
+        assert sched.lr_at(25) == pytest.approx((1e-4 + 1e-5) / 2, abs=1e-9)
 
     def test_bounded_between_min_and_base(self):
         sched = CosineWarmRestarts(1e-2, min_lr=1e-4, t0=4, t_mult=2)
         for s in range(200):
-            lr = lr_at(sched, s)
+            lr = sched.lr_at(s)
             assert 1e-4 - 1e-12 <= lr <= 1e-2 + 1e-12
             assert lr > 0
 
     def test_tmult_one_cycles(self):
         sched = CosineWarmRestarts(1.0, min_lr=0.0, t0=6, t_mult=1)
-        assert lr_at(sched, 0) == lr_at(sched, 6) == lr_at(sched, 12) == pytest.approx(1.0)
+        assert sched.lr_at(0) == sched.lr_at(6) == sched.lr_at(12) == pytest.approx(1.0)

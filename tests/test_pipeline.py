@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from conftest import tiny_experiment
 
+from promptseg import pipeline
 from promptseg.config import SpgConfig, config_hash, load_config
 from promptseg.errors import StageError
 from promptseg.pipeline import (
@@ -213,13 +214,24 @@ class TestDeterminism:
 
 
 class TestStageErrors:
-    def test_failure_reports_stage_name(self):
-        # pad cannot fit the canvas; the constructor error should surface
-        # wrapped with the name of the stage that hit it
+    def test_failure_reports_stage_name(self, monkeypatch):
+        # an error raised inside a stage surfaces wrapped with its name
+        def diverged(*args, **kwargs):
+            raise RuntimeError("generator diverged")
+
+        monkeypatch.setattr(pipeline, "train_spg", diverged)
+        with pytest.raises(StageError, match="train-spg"):
+            run_pipeline(tiny_config(), out_root="")
+
+    def test_bad_config_fails_before_any_stage(self, monkeypatch):
+        # pad cannot fit the 16px canvas: rejected before data is generated
+        calls = []
+        monkeypatch.setattr(pipeline, "stage_data", lambda *a: calls.append(a))
         cfg = dataclasses.replace(
             tiny_config(), spg=SpgConfig(iters=4, batch=4, pad=8, depth=4))
-        with pytest.raises(StageError, match="train-spg"):
+        with pytest.raises(ValueError, match="pad"):
             run_pipeline(cfg, out_root="")
+        assert calls == []
 
 
 @pytest.fixture(scope="module")

@@ -3,30 +3,37 @@ import pytest
 
 from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
 from promptseg.autograd.tensor import ShapeError
+from promptseg.config import ExperimentConfig, SpgConfig
 from promptseg.datasets import DomainSpec, make_domain, stack_images, stack_masks
 from promptseg.errors import KindMismatchError
 from promptseg.oracle import SegModel, seal
 from promptseg.prompts import (
     BorderTemplate,
     ModulatorNetwork,
-    SpgHyper,
     StylePromptGenerator,
     _spg_schedule,
     attach_prompt,
-    disassemble_prompt,
-    init_template,
     load_generator,
     meta_pretrain,
     save_generator,
     train_spg,
 )
 from promptseg.autograd.layers import tensor_arrays
-from promptseg.autograd.optim import lr_at
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 from promptseg.styles import style_presets
 
 from conftest import numeric_grad, rel_err
+
+
+def border_template(strategy, seed, height=64, width=64, pad=6):
+    """A fresh 3-channel border template drawn with the named strategy."""
+    return BorderTemplate(3, height, width, pad, strategy, stream(seed, "template", strategy))
+
+
+def trainable_arrays(gen):
+    """Copies of a generator's trainable parameters (its Tensor entries)."""
+    return {k: v.data.copy() for k, v in gen.tensors().items() if isinstance(v, Tensor)}
 
 
 @pytest.fixture(scope="module")
@@ -45,64 +52,66 @@ def styled_subset():
 
 class TestInitStrategies:
     def test_zero_is_all_zero(self):
-        t = init_template("zero", seed=1)
+        t = border_template("zero", seed=1)
         assert all(not np.any(s.data) for s in t.sides.values())
 
     def test_normal_std_in_window(self):
         # larger dims push the parameter count past 1e4 so the window is tight
-        t = init_template("normal", seed=2, height=128, width=128, pad=8)
+        t = border_template("normal", seed=2, height=128, width=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
         assert flat.size >= 10_000
         assert 0.08 < flat.std() < 0.12
         assert abs(flat.mean()) < 0.01
 
     def test_uniform_mean_in_window(self):
-        t = init_template("uniform", seed=3, height=128, width=128, pad=8)
+        t = border_template("uniform", seed=3, height=128, width=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
         assert 0.45 < flat.mean() < 0.55
         assert flat.min() >= 0.0 and flat.max() <= 1.0
 
     def test_meta_draws_like_normal_until_pretrained(self):
-        t = init_template("meta", seed=4, height=128, width=128, pad=8)
+        t = border_template("meta", seed=4, height=128, width=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
         assert 0.08 < flat.std() < 0.12
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            init_template("xavier", seed=0)
+            border_template("xavier", seed=0)
 
 
 class TestBorderTemplate:
     def test_center_is_exactly_zero(self):
-        t = init_template("normal", seed=5)
+        t = border_template("normal", seed=5)
         canvas = t.assemble(None, batch=2)
         assert canvas.shape == (2, 3, 64, 64)
         assert not np.any(canvas.data[:, :, 6:58, 6:58])
 
     def test_center_zero_under_modulation(self, rng):
-        t = init_template("normal", seed=6)
+        t = border_template("normal", seed=6)
         alpha = Tensor(rng.normal(size=(3, 4, 3)).astype(np.float32))
         canvas = t.assemble(alpha)
         assert canvas.shape == (3, 3, 64, 64)
         assert not np.any(canvas.data[:, :, 6:58, 6:58])
 
     def test_canvas_sum_equals_side_sum(self):
-        t = init_template("normal", seed=7)
+        t = border_template("normal", seed=7)
         canvas = t.assemble(None, batch=1)
         total = sum(float(s.data.sum()) for s in t.sides.values())
         np.testing.assert_allclose(canvas.data.sum(), total, rtol=1e-5)
 
     def test_disassemble_recovers_modulated_sides(self, rng):
-        t = init_template("normal", seed=8)
+        t = border_template("normal", seed=8)
         alpha = rng.normal(size=(2, 4, 3)).astype(np.float32)
         canvas = t.assemble(Tensor(alpha))
-        back = disassemble_prompt(canvas.data, t.pad)
+        c, p = canvas.data, t.pad
+        back = {"top": c[..., :p, :], "bottom": c[..., 64 - p:, :],
+                "left": c[..., p:64 - p, :p], "right": c[..., p:64 - p, 64 - p:]}
         for i, name in enumerate(("top", "bottom", "left", "right")):
             expect = t.sides[name].data[None] * alpha[:, i, :, None, None]
             np.testing.assert_array_equal(back[name], expect)
 
     def test_identity_and_zero_modulation(self):
-        t = init_template("normal", seed=9)
+        t = border_template("normal", seed=9)
         plain = t.assemble(None, batch=2)
         ones = t.assemble(Tensor(np.ones((2, 4, 3), np.float32)))
         np.testing.assert_array_equal(ones.data, plain.data)
@@ -110,7 +119,7 @@ class TestBorderTemplate:
         assert not np.any(zeros.data)
 
     def test_single_channel_doubles_alone(self):
-        t = init_template("normal", seed=10)
+        t = border_template("normal", seed=10)
         alpha = np.ones((1, 4, 3), np.float32)
         alpha[:, :, 1] = 2.0
         mod = t.assemble(Tensor(alpha)).data
@@ -123,7 +132,7 @@ class TestBorderTemplate:
             BorderTemplate(3, 64, 64, 32, "zero", stream(0, "t"))
 
     def test_bad_alpha_shape_rejected(self):
-        t = init_template("zero", seed=0)
+        t = border_template("zero", seed=0)
         with pytest.raises(ShapeError):
             t.assemble(Tensor(np.zeros((1, 4, 5), np.float32)))
 
@@ -290,7 +299,7 @@ class TestTrainSpg:
         before = oracle.fingerprint
         gen = StylePromptGenerator("cool_dim", "a_border", seed=3)
         init_bytes = {k: v.tobytes() for k, v in tensor_arrays(gen.tensors()).items()}
-        hyper = SpgHyper(iters=40, batch=8, lr=0.1)
+        hyper = SpgConfig(iters=40, batch=8, lr=0.1)
         losses = train_spg(gen, styled_subset, oracle, hyper, seed=7)
         assert len(losses) == 40
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
@@ -303,41 +312,42 @@ class TestTrainSpg:
     def test_fixed_border_variant_trains_too(self, base_oracle, styled_subset):
         _, oracle, _ = base_oracle
         gen = StylePromptGenerator("cool_dim", "border", seed=4)
-        losses = train_spg(gen, styled_subset, oracle, SpgHyper(iters=40, batch=8, lr=0.1), seed=8)
+        losses = train_spg(gen, styled_subset, oracle, SpgConfig(iters=40, batch=8, lr=0.1), seed=8)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
 
     def test_meta_pretrain_zero_iters_is_noop(self, base_oracle, styled_subset):
         _, oracle, _ = base_oracle
         gen = StylePromptGenerator("cool_dim", "a_border", init="meta", seed=5)
         snap = {k: v.tobytes() for k, v in tensor_arrays(gen.tensors()).items()}
-        meta_pretrain({"cool_dim": gen}, {"cool_dim": styled_subset}, oracle, iters=0)
+        meta_pretrain({"cool_dim": gen}, {"cool_dim": styled_subset}, oracle,
+                      SpgConfig(meta_iters=0))
         after = {k: v.tobytes() for k, v in tensor_arrays(gen.tensors()).items()}
         assert snap == after
 
     def test_meta_pretrain_moves_parameters(self, base_oracle, styled_subset):
         _, oracle, _ = base_oracle
         gen = StylePromptGenerator("cool_dim", "a_border", init="meta", seed=5)
-        snap = {k: v.copy() for k, v in tensor_arrays(gen.trainable_tensors()).items()}
+        snap = trainable_arrays(gen)
         meta_pretrain({"cool_dim": gen}, {"cool_dim": styled_subset}, oracle,
-                      hyper=SpgHyper(lr=0.1), iters=10)
+                      SpgConfig(lr=0.1, meta_iters=10))
         dist = sum(float(((v - snap[k]) ** 2).sum())
-                   for k, v in tensor_arrays(gen.trainable_tensors()).items())
+                   for k, v in trainable_arrays(gen).items())
         assert dist > 0
 
     def test_schedule_steps_down_at_milestone_fractions(self):
-        sched = _spg_schedule(SpgHyper(iters=240, lr=1.0))
-        assert lr_at(sched, 149) == 1.0
-        assert lr_at(sched, 150) == pytest.approx(0.1)
-        assert lr_at(sched, 180) == pytest.approx(0.01)
-        assert lr_at(sched, 210) == pytest.approx(0.001)
+        sched = _spg_schedule(SpgConfig(iters=240, lr=1.0))
+        assert sched.lr_at(149) == 1.0
+        assert sched.lr_at(150) == pytest.approx(0.1)
+        assert sched.lr_at(180) == pytest.approx(0.01)
+        assert sched.lr_at(210) == pytest.approx(0.001)
 
     def test_empty_domain_and_bad_hyper_rejected(self, base_oracle):
         _, oracle, _ = base_oracle
         gen = StylePromptGenerator("s", "border")
         with pytest.raises(ValueError):
-            train_spg(gen, [], oracle, SpgHyper())
+            train_spg(gen, [], oracle, SpgConfig())
         with pytest.raises(ValueError):
-            SpgHyper(lr=0.0)
+            ExperimentConfig(spg=SpgConfig(lr=0.0)).validate()
 
 
 class TestPersistence:

@@ -6,7 +6,6 @@ from promptseg.autograd import (
     ShapeError,
     Tape,
     Tensor,
-    backward,
     no_grad,
     shadow_precision,
 )
@@ -55,10 +54,11 @@ class TestTapeMechanics:
         np.testing.assert_allclose(x.grad, 2.0 * seed, rtol=1e-6)
 
     def test_free_function_backward(self, rng):
+        # backward reached from the output alone, without naming its tape
         x = Tensor(rng.normal(size=(2,)).astype(np.float32), requires_grad=True)
         with Tape():
             loss = sum_all(x)
-        backward(loss)
+        loss.backward()
         np.testing.assert_array_equal(x.grad, np.ones(2, np.float32))
 
     def test_shared_subexpression_accumulates_through_graph(self, rng):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,15 @@ from promptseg.styles import (
     apply_style,
     hue_rotation_matrix,
     jittered,
-    params_vector,
     style_presets,
 )
+
+
+def params_vector(params):
+    """Style fields as a flat vector, hue scaled to about unit range (for distances)."""
+    v = np.array([getattr(params, f.name) for f in fields(params)], dtype=np.float64)
+    v[0] /= 90.0
+    return v
 
 
 class TestRenderScene:
