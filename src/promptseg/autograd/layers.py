@@ -13,18 +13,14 @@ that table; batch-norm running statistics are plain arrays and fall outside.
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, current_dtype
-
-
-def _param(arr, trainable):
-    return Tensor(np.asarray(arr, dtype=current_dtype()), requires_grad=trainable)
+from .tensor import Tensor
 
 
 class Conv2d:
-    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0, trainable=True):
+    def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0):
         std = np.sqrt(2.0 / (c_in * kernel * kernel))
-        self.weight = _param(rng.normal(0.0, std, (c_out, c_in, kernel, kernel)), trainable)
-        self.bias = _param(np.zeros(c_out), trainable)
+        self.weight = Tensor(rng.normal(0.0, std, (c_out, c_in, kernel, kernel)), requires_grad=True)
+        self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
         self.padding = padding
 
@@ -36,10 +32,10 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    def __init__(self, channels, trainable=True, momentum=0.1, eps=1e-5):
-        self.gamma = _param(np.ones(channels), trainable)
-        self.beta = _param(np.zeros(channels), trainable)
-        self.state = ops.BnState(channels, momentum, eps)
+    def __init__(self, channels):
+        self.gamma = Tensor(np.ones(channels), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels), requires_grad=True)
+        self.state = ops.BnState(channels)
 
     def __call__(self, x, training):
         return ops.batch_norm2d(x, self.gamma, self.beta, self.state, training)
@@ -54,11 +50,10 @@ class BatchNorm2d:
 
 
 class Linear:
-    def __init__(self, d_in, d_out, rng, trainable=True, std=None):
-        if std is None:
-            std = 1.0 / np.sqrt(d_in)
-        self.weight = _param(rng.normal(0.0, std, (d_in, d_out)), trainable)
-        self.bias = _param(np.zeros(d_out), trainable)
+    def __init__(self, d_in, d_out, rng):
+        std = 1.0 / np.sqrt(d_in)
+        self.weight = Tensor(rng.normal(0.0, std, (d_in, d_out)), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x):
         return ops.linear(x, self.weight, self.bias)
@@ -72,13 +67,18 @@ def parameters(tensors):
     return [t for t in tensors.values() if isinstance(t, Tensor)]
 
 
-def conv_bn_stages(widths, kernel, rng, trainable=True):
+def freeze(tensors):
+    """Take a module's parameters off every tape: gradients stop at them."""
+    for t in parameters(tensors):
+        t.requires_grad = False
+
+
+def conv_bn_stages(widths, kernel, rng):
     """Stride-2 conv-BN pairs from RGB through ``widths``, padded to halve H and W."""
     stages, c_in = [], 3
     for c_out in widths:
-        conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=kernel // 2,
-                      trainable=trainable)
-        stages.append((conv, BatchNorm2d(c_out, trainable=trainable)))
+        conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=kernel // 2)
+        stages.append((conv, BatchNorm2d(c_out)))
         c_in = c_out
     return stages
 

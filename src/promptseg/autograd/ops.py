@@ -99,16 +99,18 @@ def conv2d(x, weight, bias, stride=1, padding=0):
 # ---------------------------------------------------------------------------
 # batch norm
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 class BnState:
     """Running statistics for one batch-norm layer (mutated only in train mode)."""
 
-    __slots__ = ("running_mean", "running_var", "momentum", "eps")
+    __slots__ = ("running_mean", "running_var")
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels):
         self.running_mean = np.zeros(channels, dtype=current_dtype())
         self.running_var = np.ones(channels, dtype=current_dtype())
-        self.momentum = momentum
-        self.eps = eps
 
 
 def batch_norm2d(x, gamma, beta, state, training):
@@ -124,8 +126,6 @@ def batch_norm2d(x, gamma, beta, state, training):
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm2d affine params must be ({c},)")
-    eps = state.eps
-
     if training:
         n = b * h * w
         if n < 2:
@@ -134,14 +134,14 @@ def batch_norm2d(x, gamma, beta, state, training):
             )
         mean = x.data.mean(axis=(0, 2, 3))
         var = x.data.var(axis=(0, 2, 3))
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean[:, None, None]) * inv[:, None, None]
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean += m * (mean.astype(state.running_mean.dtype) - state.running_mean)
         unbiased = var * (n / (n - 1))
         state.running_var += m * (unbiased.astype(state.running_var.dtype) - state.running_var)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + eps)
+        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
         inv = inv.astype(x.data.dtype)
         xhat = (x.data - state.running_mean.astype(x.data.dtype)[:, None, None]) * inv[:, None, None]
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]

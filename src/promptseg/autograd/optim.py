@@ -108,21 +108,10 @@ class CosineWarmRestarts:
             raise ValueError("step must be non-negative")
         if self.t0 < 1 or self.t_mult < 1:
             raise ValueError("t0 and t_mult must be >= 1")
-        if self.t_mult == 1:
-            period = self.t0
-            t_cur = step % self.t0
-        else:
-            # first period index whose cumulative start exceeds step, minus one
-            i = int(math.log(step * (self.t_mult - 1) / self.t0 + 1, self.t_mult))
-            start = self.t0 * (self.t_mult ** i - 1) // (self.t_mult - 1)
-            if start > step:
-                i -= 1
-                start = self.t0 * (self.t_mult ** i - 1) // (self.t_mult - 1)
-            elif step >= start + self.t0 * self.t_mult ** i:
-                i += 1
-                start = self.t0 * (self.t_mult ** i - 1) // (self.t_mult - 1)
-            period = self.t0 * self.t_mult ** i
-            t_cur = step - start
+        t_cur, period = step, self.t0
+        while t_cur >= period:
+            t_cur -= period
+            period *= self.t_mult
         return self.min_lr + (self.base_lr - self.min_lr) * 0.5 * (
             1.0 + math.cos(math.pi * t_cur / period)
         )

@@ -122,22 +122,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class _Node:
     __slots__ = ("out_id", "inputs", "backward_fn")
@@ -262,17 +246,6 @@ def add(a, b):
         return ga, gb
 
     return apply_op("add", a.data + b.data, (a, b), backward_fn)
-
-
-def sub(a, b):
-    _check_binary(a, b, "sub")
-
-    def backward_fn(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return apply_op("sub", a.data - b.data, (a, b), backward_fn)
 
 
 def mul(a, b):

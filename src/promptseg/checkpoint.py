@@ -6,6 +6,7 @@ f32 payload, and finally CRC32 over everything before it.  Records are read
 until exactly the CRC remains, so the count is implicit.
 """
 
+import functools
 import os
 import struct
 import zlib
@@ -23,9 +24,12 @@ VERSION = 1
 def atomic_open(path, mode="w"):
     """Write through a temp file beside ``path`` that replaces it on success.
 
-    A write that raises, or a process killed mid-write, leaves any earlier
-    file at ``path`` as it was; on an exception the temp file is removed.
+    The parent directory is created if missing.  A write that raises, or a
+    process killed mid-write, leaves any earlier file at ``path`` as it was;
+    on an exception the temp file is removed.
     """
+    if os.path.dirname(path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as f:
@@ -35,6 +39,22 @@ def atomic_open(path, mode="w"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def loader(fn):
+    """Decorator for ``fn(path, ...)``: a file it cannot decode raises FormatError,
+    also when its CRC holds but a record is missing or has the wrong shape."""
+
+    @functools.wraps(fn)
+    def load(path, *args, **kwargs):
+        try:
+            return fn(path, *args, **kwargs)
+        except FormatError:
+            raise
+        except (KeyError, ValueError) as e:
+            raise FormatError(f"{path}: {type(e).__name__}: {e}") from e
+
+    return load
 
 
 def save_checkpoint(path, kind: str, tensors: dict) -> None:
@@ -61,6 +81,7 @@ def save_checkpoint(path, kind: str, tensors: dict) -> None:
         f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 
 
+@loader
 def load_checkpoint(path, expect_kind: str | None = None) -> tuple[str, dict]:
     """Read (kind, name->f32 array).  Validates magic, CRC, and optional kind."""
     with open(path, "rb") as f:
@@ -75,10 +96,7 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[str, dict]:
     (version,) = struct.unpack_from("<I", blob, 4)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    try:
-        kind = blob[8:12].decode("ascii")
-    except UnicodeDecodeError as e:
-        raise FormatError(f"{path}: unreadable kind tag") from e
+    kind = blob[8:12].decode("ascii")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"{path}: kind {kind!r}, expected {expect_kind!r}")
 

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 All subcommands read the same JSON experiment config (``--config``, falling
-back to built-in defaults) and write|into ``<out>/<confighash>/``.  The
-output root comes from ``--out``, the PROMPTSEG_OUT environment variable,
-or the config, in that order of precedence; ``--seed`` narrows the run to a
-single seed.
+back to built-in defaults) and write into ``<out>/<confighash>/``, laid out
+by ``pipeline``.  The output root comes from ``--out``, the PROMPTSEG_OUT
+environment variable, or the config, in that order of precedence; ``--seed``
+narrows the run to the listed seeds.
 """
 
 import argparse
@@ -16,34 +16,40 @@ import sys
 import numpy as np
 
 from .checkpoint import atomic_open
-from .config import config_hash, default_config, load_config, save_config
+from .config import default_config, load_config
 from .datasets import Sample, load_domain, save_domain
 from .errors import FormatError, StageError
 from .fusion import SharedEncoder, infer
-from .oracle import load_oracle, seal
 from .pipeline import (
     STYLE_NAMES,
-    MetricsReport,
     ablate_fusion,
     ablate_generators,
     ablate_init,
     attention_report,
     eval_domains,
+    evaluate_run,
+    load_or_train_gens,
+    load_or_train_oracle,
     load_seed_artifacts,
+    open_run,
     run_dir_for,
     run_pipeline,
+    seed_dir,
     stage_apf,
     stage_data,
-    stage_eval,
     stage_oracle,
     stage_spg,
     target_mean,
     write_csv,
 )
-from .prompts import load_generator
 from .scenes import PALETTE
 
 log = logging.getLogger("promptseg")
+
+
+def seed_list(text):
+    """``0`` or ``0,2``: the seeds to run."""
+    return tuple(int(s) for s in text.split(","))
 
 
 def build_parser():
@@ -53,7 +59,8 @@ def build_parser():
     )
     p.add_argument("--config", help="experiment config file (JSON)")
     p.add_argument("--out", help="output root (default: $PROMPTSEG_OUT or config)")
-    p.add_argument("--seed", type=int, help="run only this seed")
+    p.add_argument("--seed", type=seed_list,
+                   help="run only these seeds, e.g. 0 or 0,2")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -86,9 +93,7 @@ def build_parser():
                     choices=("generators", "init", "fusion"))
 
     sub.add_parser("attention-report", help="per-domain fusion-weight table")
-
-    run = sub.add_parser("run-all", help="full pipeline, all stages and seeds")
-    run.add_argument("--seeds", help="comma-separated seed list override")
+    sub.add_parser("run-all", help="full pipeline, all stages and seeds")
     return p
 
 
@@ -98,80 +103,34 @@ def resolve_config(args):
     if out:
         cfg = dataclasses.replace(cfg, out_dir=out)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-    if getattr(args, "seeds", None):
-        seeds = tuple(int(s) for s in args.seeds.split(","))
-        cfg = dataclasses.replace(cfg, seeds=seeds)
+        cfg = dataclasses.replace(cfg, seeds=args.seed)
     return cfg.validate()
 
 
-def _run_dir(cfg, create=True):
-    run_dir = run_dir_for(cfg)
-    if create:
-        os.makedirs(run_dir, exist_ok=True)
-        save_config(os.path.join(run_dir, "config.json"), cfg)
-    return run_dir
-
-
-def ensure_oracle(cfg, domains, run_dir, retrain=False):
-    """Load the frozen model for this run, training it first if absent.
-
-    Flag overrides change the config hash and therefore the run directory,
-    so a staged invocation like ``train-apf --no-tanh`` rebuilds its own
-    prerequisites there rather than picking up mismatched artifacts.
-    """
-    path = os.path.join(run_dir, "oracle.ckpt")
-    if os.path.exists(path) and not retrain:
-        model = load_oracle(path)
-        return model, seal(model)
-    model, oracle, losses = stage_oracle(cfg, domains, run_dir)
-    log.info("oracle trained: final loss %.4f", losses[-1])
-    return model, oracle
-
-
-def ensure_gens(cfg, domains, oracle, run_dir, seed, retrain=False):
-    seed_dir = os.path.join(run_dir, f"seed{seed}")
-    paths = {n: os.path.join(seed_dir, f"spg_{n}.ckpt") for n in STYLE_NAMES}
-    if all(os.path.exists(p) for p in paths.values()) and not retrain:
-        return {n: load_generator(p) for n, p in paths.items()}
-    os.makedirs(seed_dir, exist_ok=True)
-    return stage_spg(cfg, domains, oracle, seed, seed_dir)
-
-
 def cmd_gen_data(cfg, args):
-    run_dir = _run_dir(cfg)
+    run_dir = open_run(cfg)
     domains = stage_data(cfg, run_dir)
     print(f"{len(domains)} domains -> {os.path.join(run_dir, 'data')}")
 
 
 def cmd_pretrain_oracle(cfg, args):
-    run_dir = _run_dir(cfg)
-    domains = stage_data(cfg, None)
-    model, oracle = ensure_oracle(cfg, domains, run_dir, retrain=True)
-    print(f"oracle: {oracle.parameter_count} params, "
+    run_dir = open_run(cfg)
+    model, oracle, losses = stage_oracle(cfg, stage_data(cfg), run_dir)
+    log.info("oracle trained: final loss %.4f", losses[-1])
+    print(f"oracle: {model.parameter_count()} params, "
           f"fingerprint {oracle.fingerprint:#x}")
 
 
 def cmd_train_spg(cfg, args):
-    if args.variant:
-        cfg = dataclasses.replace(
-            cfg, spg=dataclasses.replace(cfg.spg, variant=args.variant))
-    if args.init:
-        cfg = dataclasses.replace(
-            cfg, spg=dataclasses.replace(cfg.spg, init=args.init))
-    cfg.validate()
-    run_dir = _run_dir(cfg)
-    domains = stage_data(cfg, None)
-    model, oracle = ensure_oracle(cfg, domains, run_dir)
+    spg = dataclasses.replace(cfg.spg, variant=args.variant or cfg.spg.variant,
+                              init=args.init or cfg.spg.init)
+    cfg = dataclasses.replace(cfg, spg=spg).validate()
+    run_dir = open_run(cfg)
+    domains = stage_data(cfg)
+    _, oracle = load_or_train_oracle(cfg, domains, run_dir)
     for seed in cfg.seeds:
-        if args.style:
-            seed_dir = os.path.join(run_dir, f"seed{seed}")
-            os.makedirs(seed_dir, exist_ok=True)
-            gens = stage_spg(cfg, domains, oracle, seed, seed_dir,
-                             only=args.style)
-        else:
-            gens = ensure_gens(cfg, domains, oracle, run_dir, seed,
-                               retrain=True)
+        gens = stage_spg(cfg, domains, oracle, seed, seed_dir(run_dir, seed),
+                         only=args.style)
         print(f"seed {seed}: trained {', '.join(gens)}")
 
 
@@ -183,34 +142,29 @@ def cmd_train_apf(cfg, args):
         use_tanh=cfg.apf.use_tanh and not args.no_tanh,
     )
     cfg = dataclasses.replace(cfg, apf=apf)
-    run_dir = _run_dir(cfg)
-    domains = stage_data(cfg, None)
-    model, oracle = ensure_oracle(cfg, domains, run_dir)
+    run_dir = open_run(cfg)
+    domains = stage_data(cfg)
+    model, oracle = load_or_train_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     for seed in cfg.seeds:
-        seed_dir = os.path.join(run_dir, f"seed{seed}")
-        gens = ensure_gens(cfg, domains, oracle, run_dir, seed)
-        stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir)
-        print(f"seed {seed}: fusion heads -> {os.path.join(seed_dir, 'apf.ckpt')}")
+        sdir = seed_dir(run_dir, seed)
+        gens = load_or_train_gens(cfg, domains, oracle, seed, sdir)
+        stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
+        print(f"seed {seed}: fusion heads -> {sdir}")
 
 
 def cmd_eval(cfg, args):
-    run_dir = _run_dir(cfg, create=False)
-    domains = stage_data(cfg, None)
     names = eval_domains(cfg)
     if args.domain:
         if args.domain not in names:
             raise StageError(f"unknown domain {args.domain!r}; "
                              f"choose from {', '.join(names)}")
         names = (args.domain,)
+    rows, _ = evaluate_run(cfg, run_dir_for(cfg), names)
     print(f"{'domain':<20} {'seed':>4} {'baseline':>9} {'fused':>9}")
-    for seed in cfg.seeds:
-        _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
-        rows, _ = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
-        for row in rows:
-            if row["domain"] in names:
-                print(f"{row['domain']:<20} {seed:>4} "
-                      f"{row['baseline_miou']:>9.4f} {row['sage_miou']:>9.4f}")
+    for row in rows:
+        print(f"{row['domain']:<20} {row['seed']:>4} "
+              f"{row['baseline_miou']:>9.4f} {row['sage_miou']:>9.4f}")
 
 
 def write_ppm(path, rgb):
@@ -223,9 +177,8 @@ def write_ppm(path, rgb):
 
 
 def cmd_infer(cfg, args):
-    run_dir = _run_dir(cfg, create=False)
-    seed = cfg.seeds[0]
-    _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
+    _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir_for(cfg),
+                                                      cfg.seeds[0])
     samples = load_domain(args.input)
     xs = np.stack([s.image for s in samples])
     a = cfg.apf
@@ -249,7 +202,7 @@ def cmd_ablate(cfg, args):
     suite = {"generators": ablate_generators, "init": ablate_init,
              "fusion": ablate_fusion}[args.suite]
     table = suite(cfg)
-    run_dir = _run_dir(cfg)
+    run_dir = open_run(cfg)
     csv_path = os.path.join(run_dir, f"ablate_{args.suite}.csv")
     table.to_csv(csv_path)
     md = table.to_markdown()
@@ -260,16 +213,9 @@ def cmd_ablate(cfg, args):
 
 
 def cmd_attention_report(cfg, args):
-    run_dir = _run_dir(cfg, create=False)
-    domains = stage_data(cfg, None)
-    attention = []
-    for seed in cfg.seeds:
-        _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
-        _, att = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
-        attention.extend(att)
-    report = MetricsReport(config_hash=config_hash(cfg), rows=[],
-                           attention=attention)
-    rows = attention_report(cfg, report)
+    run_dir = run_dir_for(cfg)
+    _, attention = evaluate_run(cfg, run_dir)
+    rows = attention_report(cfg, attention)
     path = os.path.join(run_dir, "attention_report.csv")
     write_csv(path, rows, ["domain", "style", "mean_weight"])
     print(f"{'domain':<20}" + "".join(f"{s:>16}" for s in STYLE_NAMES))

@@ -133,36 +133,33 @@ def to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2)
 
 
-def _build(cls, payload, path):
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - field_names
+def _build(cls, payload, path, where="config"):
+    """``cls`` from parsed JSON: a section whose default is a dataclass recurses,
+    a tuple default needs a list, a scalar its default's type (or int for float);
+    anything else raises FormatError."""
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: {where} must be an object")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(defaults)
     if unknown:
         raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
-    return payload
+    values = {}
+    for name, value in payload.items():
+        default, key = defaults[name], f"{where}.{name}"
+        if dataclasses.is_dataclass(default):
+            value = _build(type(default), value, path, key)
+        elif isinstance(default, tuple):
+            if not isinstance(value, list):
+                raise FormatError(f"{path}: {key} must be a list")
+            value = tuple(value)
+        elif type(value) is not type(default) and (type(default), type(value)) != (float, int):
+            raise FormatError(f"{path}: {key} must be {type(default).__name__}")
+        values[name] = value
+    return cls(**values)
 
 
 def from_dict(payload: dict, path="<config>") -> ExperimentConfig:
-    sections = dict(_build(ExperimentConfig, payload, path))
-    if "data" in sections:
-        data = dict(_build(DataConfig, sections["data"], path))
-        if "jitter" in data:
-            data["jitter"] = StyleJitter(**_build(StyleJitter, data["jitter"], path))
-        sections["data"] = DataConfig(**data)
-    if "oracle" in sections:
-        oracle = dict(_build(OracleConfig, sections["oracle"], path))
-        if "widths" in oracle:
-            oracle["widths"] = tuple(oracle["widths"])
-        sections["oracle"] = OracleConfig(**oracle)
-    if "spg" in sections:
-        sections["spg"] = SpgConfig(**_build(SpgConfig, sections["spg"], path))
-    if "apf" in sections:
-        apf = dict(_build(ApfConfig, sections["apf"], path))
-        if "betas" in apf:
-            apf["betas"] = tuple(apf["betas"])
-        sections["apf"] = ApfConfig(**apf)
-    if "seeds" in sections:
-        sections["seeds"] = tuple(sections["seeds"])
-    return ExperimentConfig(**sections).validate()
+    return _build(ExperimentConfig, payload, path).validate()
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:
@@ -177,8 +174,6 @@ def load_config(path) -> ExperimentConfig:
             payload = json.load(f)
         except json.JSONDecodeError as e:
             raise FormatError(f"{path}: not valid JSON ({e})") from None
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: config root must be an object")
     return from_dict(payload, path=str(path))
 
 

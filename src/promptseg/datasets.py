@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_open
+from .checkpoint import atomic_open, loader
 from .errors import FormatError
 from .scenes import Sample, SceneSpec, render_scene
 from .seeding import mix_seed
@@ -80,6 +80,7 @@ def save_domain(path, samples):
         f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
 
 
+@loader
 def load_domain(path) -> list[Sample]:
     with open(path, "rb") as f:
         blob = f.read()

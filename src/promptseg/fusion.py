@@ -15,6 +15,7 @@ from .autograd import ops
 from .autograd.layers import (
     Linear,
     conv_bn_stages,
+    freeze,
     load_tensor_arrays,
     parameters,
     run_stages,
@@ -23,7 +24,7 @@ from .autograd.layers import (
 )
 from .autograd.optim import AdamW, CosineWarmRestarts
 from .autograd.tensor import ShapeError, reshape
-from .checkpoint import load_checkpoint, pack_u64, save_checkpoint, unpack_u64
+from .checkpoint import load_checkpoint, loader, pack_u64, save_checkpoint, unpack_u64
 from .oracle import fingerprint_tensors
 from .prompts import attach_prompt
 from .seeding import stream
@@ -40,7 +41,8 @@ class SharedEncoder:
     def __init__(self, rng, widths=(16, 32, 64), kernel=5):
         self.widths = tuple(widths)
         self.kernel = kernel
-        self.stages = conv_bn_stages(self.widths, kernel, rng, trainable=False)
+        self.stages = conv_bn_stages(self.widths, kernel, rng)
+        freeze(self.tensors())
 
     @classmethod
     def from_seg_model(cls, model):
@@ -185,10 +187,11 @@ def save_heads(path, heads, encoder_fingerprint):
     save_checkpoint(path, "APFH", arrays)
 
 
+@loader
 def load_heads(path):
     """Returns (heads, fingerprint of the encoder they were trained against)."""
     _, arrays = load_checkpoint(path, expect_kind="APFH")
-    feature_dim, embed_dim = arrays["wx.weight"].shape
-    heads = FusionHeads(feature_dim, embed_dim)
+    (embed_dim,) = (int(v) for v in arrays["meta.embed_dim"])
+    heads = FusionHeads(arrays["wx.weight"].shape[0], embed_dim)
     load_tensor_arrays(heads.tensors(), arrays)
     return heads, unpack_u64(arrays["meta.encoder_fp"])

@@ -18,6 +18,7 @@ from .autograd import ops
 from .autograd.layers import (
     Conv2d,
     conv_bn_stages,
+    freeze,
     load_tensor_arrays,
     parameters,
     run_stages,
@@ -25,7 +26,7 @@ from .autograd.layers import (
     tensor_arrays,
 )
 from .autograd.optim import AdamW, MultiStepLr
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, loader, save_checkpoint
 from .seeding import stream
 from .train import fit
 
@@ -100,8 +101,7 @@ class OracleHandle:
     """
 
     def __init__(self, model: SegModel):
-        for t in parameters(model.tensors()):
-            t.requires_grad = False
+        freeze(model.tensors())
         self._model = model
         self._fingerprint = fingerprint_tensors(model.tensors())
 
@@ -112,10 +112,6 @@ class OracleHandle:
     @property
     def class_count(self) -> int:
         return self._model.class_count
-
-    @property
-    def parameter_count(self) -> int:
-        return self._model.parameter_count()
 
     def current_fingerprint(self) -> int:
         """Recompute from live weights; equals ``fingerprint`` while sealed."""
@@ -160,10 +156,13 @@ def save_oracle(path, model: SegModel):
     save_checkpoint(path, "ORCL", tensor_arrays(model.tensors()))
 
 
+@loader
 def load_oracle(path) -> SegModel:
     _, arrays = load_checkpoint(path, expect_kind="ORCL")
     widths, kernel, k = _infer_arch(arrays)
     model = SegModel(k, stream(0, "load"), widths, kernel)
+    if set(arrays) != set(model.tensors()):
+        raise ValueError(f"records do not match a {len(widths)}-stage model")
     load_tensor_arrays(model.tensors(), arrays)
     return model
 
@@ -174,8 +173,6 @@ def _infer_arch(arrays):
     while f"stage{i}.conv.weight" in arrays:
         widths.append(arrays[f"stage{i}.conv.weight"].shape[0])
         i += 1
-    if not widths or "head.weight" not in arrays:
-        raise ValueError("checkpoint does not contain a segmentation model")
     kernel = arrays["stage0.conv.weight"].shape[2]
     k = arrays["head.weight"].shape[0]
     return tuple(widths), kernel, k

@@ -1,8 +1,8 @@
 """End-to-end orchestration: data, oracle, prompt training, fusion, reports.
 
-A run is laid out as ``<out>/<confighash>/`` with datasets and the oracle
-shared across seeds and one subdirectory per seed for the trained prompt
-artifacts.  Every emitted number is a pure function of (config, seed);
+This module alone lays a run out as ``<out>/<confighash>/``: datasets and
+the oracle shared across seeds, one subdirectory per seed for the trained
+prompt artifacts.  Every emitted number is a pure function of (config, seed);
 wall-clock time goes to a side file that takes no part in that contract.
 """
 
@@ -112,15 +112,30 @@ def domain_specs(cfg: ExperimentConfig) -> dict:
     return specs
 
 
+def run_dir_for(cfg) -> str:
+    """``<out>/<confighash>``: where every artifact of ``cfg`` lives."""
+    return os.path.join(cfg.out_dir, config_hash(cfg))
+
+
+def open_run(cfg) -> str:
+    """The run directory of ``cfg``, with ``config.json`` saved in it."""
+    run_dir = run_dir_for(cfg)
+    save_config(os.path.join(run_dir, "config.json"), cfg)
+    return run_dir
+
+
+def seed_dir(run_dir, seed) -> str:
+    """Per-seed subdirectory holding the generators and fusion heads."""
+    return os.path.join(run_dir, f"seed{seed}")
+
+
 @_stage("gen-data")
 def stage_data(cfg, run_dir=None) -> dict:
     """Build every domain; optionally persist them under ``run_dir/data``."""
     domains = {name: make_domain(spec) for name, spec in domain_specs(cfg).items()}
     if run_dir is not None:
-        data_dir = os.path.join(run_dir, "data")
-        os.makedirs(data_dir, exist_ok=True)
         for name, samples in domains.items():
-            save_domain(os.path.join(data_dir, f"{name}.dom"), samples)
+            save_domain(os.path.join(run_dir, "data", f"{name}.dom"), samples)
     return domains
 
 
@@ -216,19 +231,6 @@ def stage_eval(cfg, domains, gens, enc, heads, oracle, seed, names=None) -> tupl
     return rows, attention
 
 
-def train_seed(cfg, domains, model, oracle, seed, run_dir=None):
-    """All per-seed training and evaluation; returns (gens, heads, rows, att)."""
-    seed_dir = None
-    if run_dir is not None:
-        seed_dir = os.path.join(run_dir, f"seed{seed}")
-        os.makedirs(seed_dir, exist_ok=True)
-    enc = SharedEncoder.from_seg_model(model)
-    gens = stage_spg(cfg, domains, oracle, seed, seed_dir)
-    heads = stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir)
-    rows, attention = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
-    return gens, heads, rows, attention
-
-
 def _fmt(value):
     return f"{value:.6f}" if isinstance(value, float) else str(value)
 
@@ -247,27 +249,24 @@ def report_columns():
     return cols
 
 
-def run_pipeline(cfg: ExperimentConfig, out_root=None) -> MetricsReport:
+def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     """The full experiment: every stage, every seed, reports on disk.
 
-    ``out_root`` overrides ``cfg.out_dir``; pass ``None`` with an empty
-    ``cfg.out_dir`` to keep everything in memory.
+    An empty ``cfg.out_dir`` keeps everything in memory.
     """
     cfg.validate()
     t0 = time.time()
-    root = cfg.out_dir if out_root is None else out_root
-    run_dir = None
-    if root:
-        run_dir = os.path.join(root, config_hash(cfg))
-        os.makedirs(run_dir, exist_ok=True)
-        save_config(os.path.join(run_dir, "config.json"), cfg)
+    run_dir = open_run(cfg) if cfg.out_dir else None
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
+    enc = SharedEncoder.from_seg_model(model)
     all_rows, all_attention = [], []
     for seed in cfg.seeds:
         log.info("pipeline seed %d", seed)
-        _, _, rows, attention = train_seed(cfg, domains, model, oracle, seed,
-                                           run_dir)
+        sdir = None if run_dir is None else seed_dir(run_dir, seed)
+        gens = stage_spg(cfg, domains, oracle, seed, sdir)
+        heads = stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
+        rows, attention = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
         all_rows.extend(rows)
         all_attention.extend(attention)
     report = MetricsReport(config_hash=config_hash(cfg), rows=all_rows,
@@ -293,37 +292,60 @@ def target_mean(report: MetricsReport, column="sage_miou") -> float:
     return float(np.mean(vals))
 
 
-def run_dir_for(cfg, out_root=None) -> str:
-    root = cfg.out_dir if out_root is None else out_root
-    return os.path.join(root, config_hash(cfg))
+# ---------------------------------------------------------------------------
+# staged runs: each command loads what earlier stages saved
+
+def load_or_train_oracle(cfg, domains, run_dir):
+    """(model, sealed oracle) of the run: loaded if saved, else trained and saved.
+    A flag override changes the config hash, hence the directory: no mismatch."""
+    path = os.path.join(run_dir, "oracle.ckpt")
+    if not os.path.exists(path):
+        return stage_oracle(cfg, domains, run_dir)[:2]
+    model = load_oracle(path)
+    return model, seal(model)
+
+
+def load_or_train_gens(cfg, domains, oracle, seed, seed_dir) -> dict:
+    """One seed's generators: loaded if all are saved, else trained and saved."""
+    paths = {n: os.path.join(seed_dir, f"spg_{n}.ckpt") for n in STYLE_NAMES}
+    if all(os.path.exists(p) for p in paths.values()):
+        return {name: load_generator(p) for name, p in paths.items()}
+    return stage_spg(cfg, domains, oracle, seed, seed_dir)
+
+
+def _saved(directory, name, stage):
+    """Path of ``name`` in ``directory``, which ``stage`` must have written."""
+    path = os.path.join(directory, name)
+    if not os.path.exists(path):
+        raise StageError(f"no checkpoint at {path}; run {stage} first")
+    return path
 
 
 def load_seed_artifacts(cfg, run_dir, seed):
     """Rehydrate (model, oracle, enc, gens, heads) from a finished run."""
-    oracle_path = os.path.join(run_dir, "oracle.ckpt")
-    if not os.path.exists(oracle_path):
-        raise StageError(f"no oracle checkpoint at {oracle_path}; "
-                         "run pretrain-oracle first")
-    model = load_oracle(oracle_path)
+    model = load_oracle(_saved(run_dir, "oracle.ckpt", "pretrain-oracle"))
     oracle = seal(model)
     enc = SharedEncoder.from_seg_model(model)
-    seed_dir = os.path.join(run_dir, f"seed{seed}")
-    gens = {}
-    for name in STYLE_NAMES:
-        path = os.path.join(seed_dir, f"spg_{name}.ckpt")
-        if not os.path.exists(path):
-            raise StageError(f"no generator checkpoint at {path}; "
-                             "run train-spg first")
-        gens[name] = load_generator(path)
-    heads_path = os.path.join(seed_dir, "apf.ckpt")
-    if not os.path.exists(heads_path):
-        raise StageError(f"no fusion checkpoint at {heads_path}; "
-                         "run train-apf first")
-    heads, enc_fp = load_heads(heads_path)
+    sdir = seed_dir(run_dir, seed)
+    gens = {name: load_generator(_saved(sdir, f"spg_{name}.ckpt", "train-spg"))
+            for name in STYLE_NAMES}
+    heads, enc_fp = load_heads(_saved(sdir, "apf.ckpt", "train-apf"))
     if enc_fp != enc.fingerprint():
         raise StageError("fusion heads were trained against a different "
                          "encoder (fingerprint mismatch)")
     return model, oracle, enc, gens, heads
+
+
+def evaluate_run(cfg, run_dir, names=None) -> tuple:
+    """(rows, attention) of a finished run, every seed, ``names`` or all domains."""
+    domains = stage_data(cfg)
+    rows, attention = [], []
+    for seed in cfg.seeds:
+        _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
+        r, a = stage_eval(cfg, domains, gens, enc, heads, oracle, seed, names)
+        rows.extend(r)
+        attention.extend(a)
+    return rows, attention
 
 
 # ---------------------------------------------------------------------------
@@ -447,19 +469,19 @@ def ablate_fusion(cfg) -> AblationTable:
     return _table("fusion", per_arm, oracle, digests)
 
 
-def attention_report(cfg, report: MetricsReport) -> list:
+def attention_report(cfg, attention) -> list:
     """Mean fusion weight per (domain, style), averaged over seeds."""
     out = []
     for name in eval_domains(cfg):
         for style in STYLE_NAMES:
-            vals = [a["mean_weight"] for a in report.attention
+            vals = [a["mean_weight"] for a in attention
                     if a["domain"] == name and a["style"] == style]
             out.append({"domain": name, "style": style,
                         "mean_weight": float(np.mean(vals))})
     return out
 
 
-def styled_alignment(cfg, report: MetricsReport) -> dict:
+def styled_alignment(cfg, attention) -> dict:
     """For each styled val domain: does its own style win the attention row?
 
     Returns {style: count of seeds where argmax mean weight lands on the
@@ -470,7 +492,7 @@ def styled_alignment(cfg, report: MetricsReport) -> dict:
         domain = f"{style}_val"
         count = 0
         for seed in cfg.seeds:
-            weights = {a["style"]: a["mean_weight"] for a in report.attention
+            weights = {a["style"]: a["mean_weight"] for a in attention
                        if a["domain"] == domain and a["seed"] == seed}
             if max(weights, key=weights.get) == style:
                 count += 1

@@ -28,7 +28,7 @@ from .autograd.layers import (
 )
 from .autograd.optim import MultiStepLr, SgdMomentum
 from .autograd.tensor import ShapeError, add, broadcast_to_batch, mul, reshape
-from .checkpoint import load_checkpoint, pack_tag, save_checkpoint, unpack_tag
+from .checkpoint import load_checkpoint, loader, pack_tag, save_checkpoint, unpack_tag
 from .seeding import mix_seed, stream
 from .train import fit
 
@@ -119,8 +119,12 @@ class FullTemplate:
             _init_values((channels, height, width), strategy, rng), requires_grad=True
         )
 
-    def assemble(self, batch=1):
-        return broadcast_to_batch(reshape(self.canvas, (1,) + self.canvas.shape), batch)
+    def assemble(self, pixel_map=None, batch=1):
+        """Canvas (B, C, H, W), optionally reweighted by a (B, C, H, W) pixel map."""
+        canvas = reshape(self.canvas, (1,) + self.canvas.shape)
+        if pixel_map is None:
+            return broadcast_to_batch(canvas, batch)
+        return mul(canvas, pixel_map)
 
     def tensors(self, prefix="template"):
         return {f"{prefix}.canvas": self.canvas}
@@ -239,15 +243,8 @@ class StylePromptGenerator:
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, np.float32))
         self._check_input(x)
-        batch = x.shape[0]
-        if self.variant == "border":
-            return self.template.assemble(None, batch)
-        if self.variant == "a_border":
-            return self.template.assemble(self.modulator(x, training), batch)
-        if self.variant == "full":
-            return self.template.assemble(batch)
-        coeff = self.modulator(x, training)
-        return mul(reshape(self.template.canvas, (1,) + self.template.canvas.shape), coeff)
+        coeff = None if self.modulator is None else self.modulator(x, training)
+        return self.template.assemble(coeff, x.shape[0])
 
     def tensors(self):
         out = dict(self.template.tensors("template"))
@@ -324,6 +321,7 @@ def save_generator(path, gen):
     save_checkpoint(path, "SPGN", arrays)
 
 
+@loader
 def load_generator(path):
     _, arrays = load_checkpoint(path, expect_kind="SPGN")
     channels, height, width, pad, depth = (int(v) for v in arrays["meta.dims"])

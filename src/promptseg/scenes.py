@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CLASS_NAMES = ("background", "road", "building", "sign", "tree", "lane")
-
 # One reference color per class; pairwise distances are large relative to the
 # rendering noise so nearest-color classification recovers the mask.
 PALETTE = np.array(

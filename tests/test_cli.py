@@ -138,7 +138,7 @@ class TestRunAll:
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
         cfg_path = str(tmp_path / "config.json")
         save_config(cfg_path, cfg)
-        assert main(["--config", cfg_path, "run-all", "--seeds", "0,1"]) == 0
+        assert main(["--config", cfg_path, "--seed", "0,1", "run-all"]) == 0
         hashed = os.listdir(str(tmp_path / "runs"))[0]
         root = str(tmp_path / "runs" / hashed)
         assert os.path.isdir(os.path.join(root, "seed0"))
@@ -194,6 +194,18 @@ class TestResolution:
         path.write_text(json.dumps(payload))
         assert main(["--config", str(path), "gen-data"]) == 1
         assert "mystery" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"spg": 5}, "spg"),
+        ({"seeds": 3}, "seeds"),
+        ({"oracle": {"widths": 7}}, "oracle.widths"),
+    ])
+    def test_malformed_config_reports_error(self, tmp_path, capsys, payload, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--config", str(path), "gen-data"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
 
 def open_config_text(cfg):

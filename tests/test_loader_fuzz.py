@@ -1,0 +1,197 @@
+"""Loader fuzzing: a malformed file raises FormatError and nothing else.
+
+Every loader reads a small valid file, then damaged copies of it:
+
+- truncation at every record boundary and one byte past it;
+- one flipped bit at each of about 1,000 evenly spaced bytes (the bit
+  position cycles with the offset);
+- structural edits written with a fresh, valid CRC: a record dropped, a
+  record's last dimension grown by one, and a non-ASCII tag.
+
+The CRC catches every truncation and bit flip; the structural edits get past
+it, so the loaders' own checks must catch them.
+"""
+
+import struct
+import zlib
+
+import numpy as np
+import pytest
+
+from promptseg.checkpoint import MAGIC, VERSION, load_checkpoint
+from promptseg.datasets import DomainSpec, load_domain, make_domain, save_domain
+from promptseg.errors import FormatError
+from promptseg.fusion import FusionHeads, load_heads, save_heads
+from promptseg.oracle import SegModel, load_oracle, save_oracle
+from promptseg.prompts import StylePromptGenerator, load_generator, save_generator
+from promptseg.scenes import SceneSpec
+from promptseg.seeding import stream
+
+# a longer or shorter tag is still a valid tag; the non-ASCII edit covers these
+TAGS = ("meta.style", "meta.variant", "meta.init")
+
+
+def with_crc(body):
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def encode(kind, records):
+    """Checkpoint bytes from a kind tag and (name, array) records, raw bytes
+    allowed in both; returns (blob, offset where each record starts)."""
+    parts, starts, off = [MAGIC, struct.pack("<I", VERSION), kind], [], 12
+    for name, arr in records:
+        a = np.ascontiguousarray(arr, dtype="<f4")
+        name = name.encode() if isinstance(name, str) else name
+        rec = (struct.pack("<I", len(name)) + name + struct.pack("<I", a.ndim)
+               + struct.pack(f"<{a.ndim}I", *a.shape) + a.tobytes())
+        parts.append(rec)
+        starts.append(off)
+        off += len(rec)
+    return with_crc(b"".join(parts)), starts
+
+
+def grown(arr):
+    """``arr`` with its last dimension one longer."""
+    return np.concatenate([arr, np.zeros(arr.shape[:-1] + (1,), arr.dtype)], axis=-1)
+
+
+def save_oracle_file(path):
+    save_oracle(path, SegModel(6, stream(0, "fuzz"), widths=(4, 4, 4), kernel=3))
+
+
+def save_generator_file(path):
+    save_generator(path, StylePromptGenerator("s", "a_border", height=16, width=16,
+                                              pad=2, depth=2))
+
+
+def save_heads_file(path):
+    save_heads(path, FusionHeads(feature_dim=4, embed_dim=2), 0x1234)
+
+
+def save_domain_file(path):
+    save_domain(path, make_domain(DomainSpec("d", SceneSpec(seed=1, height=16, width=16), 3)))
+
+
+CHECKPOINT_LOADERS = {
+    "load_oracle": (load_oracle, save_oracle_file),
+    "load_generator": (load_generator, save_generator_file),
+    "load_heads": (load_heads, save_heads_file),
+}
+LOADERS = dict(CHECKPOINT_LOADERS,
+               load_checkpoint=(load_checkpoint, save_generator_file),
+               load_domain=(load_domain, save_domain_file))
+
+
+def assert_rejected(load, path, cases):
+    """Every (label, bytes) case raises FormatError when ``load`` reads it."""
+    assert cases
+    for label, blob in cases:
+        path.write_bytes(blob)
+        try:
+            load(path)
+        except FormatError:
+            continue
+        except Exception as e:  # anything else is the bug under test
+            pytest.fail(f"{label}: {type(e).__name__}: {e}")
+        pytest.fail(f"{label}: loaded without error")
+
+
+def valid_file(tmp_path, name):
+    """(loader, path, bytes of the valid file at path, (kind, records) or None)."""
+    load, save = LOADERS[name]
+    path = tmp_path / "artifact"
+    save(path)
+    load(path)  # the undamaged file loads
+    blob = path.read_bytes()
+    if name == "load_domain":
+        return load, path, blob, None
+    kind, arrays = load_checkpoint(path)
+    kind = kind.encode()
+    assert encode(kind, arrays.items())[0] == blob  # the test encoder matches
+    return load, path, blob, (kind, arrays)
+
+
+def record_starts(blob, parsed):
+    """Offsets where the file's header fields and records begin."""
+    if parsed is not None:
+        return [0, 4, 8] + encode(parsed[0], parsed[1].items())[1] + [len(blob) - 4]
+    (count,) = struct.unpack_from("<I", blob, 8)
+    starts, off = [0, 4, 8, 12], 12
+    for _ in range(count):
+        h, w, _ = struct.unpack_from("<III", blob, off)
+        off += 12 + 3 * h * w * 4 + h * w
+        starts.append(off)
+    return starts
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_truncation_at_every_record_boundary(tmp_path, name):
+    load, path, blob, parsed = valid_file(tmp_path, name)
+    cuts = sorted({c for s in record_starts(blob, parsed) for c in (s, s + 1)
+                   if c < len(blob)})
+    assert_rejected(load, path, [(f"cut at {c}", blob[:c]) for c in cuts])
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_single_bit_flips(tmp_path, name):
+    load, path, blob, _ = valid_file(tmp_path, name)
+    cases = []
+    for i in range(0, len(blob), max(1, len(blob) // 1000)):
+        flipped = bytearray(blob)
+        flipped[i] ^= 1 << (i % 8)
+        cases.append((f"bit {i % 8} of byte {i}", bytes(flipped)))
+    assert_rejected(load, path, cases)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_LOADERS))
+def test_dropped_record(tmp_path, name):
+    load, path, blob, (kind, arrays) = valid_file(tmp_path, name)
+    cases = [(f"drop {n}", encode(kind, [(m, a) for m, a in arrays.items() if m != n])[0])
+             for n in arrays]
+    # the file cut at a record boundary, its CRC made valid again
+    cases += [(f"records before byte {s}", with_crc(blob[:s]))
+              for s in record_starts(blob, (kind, arrays))[3:-1]]
+    assert_rejected(load, path, cases)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKPOINT_LOADERS))
+def test_changed_dimension(tmp_path, name):
+    load, path, _, (kind, arrays) = valid_file(tmp_path, name)
+    cases = [(f"grow {n}", encode(kind, [(m, grown(a) if m == n else a)
+                                         for m, a in arrays.items()])[0])
+             for n in arrays if n not in TAGS]
+    assert_rejected(load, path, cases)
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+def test_non_ascii_tag(tmp_path, name):
+    load, path, blob, parsed = valid_file(tmp_path, name)
+    if parsed is None:
+        assert_rejected(load, path, [("non-ASCII magic", with_crc(b"S\xc3\xa9D" + blob[4:-4]))])
+        return
+    kind, arrays = parsed
+    records = list(arrays.items())
+    cases = [("non-ASCII kind", encode(b"S\xc3\xa9D", records)[0]),
+             ("non-UTF-8 record name", encode(kind, records + [(b"\xff\xfe", np.zeros(1))])[0])]
+    if name in CHECKPOINT_LOADERS:
+        accent = np.frombuffer("é".encode(), np.uint8).astype(np.float32)
+        cases += [(f"non-ASCII {n}", encode(kind, [(m, accent if m == n else a)
+                                                   for m, a in records])[0])
+                  for n in TAGS if n in arrays]
+    assert_rejected(load, path, cases)
+
+
+def test_domain_structural_edits(tmp_path):
+    load, path, blob, parsed = valid_file(tmp_path, "load_domain")
+    first, second = record_starts(blob, parsed)[3:5]
+    body = blob[:-4]
+    (h,) = struct.unpack_from("<I", body, first)
+    cases = [
+        ("drop the first sample", with_crc(body[:first] + body[second:])),
+        ("count one higher", with_crc(body[:8] + struct.pack("<I", 4) + body[12:])),
+        ("height one higher",
+         with_crc(body[:first] + struct.pack("<I", h + 1) + body[first + 4:])),
+        ("class count zero",
+         with_crc(body[:first + 8] + struct.pack("<I", 0) + body[first + 12:])),
+    ]
+    assert_rejected(load, path, cases)

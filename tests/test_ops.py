@@ -105,7 +105,7 @@ class TestBatchNorm2d:
         before = state.running_mean.copy()
         out = ops.batch_norm2d(Tensor(x0), gamma, beta, state, training=False)
         expected = (x0 - state.running_mean[:, None, None]) / np.sqrt(
-            state.running_var[:, None, None] + state.eps
+            state.running_var[:, None, None] + ops.BN_EPS
         )
         np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
         np.testing.assert_array_equal(before, state.running_mean)

@@ -221,16 +221,16 @@ class TestStageErrors:
 
         monkeypatch.setattr(pipeline, "train_spg", diverged)
         with pytest.raises(StageError, match="train-spg"):
-            run_pipeline(tiny_config(), out_root="")
+            run_pipeline(tiny_config(out_dir=""))
 
     def test_bad_config_fails_before_any_stage(self, monkeypatch):
         # pad cannot fit the 16px canvas: rejected before data is generated
         calls = []
         monkeypatch.setattr(pipeline, "stage_data", lambda *a: calls.append(a))
         cfg = dataclasses.replace(
-            tiny_config(), spg=SpgConfig(iters=4, batch=4, pad=8, depth=4))
+            tiny_config(out_dir=""), spg=SpgConfig(iters=4, batch=4, pad=8, depth=4))
         with pytest.raises(ValueError, match="pad"):
-            run_pipeline(cfg, out_root="")
+            run_pipeline(cfg)
         assert calls == []
 
 
@@ -287,7 +287,7 @@ class TestAblationSuites:
 class TestAttentionAnalysis:
     def test_report_matrix_shape(self, tiny_run):
         cfg, report, _ = tiny_run
-        rows = attention_report(cfg, report)
+        rows = attention_report(cfg, report.attention)
         assert len(rows) == len(eval_domains(cfg)) * len(STYLE_NAMES)
         by_domain = {}
         for r in rows:
@@ -297,7 +297,7 @@ class TestAttentionAnalysis:
 
     def test_alignment_counts_bounded(self, tiny_run):
         cfg, report, _ = tiny_run
-        counts = styled_alignment(cfg, report)
+        counts = styled_alignment(cfg, report.attention)
         assert set(counts) == set(STYLE_NAMES)
         for style, n in counts.items():
             assert 0 <= n <= len(cfg.seeds)
