@@ -16,6 +16,7 @@ from .tensor import (
     Tensor,
     apply_op,
     current_dtype,
+    guard_finite,
 )
 
 
@@ -276,38 +277,14 @@ def bilinear_upsample(x, out_h, out_w):
 # ---------------------------------------------------------------------------
 # normalization and losses
 
-def _l2_normalize(x, axes, eps):
-    norms = np.sqrt((x.data * x.data).sum(axis=axes, keepdims=True))
-    denom = np.maximum(norms, eps)
-    out = x.data / denom
-    small = norms <= eps
-
-    def backward_fn(g):
-        # d(p/||p||)/dp = (g - out * <out, g>) / ||p||; below the eps floor the
-        # denominator is constant so the second term vanishes.
-        dot = (g * out).sum(axis=axes, keepdims=True)
-        dot = np.where(small, 0.0, dot)
-        return ((g - out * dot) / denom,)
-
-    return out, backward_fn
-
-
-def l2_normalize_channels(x, eps=1e-8):
-    """Scale each (b, c) spatial plane of (B, C, H, W) to unit L2 norm."""
-    _as_tensor(x, "x")
-    if x.ndim != 4:
-        raise ShapeError(f"l2_normalize_channels input must be 4-D, got {x.shape}")
-    out, backward_fn = _l2_normalize(x, (2, 3), eps)
-    return apply_op("l2_normalize_channels", out, (x,), backward_fn)
-
-
-def l2_normalize_tensor(x, eps=1e-8):
-    """Scale each sample of (B, C, H, W) to unit L2 norm over all of C, H, W."""
-    _as_tensor(x, "x")
-    if x.ndim != 4:
-        raise ShapeError(f"l2_normalize_tensor input must be 4-D, got {x.shape}")
-    out, backward_fn = _l2_normalize(x, (1, 2, 3), eps)
-    return apply_op("l2_normalize_tensor", out, (x,), backward_fn)
+def l2_normalize(x, axes, eps=1e-8):
+    """Plain array ``x`` scaled to unit L2 norm over ``axes``: (2, 3) for each
+    (b, c) plane of (B, C, H, W), (1, 2, 3) for each sample.  Prompts are
+    normalized as constants, so nothing here is recorded on a tape."""
+    norms = np.sqrt((x * x).sum(axis=axes, keepdims=True))
+    out = x / np.maximum(norms, eps)
+    guard_finite(out, "l2_normalize")
+    return out
 
 
 def cross_entropy(logits, target):

@@ -38,13 +38,12 @@ class SgdMomentum:
 
 
 class AdamW:
-    """Adam with decoupled weight decay applied multiplicatively before the update."""
+    """Adam with bias-corrected moments and no weight decay."""
 
-    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    def __init__(self, params, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [None] * len(self.params)
         self.v = [None] * len(self.params)
@@ -58,8 +57,6 @@ class AdamW:
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
             if self.m[i] is None:
                 self.m[i] = ((1.0 - b1) * g).astype(p.data.dtype)
                 self.v[i] = ((1.0 - b2) * g * g).astype(p.data.dtype)

@@ -22,9 +22,8 @@ from .errors import FormatError, StageError
 from .fusion import SharedEncoder, infer
 from .pipeline import (
     STYLE_NAMES,
-    ablate_fusion,
-    ablate_generators,
-    ablate_init,
+    SUITES,
+    ablate,
     attention_report,
     eval_domains,
     evaluate_run,
@@ -89,8 +88,7 @@ def build_parser():
                      help="also write palette-colored masks as PPM images")
 
     ab = sub.add_parser("ablate", help="run a comparison suite")
-    ab.add_argument("--suite", required=True,
-                    choices=("generators", "init", "fusion"))
+    ab.add_argument("--suite", required=True, choices=SUITES)
 
     sub.add_parser("attention-report", help="per-domain fusion-weight table")
     sub.add_parser("run-all", help="full pipeline, all stages and seeds")
@@ -116,7 +114,8 @@ def cmd_gen_data(cfg, args):
 def cmd_pretrain_oracle(cfg, args):
     run_dir = open_run(cfg)
     model, oracle, losses = stage_oracle(cfg, stage_data(cfg), run_dir)
-    log.info("oracle trained: final loss %.4f", losses[-1])
+    if losses:
+        log.info("oracle trained: final loss %.4f", losses[-1])
     print(f"oracle: {model.parameter_count()} params, "
           f"fingerprint {oracle.fingerprint:#x}")
 
@@ -171,7 +170,7 @@ def write_ppm(path, rgb):
     """Binary PPM from a (3, H, W) float image in [0, 1]; no image libs."""
     arr = (np.clip(rgb, 0.0, 1.0) * 255.0).round().astype(np.uint8)
     _, h, w = arr.shape
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(f"P6 {w} {h} 255\n".encode())
         f.write(arr.transpose(1, 2, 0).tobytes())
 
@@ -191,7 +190,6 @@ def cmd_infer(cfg, args):
     save_domain(args.out_file, out)
     print(f"{len(out)} masks -> {args.out_file}")
     if args.color:
-        os.makedirs(args.color, exist_ok=True)
         for i, s in enumerate(out):
             colored = PALETTE[s.mask].transpose(2, 0, 1)
             write_ppm(os.path.join(args.color, f"mask_{i:04d}.ppm"), colored)
@@ -199,9 +197,7 @@ def cmd_infer(cfg, args):
 
 
 def cmd_ablate(cfg, args):
-    suite = {"generators": ablate_generators, "init": ablate_init,
-             "fusion": ablate_fusion}[args.suite]
-    table = suite(cfg)
+    table = ablate(cfg, args.suite)
     run_dir = open_run(cfg)
     csv_path = os.path.join(run_dir, f"ablate_{args.suite}.csv")
     table.to_csv(csv_path)

@@ -109,10 +109,16 @@ class ExperimentConfig:
             section = getattr(self, name)
             if section.iters < 0 or section.batch < 1 or section.lr <= 0:
                 raise ValueError(f"{name} needs iters >= 0, batch >= 1 and lr > 0")
-        if self.spg.meta_iters < 0:
-            raise ValueError("spg.meta_iters must be >= 0")
-        if self.apf.embed_dim < 1:
-            raise ValueError("apf.embed_dim must be >= 1")
+        o = self.oracle
+        if o.kernel < 1 or not o.widths or min(o.widths) < 1:
+            raise ValueError("oracle needs kernel >= 1 and widths all >= 1")
+        if self.spg.meta_iters < 0 or self.spg.depth < 1:
+            raise ValueError("spg needs meta_iters >= 0 and depth >= 1")
+        if self.apf.embed_dim < 1 or self.apf.t_mult < 1:
+            raise ValueError("apf needs embed_dim >= 1 and t_mult >= 1")
+        b = self.apf.betas
+        if len(b) != 2 or not all(0 <= x < 1 for x in b):
+            raise ValueError(f"apf.betas must be two values in [0, 1), got {b}")
         pad, border = self.spg.pad, self.spg.variant in ("border", "a_border")
         if border and (pad < 1 or 2 * pad >= self.data.size):
             raise ValueError(f"spg.pad {pad} does not fit a {self.data.size}px border")
@@ -135,8 +141,8 @@ def to_json(cfg: ExperimentConfig) -> str:
 
 def _build(cls, payload, path, where="config"):
     """``cls`` from parsed JSON: a section whose default is a dataclass recurses,
-    a tuple default needs a list, a scalar its default's type (or int for float);
-    anything else raises FormatError."""
+    a tuple default needs a list of numbers, a scalar its default's type (or
+    int for float); anything else raises FormatError."""
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: {where} must be an object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
@@ -149,8 +155,9 @@ def _build(cls, payload, path, where="config"):
         if dataclasses.is_dataclass(default):
             value = _build(type(default), value, path, key)
         elif isinstance(default, tuple):
-            if not isinstance(value, list):
-                raise FormatError(f"{path}: {key} must be a list")
+            if not isinstance(value, list) or any(
+                    type(v) not in (int, float) for v in value):
+                raise FormatError(f"{path}: {key} must be a list of numbers")
             value = tuple(value)
         elif type(value) is not type(default) and (type(default), type(value)) != (float, int):
             raise FormatError(f"{path}: {key} must be {type(default).__name__}")

@@ -106,6 +106,8 @@ def load_domain(path) -> list[Sample]:
         image = np.frombuffer(blob, dtype="<f4", count=3 * h * w, offset=off)
         image = image.reshape(3, h, w).copy()
         off += img_bytes
+        if not np.isfinite(image).all():
+            raise FormatError(f"{path}: non-finite pixel values")
         mask = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=off)
         mask = mask.reshape(h, w).copy()
         off += h * w

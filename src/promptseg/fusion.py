@@ -97,12 +97,10 @@ def collect_prompts(generators, x, per_channel=True):
     if not generators:
         raise ValueError("no generators given")
     x = np.asarray(x, np.float32)
-    normalize = ops.l2_normalize_channels if per_channel else ops.l2_normalize_tensor
-    stack = []
+    axes = (2, 3) if per_channel else (1, 2, 3)
     with no_grad():
-        for gen in generators:
-            prompt = gen.generate(x, training=False)
-            stack.append(normalize(prompt).data)
+        stack = [ops.l2_normalize(gen.generate(x, training=False).data, axes)
+                 for gen in generators]
     return np.stack(stack, axis=1)
 
 
@@ -121,11 +119,6 @@ def fusion_weights(scores, use_softmax=True, use_tanh=True):
     return ops.tanh(w) if use_tanh else w
 
 
-def fuse_prompts(weights, prompts):
-    """P_fused = sum_i w[:, i] * P_i."""
-    return ops.weighted_sum(weights, prompts)
-
-
 def fusion_forward(x, generators, enc, heads, per_channel=True,
                    use_softmax=True, use_tanh=True):
     """The full fusion pass; training and inference share this exact path.
@@ -136,7 +129,7 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
     prompts = collect_prompts(generators, x, per_channel)
     scores = attention_scores(enc, heads, x, prompts)
     weights = fusion_weights(scores, use_softmax, use_tanh)
-    fused = fuse_prompts(weights, prompts)
+    fused = ops.weighted_sum(weights, prompts)  # P_fused = sum_i w[:, i] * P_i
     return attach_prompt(x, fused), weights, prompts
 
 
@@ -166,7 +159,7 @@ def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
     as constants, the encoder records nothing on the tape, and the oracle
     only hands back input gradients.  Returns the per-iteration loss curve.
     """
-    opt = AdamW(parameters(heads.tensors()), betas=apf.betas, weight_decay=0.0)
+    opt = AdamW(parameters(heads.tensors()), betas=apf.betas)
 
     def step(xb, yb):
         with Tape() as tape:

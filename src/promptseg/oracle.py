@@ -67,7 +67,7 @@ def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3,
     if not samples:
         raise ValueError("base domain is empty")
     model = SegModel(samples[0].class_count, stream(seed, "oracle-init"), widths, kernel)
-    opt = AdamW(parameters(model.tensors()), betas=(0.9, 0.999), weight_decay=0.0)
+    opt = AdamW(parameters(model.tensors()))
 
     def step(xb, yb):
         with Tape() as tape:

@@ -32,6 +32,8 @@ from .fusion import (
 from .metrics import miou
 from .oracle import load_oracle, pretrain_oracle, save_oracle, seal
 from .prompts import (
+    INIT_STRATEGIES,
+    VARIANTS,
     StylePromptGenerator,
     load_generator,
     meta_pretrain,
@@ -249,6 +251,35 @@ def report_columns():
     return cols
 
 
+def run_arms(cfg, arms, run_dir=None, names=None):
+    """Train and evaluate every (seed, arm) pair on one world.
+
+    The world (domains, oracle, encoder) is built once from ``cfg``; ``arms``
+    maps a name to a config that differs from ``cfg`` only in its ``spg`` or
+    ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
+    one set of generators.  Artifacts go under ``run_dir``, which only a
+    one-arm run should pass.  Returns (oracle, domains, results), one
+    ``(arm, seed, rows, attention)`` result per pair, seed-major.
+    """
+    domains = stage_data(cfg, run_dir)
+    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
+    enc = SharedEncoder.from_seg_model(model)
+    results = []
+    for seed in cfg.seeds:
+        log.info("seed %d", seed)
+        sdir = None if run_dir is None else seed_dir(run_dir, seed)
+        shared = {}
+        for arm, arm_cfg in arms.items():
+            if arm_cfg.spg not in shared:
+                shared[arm_cfg.spg] = stage_spg(arm_cfg, domains, oracle, seed, sdir)
+            gens = shared[arm_cfg.spg]
+            heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, sdir)
+            rows, attention = stage_eval(arm_cfg, domains, gens, enc, heads,
+                                         oracle, seed, names)
+            results.append((arm, seed, rows, attention))
+    return oracle, domains, results
+
+
 def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     """The full experiment: every stage, every seed, reports on disk.
 
@@ -257,25 +288,15 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     cfg.validate()
     t0 = time.time()
     run_dir = open_run(cfg) if cfg.out_dir else None
-    domains = stage_data(cfg, run_dir)
-    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
-    enc = SharedEncoder.from_seg_model(model)
-    all_rows, all_attention = [], []
-    for seed in cfg.seeds:
-        log.info("pipeline seed %d", seed)
-        sdir = None if run_dir is None else seed_dir(run_dir, seed)
-        gens = stage_spg(cfg, domains, oracle, seed, sdir)
-        heads = stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
-        rows, attention = stage_eval(cfg, domains, gens, enc, heads, oracle, seed)
-        all_rows.extend(rows)
-        all_attention.extend(attention)
-    report = MetricsReport(config_hash=config_hash(cfg), rows=all_rows,
-                           attention=all_attention,
+    oracle, _, results = run_arms(cfg, {"": cfg}, run_dir)
+    report = MetricsReport(config_hash=config_hash(cfg),
+                           rows=[r for _, _, rows, _ in results for r in rows],
+                           attention=[a for _, _, _, att in results for a in att],
                            wall_clock=time.time() - t0)
     if run_dir is not None:
-        write_csv(os.path.join(run_dir, "report.csv"), all_rows,
+        write_csv(os.path.join(run_dir, "report.csv"), report.rows,
                   report_columns())
-        write_csv(os.path.join(run_dir, "attention.csv"), all_attention,
+        write_csv(os.path.join(run_dir, "attention.csv"), report.attention,
                   ["domain", "seed", "style", "mean_weight"])
         meta = {"config_hash": report.config_hash,
                 "wall_clock_sec": round(report.wall_clock, 3),
@@ -351,22 +372,6 @@ def evaluate_run(cfg, run_dir, names=None) -> tuple:
 # ---------------------------------------------------------------------------
 # ablation suites
 
-def _shared_world(cfg):
-    """Data and oracle built once and reused by every arm of a suite."""
-    domains = stage_data(cfg, None)
-    model, oracle, _ = stage_oracle(cfg, domains, None)
-    digests = {name: domain_digest(samples) for name, samples in domains.items()}
-    return domains, model, oracle, digests
-
-
-def _fused_target_miou(cfg, domains, gens, enc, oracle, seed) -> float:
-    """Train fusion heads for one arm and seed; mean fused mIoU over the targets."""
-    heads = stage_apf(cfg, domains, gens, enc, oracle, seed, None)
-    rows, _ = stage_eval(cfg, domains, gens, enc, heads, oracle, seed,
-                         names=TARGET_DOMAINS)
-    return float(np.mean([r["sage_miou"] for r in rows]))
-
-
 @dataclass
 class AblationTable:
     suite: str
@@ -403,70 +408,46 @@ class AblationTable:
         return "\n".join(lines) + "\n"
 
 
-def _table(suite, per_arm, oracle, digests) -> AblationTable:
-    """An ablation table from {arm name: {seed: target mIoU}}, in arm order."""
+def _arm(cfg, section, **changes):
+    """``cfg`` with fields of one config section replaced."""
+    return dataclasses.replace(
+        cfg, **{section: dataclasses.replace(getattr(cfg, section), **changes)})
+
+
+# suite name -> {arm name: arm config}, in table order.  Prompt shape and
+# template init train their own generators per arm; the 2^3 fusion-flag
+# arms leave ``spg`` alone, so they share one set of generators per seed,
+# and holding the prompts fixed makes that comparison exact.
+SUITES = {
+    "generators": lambda cfg: {v: _arm(cfg, "spg", variant=v) for v in VARIANTS},
+    "init": lambda cfg: {s: _arm(cfg, "spg", init=s) for s in INIT_STRATEGIES},
+    "fusion": lambda cfg: {
+        "+".join(t for t, on in zip(("pn", "softmax", "tanh"), f) if on) or "none":
+        _arm(cfg, "apf", per_channel=f[0], use_softmax=f[1], use_tanh=f[2])
+        for f in itertools.product((True, False), repeat=3)},
+}
+
+
+def suite_arms(cfg, suite) -> dict:
+    """The arms of one ablation suite over ``cfg``."""
+    return SUITES[suite](cfg)
+
+
+def ablate(cfg, suite) -> AblationTable:
+    """Mean fused target mIoU per arm and seed of one suite, on one world."""
+    oracle, domains, results = run_arms(cfg, suite_arms(cfg, suite),
+                                        names=TARGET_DOMAINS)
+    per_arm = {}
+    for arm, seed, rows, _ in results:
+        per_arm.setdefault(arm, {})[seed] = float(
+            np.mean([r["sage_miou"] for r in rows]))
     arms = [{"arm": name, "per_seed": per_seed,
              "mean": float(np.mean(list(per_seed.values())))}
             for name, per_seed in per_arm.items()]
     return AblationTable(suite=suite, arms=arms,
                          oracle_fingerprint=oracle.fingerprint,
-                         data_digests=digests)
-
-
-def _suite(cfg, suite, arm_cfgs) -> AblationTable:
-    """Arms that each train their own generators on one shared world."""
-    domains, model, oracle, digests = _shared_world(cfg)
-    enc = SharedEncoder.from_seg_model(model)
-    per_arm = {}
-    for name, arm_cfg in arm_cfgs:
-        log.info("ablation %s arm %s", suite, name)
-        per_arm[name] = {}
-        for seed in arm_cfg.seeds:
-            gens = stage_spg(arm_cfg, domains, oracle, seed, None)
-            per_arm[name][seed] = _fused_target_miou(arm_cfg, domains, gens, enc,
-                                                     oracle, seed)
-    return _table(suite, per_arm, oracle, digests)
-
-
-def ablate_generators(cfg, variants=("border", "a_border", "full", "a_full")):
-    """Prompt-shape comparison at a shared budget."""
-    arm_cfgs = [
-        (v, dataclasses.replace(cfg, spg=dataclasses.replace(cfg.spg, variant=v)))
-        for v in variants
-    ]
-    return _suite(cfg, "generators", arm_cfgs)
-
-
-def ablate_init(cfg, strategies=("zero", "uniform", "normal", "meta")):
-    """Template initialization comparison at a shared budget."""
-    arm_cfgs = [
-        (s, dataclasses.replace(cfg, spg=dataclasses.replace(cfg.spg, init=s)))
-        for s in strategies
-    ]
-    return _suite(cfg, "init", arm_cfgs)
-
-
-def ablate_fusion(cfg) -> AblationTable:
-    """All 2^3 combinations of {normalize, softmax, tanh} in the fusion path.
-
-    Generators are trained once per seed and shared across the eight arms:
-    the flags only touch the fusion machinery, and holding the prompts fixed
-    makes the comparison exact.
-    """
-    domains, model, oracle, digests = _shared_world(cfg)
-    enc = SharedEncoder.from_seg_model(model)
-    arms = {"+".join(tag for tag, on in zip(("pn", "softmax", "tanh"), flags) if on)
-            or "none": flags for flags in itertools.product((True, False), repeat=3)}
-    per_arm = {name: {} for name in arms}
-    for seed in cfg.seeds:
-        gens = stage_spg(cfg, domains, oracle, seed, None)
-        for name, (pn, sm, th) in arms.items():
-            arm_cfg = dataclasses.replace(
-                cfg, apf=dataclasses.replace(
-                    cfg.apf, per_channel=pn, use_softmax=sm, use_tanh=th))
-            per_arm[name][seed] = _fused_target_miou(arm_cfg, domains, gens, enc,
-                                                     oracle, seed)
-    return _table("fusion", per_arm, oracle, digests)
+                         data_digests={name: domain_digest(samples)
+                                       for name, samples in domains.items()})
 
 
 def attention_report(cfg, attention) -> list:

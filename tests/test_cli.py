@@ -4,6 +4,7 @@ A module-scoped staged run exercises the training commands once; the
 reporting commands then read from it.  All on the miniature config.
 """
 
+import dataclasses
 import json
 import os
 
@@ -145,6 +146,17 @@ class TestRunAll:
         assert os.path.isdir(os.path.join(root, "seed1"))
 
 
+class TestPretrainOracle:
+    def test_zero_iteration_oracle(self, tmp_path, capsys):
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg = dataclasses.replace(cfg, oracle=dataclasses.replace(cfg.oracle, iters=0))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        assert main(["-v", "--config", cfg_path, "pretrain-oracle"]) == 0
+        assert "fingerprint" in capsys.readouterr().out
+        assert os.path.exists(os.path.join(run_dir_for(cfg), "oracle.ckpt"))
+
+
 class TestAblateCommand:
     def test_fusion_suite_emits_tables(self, tmp_path, capsys):
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
@@ -199,6 +211,7 @@ class TestResolution:
         ({"spg": 5}, "spg"),
         ({"seeds": 3}, "seeds"),
         ({"oracle": {"widths": 7}}, "oracle.widths"),
+        ({"oracle": {"widths": ["a"]}}, "oracle.widths"),
     ])
     def test_malformed_config_reports_error(self, tmp_path, capsys, payload, key):
         path = tmp_path / "cfg.json"

@@ -104,6 +104,14 @@ class TestValidation:
     @pytest.mark.parametrize("override", [
         {"spg": {"meta_iters": -1}},
         {"apf": {"embed_dim": 0}},
+        {"apf": {"t_mult": 0}},
+        {"apf": {"betas": [0.5]}},
+        {"apf": {"betas": [0.5, 1.0]}},
+        {"apf": {"betas": [-0.1, 0.999]}},
+        {"spg": {"depth": 0}},
+        {"oracle": {"kernel": 0}},
+        {"oracle": {"widths": []}},
+        {"oracle": {"widths": [8, 0, 16]}},
         {"spg": {"variant": "border", "pad": 0}},
         {"spg": {"variant": "a_border", "pad": 32}},
         {"data": {"size": 16}, "spg": {"pad": 8}},

@@ -15,7 +15,6 @@ from promptseg.fusion import (
     _apf_schedule,
     attention_scores,
     collect_prompts,
-    fuse_prompts,
     fusion_forward,
     fusion_weights,
     infer,
@@ -268,25 +267,25 @@ class TestFusePrompts:
         stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
         w = np.zeros((2, 3), np.float32)
         w[:, 1] = 1.0
-        fused = fuse_prompts(Tensor(w), stack)
+        fused = ops.weighted_sum(Tensor(w), stack)
         assert np.allclose(fused.data, stack[:, 1], atol=1e-7)
 
     def test_zero_weights_give_zero(self, rng):
         stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
-        fused = fuse_prompts(Tensor(np.zeros((2, 3), np.float32)), stack)
+        fused = ops.weighted_sum(Tensor(np.zeros((2, 3), np.float32)), stack)
         assert np.all(fused.data == 0.0)
 
     def test_linear_in_weights(self, rng):
         stack = rng.normal(0, 1, (2, 4, 3, 4, 4)).astype(np.float32)
         w = rng.uniform(0, 1, (2, 4)).astype(np.float32)
-        once = fuse_prompts(Tensor(w.copy()), stack)
-        twice = fuse_prompts(Tensor(2.0 * w), stack)
+        once = ops.weighted_sum(Tensor(w.copy()), stack)
+        twice = ops.weighted_sum(Tensor(2.0 * w), stack)
         assert np.array_equal(twice.data, 2.0 * once.data)
 
     def test_matches_explicit_sum(self, rng):
         stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
         w = rng.uniform(0, 1, (2, 3)).astype(np.float32)
-        fused = fuse_prompts(Tensor(w.copy()), stack)
+        fused = ops.weighted_sum(Tensor(w.copy()), stack)
         manual = sum(w[:, i, None, None, None] * stack[:, i] for i in range(3))
         assert np.allclose(fused.data, manual, atol=1e-6)
 
@@ -299,7 +298,7 @@ class TestFusionForward:
             manual_prompts = collect_prompts(gens, x)
             scores = attention_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
-            manual = x + fuse_prompts(manual_w, manual_prompts).data
+            manual = x + ops.weighted_sum(manual_w, manual_prompts).data
         assert np.array_equal(prompts, manual_prompts)
         assert np.array_equal(weights.data, manual_w.data)
         assert np.array_equal(prompted.data, manual)

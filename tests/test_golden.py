@@ -28,11 +28,11 @@ import pytest
 from conftest import tiny_experiment
 
 from promptseg.config import config_hash
-from promptseg.pipeline import ablate_fusion, ablate_init, run_dir_for, run_pipeline
+from promptseg.pipeline import ablate, run_dir_for, run_pipeline
 
 RUN_HASH = "1b980073ffc191d9"
 
-# per OpenBLAS core: run-all artifact digests and the two ablations' arm means
+# per OpenBLAS core: run-all artifact digests and the three ablations' arm means
 GOLDEN = {
     "SkylakeX": {
         "run": {
@@ -78,6 +78,12 @@ GOLDEN = {
             "normal": 0.10701998117489712,
             "meta": 0.10664379258957665,
         },
+        "generators": {
+            "border": 0.10840086179455391,
+            "a_border": 0.11867928787600932,
+            "full": 0.12137256034571545,
+            "a_full": 0.1115440769973333,
+        },
     },
     "Haswell": {
         "run": {
@@ -122,6 +128,12 @@ GOLDEN = {
             "uniform": 0.11221899317619617,
             "normal": 0.10618982472172062,
             "meta": 0.10664379258957665,
+        },
+        "generators": {
+            "border": 0.11662645167629329,
+            "a_border": 0.11976762035334335,
+            "full": 0.116550025814331,
+            "a_full": 0.11251514739168307,
         },
     },
 }
@@ -174,9 +186,13 @@ class TestGoldenRun:
 
 class TestGoldenAblations:
     def test_fusion_arm_means(self):
-        table = ablate_fusion(tiny_experiment())
+        table = ablate(tiny_experiment(), "fusion")
         assert {a["arm"]: a["mean"] for a in table.arms} == golden("fusion")
 
     def test_init_arm_means(self):
-        table = ablate_init(tiny_experiment())
+        table = ablate(tiny_experiment(), "init")
         assert {a["arm"]: a["mean"] for a in table.arms} == golden("init")
+
+    def test_generators_arm_means(self):
+        table = ablate(tiny_experiment(), "generators")
+        assert {a["arm"]: a["mean"] for a in table.arms} == golden("generators")

@@ -193,5 +193,7 @@ def test_domain_structural_edits(tmp_path):
          with_crc(body[:first] + struct.pack("<I", h + 1) + body[first + 4:])),
         ("class count zero",
          with_crc(body[:first + 8] + struct.pack("<I", 0) + body[first + 12:])),
+        ("a NaN pixel",
+         with_crc(body[:first + 12] + struct.pack("<f", np.nan) + body[first + 16:])),
     ]
     assert_rejected(load, path, cases)

@@ -251,28 +251,28 @@ class TestNormalize:
     def test_three_four_five(self):
         plane = np.zeros((1, 1, 2, 2), np.float32)
         plane[0, 0] = [[3.0, 4.0], [0.0, 0.0]]
-        out = ops.l2_normalize_channels(Tensor(plane))
-        np.testing.assert_allclose(out.data[0, 0], [[0.6, 0.8], [0.0, 0.0]], rtol=1e-6)
+        out = ops.l2_normalize(plane, (2, 3))
+        np.testing.assert_allclose(out[0, 0], [[0.6, 0.8], [0.0, 0.0]], rtol=1e-6)
 
     def test_zero_plane_stays_zero(self):
-        out = ops.l2_normalize_channels(Tensor(np.zeros((2, 3, 4, 4), np.float32)))
-        np.testing.assert_array_equal(out.data, 0.0)
+        out = ops.l2_normalize(np.zeros((2, 3, 4, 4), np.float32), (2, 3))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_unit_norms_on_random_input(self, rng):
-        x = Tensor(rng.normal(size=(3, 4, 6, 6)).astype(np.float32) * 10)
-        out = ops.l2_normalize_channels(x).data
+        x = rng.normal(size=(3, 4, 6, 6)).astype(np.float32) * 10
+        out = ops.l2_normalize(x, (2, 3))
         norms = np.sqrt((out * out).sum(axis=(2, 3)))
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_idempotent(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 5, 5)).astype(np.float32))
-        once = ops.l2_normalize_channels(x)
-        twice = ops.l2_normalize_channels(once)
-        assert np.max(np.abs(once.data - twice.data)) < 1e-6
+        x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
+        once = ops.l2_normalize(x, (2, 3))
+        twice = ops.l2_normalize(once, (2, 3))
+        assert np.max(np.abs(once - twice)) < 1e-6
 
     def test_whole_tensor_variant(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 4, 4)).astype(np.float32) * 3)
-        out = ops.l2_normalize_tensor(x).data
+        x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32) * 3
+        out = ops.l2_normalize(x, (1, 2, 3))
         norms = np.sqrt((out * out).sum(axis=(1, 2, 3)))
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
@@ -400,16 +400,6 @@ def _gradcheck_registry(rng):
         r = rng.normal(size=(1, 2, 7, 9))
         return lambda x_: project(ops.bilinear_upsample(x_, 7, 9), r), [x]
 
-    def normalize_case():
-        x = rng.normal(size=(2, 2, 3, 3)) * 2
-        r = rng.normal(size=(2, 2, 3, 3))
-        return lambda x_: project(ops.l2_normalize_channels(x_), r), [x]
-
-    def normalize_tensor_case():
-        x = rng.normal(size=(2, 2, 3, 3)) * 2
-        r = rng.normal(size=(2, 2, 3, 3))
-        return lambda x_: project(ops.l2_normalize_tensor(x_), r), [x]
-
     def ce_case():
         x = rng.normal(size=(2, 3, 3, 3))
         t = rng.integers(0, 3, size=(2, 3, 3))
@@ -461,8 +451,6 @@ def _gradcheck_registry(rng):
         "linear": linear_case,
         "adaptive_avg_pool_to_1": pool_case,
         "bilinear_upsample": upsample_case,
-        "l2_normalize_channels": normalize_case,
-        "l2_normalize_tensor": normalize_tensor_case,
         "cross_entropy": ce_case,
         "embed2d": embed_case,
         "bilinear_scores": scores_case,

@@ -20,9 +20,7 @@ from promptseg.pipeline import (
     STYLE_NAMES,
     TARGET_NAMES,
     AblationTable,
-    ablate_fusion,
-    ablate_generators,
-    ablate_init,
+    ablate,
     attention_report,
     domain_specs,
     eval_domains,
@@ -239,9 +237,14 @@ def suite_cfg():
     return tiny_config()
 
 
+@pytest.fixture(scope="module")
+def init_table(suite_cfg):
+    return ablate(suite_cfg, "init")
+
+
 class TestAblationSuites:
     def test_generator_suite_structure(self, suite_cfg):
-        table = ablate_generators(suite_cfg)
+        table = ablate(suite_cfg, "generators")
         assert [a["arm"] for a in table.arms] == [
             "border", "a_border", "full", "a_full"]
         for arm in table.arms:
@@ -252,21 +255,33 @@ class TestAblationSuites:
         with pytest.raises(KeyError):
             table.mean("no-such-arm")
 
-    def test_init_suite_structure(self, suite_cfg):
-        table = ablate_init(suite_cfg, strategies=("zero", "meta"))
-        assert [a["arm"] for a in table.arms] == ["zero", "meta"]
-        assert set(table.data_digests) == set(domain_specs(suite_cfg))
+    def test_init_suite_structure(self, suite_cfg, init_table):
+        assert [a["arm"] for a in init_table.arms] == [
+            "zero", "uniform", "normal", "meta"]
+        assert set(init_table.data_digests) == set(domain_specs(suite_cfg))
 
     def test_fusion_suite_has_eight_arms(self, suite_cfg):
-        table = ablate_fusion(suite_cfg)
+        table = ablate(suite_cfg, "fusion")
         names = [a["arm"] for a in table.arms]
         assert len(names) == 8
         assert "pn+softmax+tanh" in names
         assert "none" in names
         assert "pn+tanh" in names
 
-    def test_tables_render(self, suite_cfg, tmp_path):
-        table = ablate_init(suite_cfg, strategies=("zero", "uniform"))
+    @pytest.mark.parametrize("suite, sets_per_seed", [("fusion", 1), ("init", 4)])
+    def test_arms_with_equal_spg_share_generators(self, suite_cfg, monkeypatch,
+                                                  suite, sets_per_seed):
+        # fusion arms differ only in apf, so one set of generators per seed;
+        # init arms differ in spg, so one set per arm, and seeds run in order
+        seeds = []
+        stage_spg = pipeline.stage_spg
+        monkeypatch.setattr(pipeline, "stage_spg",
+                            lambda *a: seeds.append(a[3]) or stage_spg(*a))
+        ablate(dataclasses.replace(suite_cfg, seeds=(0, 1)), suite)
+        assert seeds == [0] * sets_per_seed + [1] * sets_per_seed
+
+    def test_tables_render(self, init_table, tmp_path):
+        table = init_table
         md = table.to_markdown()
         lines = md.strip().splitlines()
         assert len(lines) == 2 + len(table.arms)
@@ -277,9 +292,9 @@ class TestAblationSuites:
         assert body[0] == "arm,seed0,mean"
         assert len(body) == 1 + len(table.arms)
 
-    def test_suite_shares_one_world(self, suite_cfg):
-        a = ablate_init(suite_cfg, strategies=("zero",))
-        b = ablate_generators(suite_cfg, variants=("border",))
+    def test_suite_shares_one_world(self, suite_cfg, init_table):
+        a = init_table
+        b = ablate(suite_cfg, "generators")
         assert a.oracle_fingerprint == b.oracle_fingerprint
         assert a.data_digests == b.data_digests
 
