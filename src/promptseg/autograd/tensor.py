@@ -268,13 +268,6 @@ def scale(a, s):
     return apply_op("scale", a.data * s, (a,), backward_fn)
 
 
-def sum_all(a):
-    def backward_fn(g):
-        return (np.full_like(a.data, g.reshape(())),)
-
-    return apply_op("sum_all", a.data.sum(keepdims=False).reshape(()), (a,), backward_fn)
-
-
 def reshape(a, shape):
     out = np.reshape(a.data, shape)
 

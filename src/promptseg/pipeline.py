@@ -258,12 +258,28 @@ def run_arms(cfg, arms, run_dir=None, names=None):
     maps a name to a config that differs from ``cfg`` only in its ``spg`` or
     ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
     one set of generators.  Artifacts go under ``run_dir``, which only a
-    one-arm run should pass.  Returns (oracle, domains, results), one
-    ``(arm, seed, rows, attention)`` result per pair, seed-major.
+    one-arm run should pass.
+
+    After every stage from the oracle's on, the seal check compares the
+    live weights of the oracle and of the encoder with their fingerprints
+    at build; a change raises ``StageError``.  Returns (oracle, domains,
+    results, seal checks passed), one ``(arm, seed, rows, attention)``
+    result per pair, seed-major.
     """
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
+    enc_fp = enc.fingerprint()
+    sealed = []
+
+    def check_seal(stage):
+        if oracle.current_fingerprint() != oracle.fingerprint:
+            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
+        if enc.fingerprint() != enc_fp:
+            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
+        sealed.append(stage)
+
+    check_seal("pretrain-oracle")
     results = []
     for seed in cfg.seeds:
         log.info("seed %d", seed)
@@ -272,12 +288,15 @@ def run_arms(cfg, arms, run_dir=None, names=None):
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
                 shared[arm_cfg.spg] = stage_spg(arm_cfg, domains, oracle, seed, sdir)
+                check_seal("train-spg")
             gens = shared[arm_cfg.spg]
             heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, sdir)
+            check_seal("train-apf")
             rows, attention = stage_eval(arm_cfg, domains, gens, enc, heads,
                                          oracle, seed, names)
+            check_seal("eval")
             results.append((arm, seed, rows, attention))
-    return oracle, domains, results
+    return oracle, domains, results, len(sealed)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
@@ -288,7 +307,7 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     cfg.validate()
     t0 = time.time()
     run_dir = open_run(cfg) if cfg.out_dir else None
-    oracle, _, results = run_arms(cfg, {"": cfg}, run_dir)
+    oracle, _, results, seal_checks = run_arms(cfg, {"": cfg}, run_dir)
     report = MetricsReport(config_hash=config_hash(cfg),
                            rows=[r for _, _, rows, _ in results for r in rows],
                            attention=[a for _, _, _, att in results for a in att],
@@ -300,7 +319,8 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
                   ["domain", "seed", "style", "mean_weight"])
         meta = {"config_hash": report.config_hash,
                 "wall_clock_sec": round(report.wall_clock, 3),
-                "oracle_fingerprint": oracle.fingerprint}
+                "oracle_fingerprint": oracle.fingerprint,
+                "seal_checks": seal_checks}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
@@ -435,8 +455,8 @@ def suite_arms(cfg, suite) -> dict:
 
 def ablate(cfg, suite) -> AblationTable:
     """Mean fused target mIoU per arm and seed of one suite, on one world."""
-    oracle, domains, results = run_arms(cfg, suite_arms(cfg, suite),
-                                        names=TARGET_DOMAINS)
+    oracle, domains, results, _ = run_arms(cfg, suite_arms(cfg, suite),
+                                           names=TARGET_DOMAINS)
     per_arm = {}
     for arm, seed, rows, _ in results:
         per_arm.setdefault(arm, {})[seed] = float(

@@ -158,7 +158,9 @@ class ModulatorNetwork:
     mode "coeffs": head emits 4C channels, pooled to per-side per-channel
     coefficients (B, 4, C).  mode "map": head emits C channels, upsampled
     back to the input resolution for pixel-level reweighting.  Coefficients
-    are raw linear outputs; no squashing is applied.
+    are raw linear outputs; no squashing is applied.  The pass is split in
+    two, ``low_res`` then ``expand``, so that a caller can keep the small
+    low-resolution result and skip the network on a batch it has seen.
     """
 
     def __init__(self, in_channels, out_channels, depth, mode, rng):
@@ -182,7 +184,9 @@ class ModulatorNetwork:
             h = block(h, training)
         return h
 
-    def __call__(self, x, training=False):
+    def low_res(self, x, training=False):
+        """Everything below the input resolution: the (B, 4, C) coefficients
+        in mode "coeffs", the (B, C, H/8, W/8) head map in mode "map"."""
         if x.ndim != 4:
             raise ShapeError(f"modulator input must be 4-D, got {x.shape}")
         b, _, h, w = x.shape
@@ -192,7 +196,14 @@ class ModulatorNetwork:
         if self.mode == "coeffs":
             pooled = ops.adaptive_avg_pool_to_1(feats)
             return reshape(pooled, (b, 4, self.out_channels))
-        return ops.bilinear_upsample(feats, h, w)
+        return feats
+
+    def expand(self, low, height, width):
+        """``low_res``'s output at the input resolution: coefficients pass
+        through, a map is upsampled to ``height`` x ``width``."""
+        if self.mode == "coeffs":
+            return low
+        return ops.bilinear_upsample(low, height, width)
 
     def tensors(self, prefix="modulator"):
         out = {}
@@ -238,22 +249,28 @@ class StylePromptGenerator:
                 f"got {x.shape}"
             )
 
-    def generate(self, x, training=False):
-        """The style prompt for a batch, shaped like the batch itself."""
+    def modulate(self, x, training=False):
+        """The modulator's low-resolution output for a batch (see
+        ``ModulatorNetwork.low_res``); None for the fixed variants."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, np.float32))
         self._check_input(x)
-        coeff = None if self.modulator is None else self.modulator(x, training)
-        return self.template.assemble(coeff, x.shape[0])
+        return None if self.modulator is None else self.modulator.low_res(x, training)
+
+    def prompt(self, low, batch):
+        """The prompts of a batch of ``batch`` from its ``modulate`` output."""
+        coeff = None if low is None else self.modulator.expand(low, self.height, self.width)
+        return self.template.assemble(coeff, batch)
+
+    def generate(self, x, training=False):
+        """The style prompt for a batch, shaped like the batch itself."""
+        return self.prompt(self.modulate(x, training), x.shape[0])
 
     def tensors(self):
         out = dict(self.template.tensors("template"))
         if self.modulator is not None:
             out.update(self.modulator.tensors("modulator"))
         return out
-
-    def parameter_count(self):
-        return sum(t.size for t in parameters(self.tensors()))
 
 
 def attach_prompt(x, prompt):

@@ -129,9 +129,3 @@ def render_scene(spec: SceneSpec, index: int) -> Sample:
     image = np.clip(image + tint + noise, 0.0, 1.0).astype(np.float32)
     return Sample(image=image, mask=mask, class_count=k)
 
-
-def recover_mask(image: np.ndarray) -> np.ndarray:
-    """Nearest-palette-color classification of a base-style image."""
-    flat = image.reshape(3, -1).T
-    d = ((flat[:, None, :] - PALETTE[None, :, :]) ** 2).sum(axis=2)
-    return d.argmin(axis=1).astype(np.uint8).reshape(image.shape[1:])

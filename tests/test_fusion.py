@@ -1,5 +1,7 @@
 """Fusion stage: shared encoder, attention heads, weight squashing, blending."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from promptseg.fusion import (
 )
 from promptseg.datasets import DomainSpec, make_domain
 from promptseg.oracle import SegModel, seal
-from promptseg.prompts import StylePromptGenerator, save_generator
+from promptseg.prompts import ModulatorNetwork, StylePromptGenerator, save_generator
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 
@@ -55,6 +57,13 @@ def toy_setup(n=3, size=16, variant="border", seed=0):
     rng = np.random.default_rng(seed + 99)
     x = rng.uniform(0.0, 1.0, (2, 3, size, size)).astype(np.float32)
     return model, handle, enc, gens, heads, x
+
+
+def encoded_scores(enc, heads, x, prompts):
+    """Attention scores of images ``x`` and a prompt stack, both encoded afresh."""
+    b, n = prompts.shape[:2]
+    flat = prompts.reshape((b * n,) + prompts.shape[2:])
+    return attention_scores(heads, enc.encode(x), enc.encode(flat))
 
 
 def clone_state(obj):
@@ -167,7 +176,7 @@ class TestAttentionScores:
         _, _, enc, gens, heads, x = toy_setup(n=3)
         prompts = collect_prompts(gens, x)
         with no_grad():
-            scores = attention_scores(enc, heads, x, prompts)
+            scores = encoded_scores(enc, heads, x, prompts)
         assert scores.shape == (2, 3)
 
     def test_zero_query_head_gives_zero_scores(self):
@@ -176,14 +185,14 @@ class TestAttentionScores:
         heads.wx.bias.data[...] = 0.0
         prompts = collect_prompts(gens, x)
         with no_grad():
-            scores = attention_scores(enc, heads, x, prompts)
+            scores = encoded_scores(enc, heads, x, prompts)
         assert np.all(scores.data == 0.0)
 
     def test_duplicate_generators_give_equal_columns(self):
         _, _, enc, gens, heads, x = toy_setup(n=2)
         prompts = collect_prompts([gens[0], gens[0], gens[1]], x)
         with no_grad():
-            scores = attention_scores(enc, heads, x, prompts)
+            scores = encoded_scores(enc, heads, x, prompts)
         assert np.array_equal(scores.data[:, 0], scores.data[:, 1])
 
     def test_head_gradients_match_finite_differences(self):
@@ -196,12 +205,12 @@ class TestAttentionScores:
 
             def loss_value():
                 with Tape():
-                    s = attention_scores(enc, heads, xs, prompts)
+                    s = encoded_scores(enc, heads, xs, prompts)
                     return float((s.data ** 2).sum())
 
             # L = sum(s^2); seed the backward with dL/ds = 2s
             with Tape() as tape:
-                s = attention_scores(enc, heads, xs, prompts)
+                s = encoded_scores(enc, heads, xs, prompts)
             tape.backward(s, seed=2.0 * s.data)
             for leaf in (heads.wx.weight, heads.wp.weight):
                 flat = leaf.data.reshape(-1)
@@ -296,7 +305,7 @@ class TestFusionForward:
         with no_grad():
             prompted, weights, prompts = fusion_forward(x, gens, enc, heads)
             manual_prompts = collect_prompts(gens, x)
-            scores = attention_scores(enc, heads, x, manual_prompts)
+            scores = encoded_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
             manual = x + ops.weighted_sum(manual_w, manual_prompts).data
         assert np.array_equal(prompts, manual_prompts)
@@ -452,3 +461,135 @@ class TestHeadsPersistence:
         save_generator(path, gen)
         with pytest.raises(FormatError):
             load_heads(path)
+
+
+FUSION_ARMS = [(pc, sm, th) for pc in (True, False) for sm in (True, False)
+               for th in (True, False)]
+
+
+@pytest.fixture(scope="module")
+def memo_world():
+    """A toy oracle and a 32 px source pool."""
+    model, handle = toy_oracle(classes=6)
+    dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=41, height=32, width=32),
+                                 count=12))
+    return model, handle, dom
+
+
+def memo_gens():
+    """One generator per kind of memo entry: ``a_border`` keeps (B, 4, C)
+    coefficients, ``a_full`` a (B, C, H/8, W/8) map, ``border`` nothing."""
+    return [StylePromptGenerator(f"s{i}", v, height=32, width=32, pad=3, depth=4, seed=i)
+            for i, v in enumerate(("a_border", "a_full", "border"))]
+
+
+def train_arm(world, enc, gens, arm, iters=5):
+    """Heads of one fusion arm trained on ``enc``; returns their state."""
+    _, handle, dom = world
+    heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
+    apf = ApfConfig(iters=iters, batch=4, lr=1e-2, per_channel=arm[0],
+                    use_softmax=arm[1], use_tanh=arm[2])
+    train_apf(heads, dom, gens, enc, handle, apf, seed=3)
+    return clone_state(heads)
+
+
+def memo_arrays(memo):
+    """Every array the memo holds, over all its batches."""
+    parts = [t for b in memo.batches.values()
+             for t in b.lows + [b.image_emb] + list(b.prompt_emb.values())]
+    return [t.data for t in parts if t is not None]
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts of encoder and modulator calls, by name."""
+    counts = {"encode": 0, "low_res": 0}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(SharedEncoder, "encode")
+    counting(ModulatorNetwork, "low_res")
+    return counts
+
+
+class TestFrozenMemo:
+    def test_arm_heads_do_not_depend_on_earlier_arms(self, memo_world):
+        model = memo_world[0]
+        gens = memo_gens()
+        alone = [train_arm(memo_world, SharedEncoder.from_seg_model(model), gens, arm)
+                 for arm in FUSION_ARMS]
+        for order in (FUSION_ARMS, FUSION_ARMS[::-1]):
+            enc = SharedEncoder.from_seg_model(model)
+            shared = {arm: train_arm(memo_world, enc, gens, arm) for arm in order}
+            for arm, state in zip(FUSION_ARMS, alone):
+                assert states_equal(shared[arm], state), arm
+
+    def test_second_arm_skips_the_frozen_path(self, memo_world, call_counts):
+        enc = SharedEncoder.from_seg_model(memo_world[0])
+        train_arm(memo_world, enc, memo_gens(), (True, True, True))
+        assert call_counts["encode"] > 0 and call_counts["low_res"] > 0
+        call_counts.update(encode=0, low_res=0)
+        # equal weights in new generator objects: the memo is keyed by content
+        train_arm(memo_world, enc, memo_gens(), (True, False, True))
+        assert call_counts == {"encode": 0, "low_res": 0}
+
+    def test_changed_weights_invalidate_the_memo(self, memo_world, call_counts):
+        enc = SharedEncoder.from_seg_model(memo_world[0])
+        gens = memo_gens()
+        arm = (True, True, True)
+        train_arm(memo_world, enc, gens, arm)
+        for weight in (gens[0].modulator.head.weight, enc.stages[0][0].weight):
+            weight.data[0, 0, 0, 0] = 0.5
+            call_counts.update(encode=0, low_res=0)
+            train_arm(memo_world, enc, gens, arm, iters=1)
+            assert call_counts == {"encode": 2, "low_res": 2}
+            assert len(enc.memo.batches) == 1
+        # a different generator set starts its own memo too
+        call_counts.update(encode=0, low_res=0)
+        train_arm(memo_world, enc, gens[:2], arm, iters=1)
+        assert call_counts == {"encode": 2, "low_res": 2}
+
+    def test_memo_holds_nothing_at_input_resolution(self, memo_world):
+        model, handle, dom = memo_world
+        enc = SharedEncoder.from_seg_model(model)
+        gens = memo_gens()
+        heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
+        x = np.stack([s.image for s in dom])
+        infer(x, gens, enc, heads, handle)
+        assert enc.memo is None
+        for arm in FUSION_ARMS[:2] + FUSION_ARMS[4:6]:
+            train_arm(memo_world, enc, gens, arm)
+        entries = len(enc.memo.batches)
+        arrays = memo_arrays(enc.memo)
+        # per batch: 2 modulator outputs, image and 2 prompt embeddings
+        assert len(arrays) == 5 * entries
+        assert all(32 not in a.shape for a in arrays)
+        infer(x, gens, enc, heads, handle)
+        assert len(enc.memo.batches) == entries
+
+    def test_memo_size_at_the_default_config(self):
+        # the largest memo the default world can fill: a_full maps and both
+        # prompt normalizations, scaled from two batches to the full budget
+        cfg = ExperimentConfig()
+        size = cfg.data.size
+        model = SegModel(6, stream(0, "memo-size"), widths=cfg.oracle.widths,
+                         kernel=cfg.oracle.kernel)
+        enc = SharedEncoder.from_seg_model(model)
+        gens = [StylePromptGenerator(f"s{i}", "a_full", height=size, width=size,
+                                     pad=cfg.spg.pad, depth=cfg.spg.depth, seed=i)
+                for i in range(4)]
+        dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=42, height=size,
+                                                                 width=size), count=16))
+        for per_channel in (True, False):
+            apf = dataclasses.replace(cfg.apf, iters=2, per_channel=per_channel)
+            heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=apf.embed_dim)
+            train_apf(heads, dom, gens, enc, seal(model), apf)
+        per_batch = sum(a.nbytes for a in memo_arrays(enc.memo)) / len(enc.memo.batches)
+        assert per_batch * cfg.apf.iters < 25e6

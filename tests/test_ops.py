@@ -5,9 +5,9 @@ import pytest
 
 from promptseg.autograd import DegenerateBatchError, ShapeError, Tape, Tensor, shadow_precision
 from promptseg.autograd import ops
-from promptseg.autograd.tensor import add, broadcast_to_batch, mul, reshape, scale, sum_all
+from promptseg.autograd.tensor import add, broadcast_to_batch, mul, reshape, scale
 
-from conftest import check_gradients, rel_err
+from conftest import check_gradients, rel_err, sum_all
 
 
 def project(out, r):

@@ -113,8 +113,10 @@ class TestRunLayout:
         with open(os.path.join(run_dir, "report_meta.json")) as f:
             meta = json.load(f)
         assert set(meta) == {"config_hash", "wall_clock_sec",
-                             "oracle_fingerprint"}
+                             "oracle_fingerprint", "seal_checks"}
         assert meta["wall_clock_sec"] > 0
+        # after the oracle, then after SPG, APF and eval for each of 2 seeds
+        assert meta["seal_checks"] == 1 + 2 * 3
 
 
 class TestReport:
@@ -219,6 +221,21 @@ class TestStageErrors:
 
         monkeypatch.setattr(pipeline, "train_spg", diverged)
         with pytest.raises(StageError, match="train-spg"):
+            run_pipeline(tiny_config(out_dir=""))
+
+    @pytest.mark.parametrize("frozen", ["encoder", "oracle"])
+    def test_weight_drift_fails_the_seal_check(self, monkeypatch, frozen):
+        # a stage that writes into frozen weights is caught right after it
+        train = pipeline.stage_apf
+
+        def drifting(cfg, domains, gens, enc, oracle, *rest):
+            heads = train(cfg, domains, gens, enc, oracle, *rest)
+            module = enc if frozen == "encoder" else oracle._model
+            module.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
+            return heads
+
+        monkeypatch.setattr(pipeline, "stage_apf", drifting)
+        with pytest.raises(StageError, match=f"'train-apf' changed the .*{frozen}"):
             run_pipeline(tiny_config(out_dir=""))
 
     def test_bad_config_fails_before_any_stage(self, monkeypatch):

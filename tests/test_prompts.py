@@ -18,7 +18,7 @@ from promptseg.prompts import (
     save_generator,
     train_spg,
 )
-from promptseg.autograd.layers import tensor_arrays
+from promptseg.autograd.layers import parameters, tensor_arrays
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 from promptseg.styles import style_presets
@@ -141,8 +141,9 @@ class TestModulator:
     def test_coefficient_shape(self, rng):
         m = ModulatorNetwork(3, 3, depth=8, mode="coeffs", rng=stream(0, "m"))
         x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
-        out = m(x)
+        out = m.low_res(x)
         assert out.shape == (2, 4, 3)
+        assert m.expand(out, 64, 64) is out
 
     def test_backbone_is_eighth_resolution(self, rng):
         m = ModulatorNetwork(3, 3, depth=8, mode="coeffs", rng=stream(0, "m"))
@@ -153,13 +154,14 @@ class TestModulator:
     def test_map_mode_matches_input_resolution(self, rng):
         m = ModulatorNetwork(3, 3, depth=4, mode="map", rng=stream(0, "m"))
         x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
-        out = m(x)
-        assert out.shape == (2, 3, 16, 16)
+        low = m.low_res(x)
+        assert low.shape == (2, 3, 2, 2)
+        assert m.expand(low, 16, 16).shape == (2, 3, 16, 16)
 
     def test_rejects_unaligned_input(self, rng):
         m = ModulatorNetwork(3, 3, depth=4, mode="coeffs", rng=stream(0, "m"))
         with pytest.raises(ShapeError):
-            m(Tensor(np.zeros((1, 3, 12, 12), np.float32)))
+            m.low_res(Tensor(np.zeros((1, 3, 12, 12), np.float32)))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -174,11 +176,11 @@ class TestModulator:
         r = rng.normal(size=(2, 4, 3))
 
         def run():
-            out = m(x, training=True)
+            out = m.low_res(x, training=True)
             return float((out.data * r).sum())
 
         with Tape() as tape:
-            out = m(x, training=True)
+            out = m.low_res(x, training=True)
             tape.backward(out, seed=r)
 
         for name in ("modulator.block0.conv1.weight", "modulator.head.weight"):
@@ -234,7 +236,7 @@ class TestGeneratorVariants:
 
     def test_parameter_counts_frozen(self):
         counts = {
-            v: StylePromptGenerator("s", v).parameter_count()
+            v: sum(t.size for t in parameters(StylePromptGenerator("s", v).tensors()))
             for v in ("border", "a_border", "full", "a_full")
         }
         assert counts == {"border": 4176, "a_border": 23812, "full": 12288, "a_full": 31627}

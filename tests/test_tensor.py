@@ -9,7 +9,9 @@ from promptseg.autograd import (
     no_grad,
     shadow_precision,
 )
-from promptseg.autograd.tensor import add, mul, scale, sum_all
+from promptseg.autograd.tensor import add, mul, scale
+
+from conftest import sum_all
 
 
 class TestTapeMechanics:

@@ -11,7 +11,7 @@ from promptseg.datasets import (
     save_domain,
 )
 from promptseg.errors import FormatError
-from promptseg.scenes import PALETTE, SceneSpec, render_scene, recover_mask
+from promptseg.scenes import PALETTE, SceneSpec, render_scene
 from promptseg.styles import (
     IDENTITY,
     StyleJitter,
@@ -22,6 +22,13 @@ from promptseg.styles import (
     jittered,
     style_presets,
 )
+
+
+def recover_mask(image):
+    """Nearest-palette-color classification of a base-style image."""
+    flat = image.reshape(3, -1).T
+    d = ((flat[:, None, :] - PALETTE[None, :, :]) ** 2).sum(axis=2)
+    return d.argmin(axis=1).astype(np.uint8).reshape(image.shape[1:])
 
 
 def params_vector(params):
