@@ -12,6 +12,7 @@ import dataclasses
 import logging
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .pipeline import (
     STYLE_NAMES,
     SUITES,
     ablate,
-    attention_report,
     eval_domains,
     evaluate_run,
     load_or_train_gens,
@@ -38,7 +38,6 @@ from .pipeline import (
     stage_data,
     stage_oracle,
     stage_spg,
-    target_mean,
     write_csv,
 )
 from .scenes import PALETTE
@@ -159,9 +158,9 @@ def cmd_eval(cfg, args):
             raise StageError(f"unknown domain {args.domain!r}; "
                              f"choose from {', '.join(names)}")
         names = (args.domain,)
-    rows, _ = evaluate_run(cfg, run_dir_for(cfg), names)
+    results = evaluate_run(cfg, run_dir_for(cfg), names)
     print(f"{'domain':<20} {'seed':>4} {'baseline':>9} {'fused':>9}")
-    for row in rows:
+    for row in results.rows:
         print(f"{row['domain']:<20} {row['seed']:>4} "
               f"{row['baseline_miou']:>9.4f} {row['sage_miou']:>9.4f}")
 
@@ -196,12 +195,27 @@ def cmd_infer(cfg, args):
         print(f"{len(out)} colored masks -> {args.color}")
 
 
+def ablation_tables(results):
+    """(columns, rows, markdown) of an ablation: fused target mIoU per arm,
+    one column per seed, then the mean over seeds."""
+    per_seed, means = results.target_means(), results.arm_means()
+    seeds = sorted(next(iter(per_seed.values())))
+    columns = ["arm"] + [f"seed{k}" for k in seeds] + ["mean"]
+    rows = [{"arm": arm, **{f"seed{k}": vals[k] for k in seeds}, "mean": means[arm]}
+            for arm, vals in per_seed.items()]
+    head = ["arm"] + [f"seed {k}" for k in seeds] + ["mean"]
+    lines = ["| " + " | ".join(head) + " |", "|" + "|".join("---" for _ in head) + "|"]
+    for row in rows:
+        cells = [row["arm"]] + [f"{row[c]:.4f}" for c in columns[1:]]
+        lines.append("| " + " | ".join(cells) + " |")
+    return columns, rows, "\n".join(lines) + "\n"
+
+
 def cmd_ablate(cfg, args):
-    table = ablate(cfg, args.suite)
+    columns, rows, md = ablation_tables(ablate(cfg, args.suite))
     run_dir = open_run(cfg)
     csv_path = os.path.join(run_dir, f"ablate_{args.suite}.csv")
-    table.to_csv(csv_path)
-    md = table.to_markdown()
+    write_csv(csv_path, rows, columns)
     with atomic_open(os.path.join(run_dir, f"ablate_{args.suite}.md")) as f:
         f.write(md)
     print(md, end="")
@@ -210,8 +224,7 @@ def cmd_ablate(cfg, args):
 
 def cmd_attention_report(cfg, args):
     run_dir = run_dir_for(cfg)
-    _, attention = evaluate_run(cfg, run_dir)
-    rows = attention_report(cfg, attention)
+    rows = evaluate_run(cfg, run_dir).attention_means(eval_domains(cfg))
     path = os.path.join(run_dir, "attention_report.csv")
     write_csv(path, rows, ["domain", "style", "mean_weight"])
     print(f"{'domain':<20}" + "".join(f"{s:>16}" for s in STYLE_NAMES))
@@ -222,11 +235,12 @@ def cmd_attention_report(cfg, args):
 
 
 def cmd_run_all(cfg, args):
-    report = run_pipeline(cfg)
+    t0 = time.time()
+    results = run_pipeline(cfg)
     print(f"report -> {os.path.join(run_dir_for(cfg), 'report.csv')}")
-    base, fused = target_mean(report, "baseline_miou"), target_mean(report)
+    base, fused = results.arm_means("baseline_miou")[""], results.arm_means()[""]
     print(f"target mIoU: baseline {base:.4f}, fused {fused:.4f} "
-          f"({fused - base:+.4f})  [{report.wall_clock:.0f}s]")
+          f"({fused - base:+.4f})  [{time.time() - t0:.0f}s]")
 
 
 COMMANDS = {

@@ -95,8 +95,8 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject a config that cannot run, before any stage spends compute."""
-        if self.data.size % 8:
-            raise ValueError(f"size must be divisible by 8, got {self.data.size}")
+        if self.data.size < 8 or self.data.size % 8:
+            raise ValueError(f"size must be a positive multiple of 8, got {self.data.size}")
         for field in ("base_train", "base_val", "styled_train", "styled_val",
                       "target_val"):
             if getattr(self.data, field) < 1:

@@ -194,7 +194,7 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
     ``frozen`` is the batch's entry in a ``FrozenMemo``: the frozen results
     it holds are reused, the ones it lacks are computed into it.  Without
     one the frozen half is computed afresh.  Returns (prompted input,
-    fusion weights, normalized prompt stack).
+    fusion weights).
     """
     x = np.asarray(x, np.float32)
     frozen = FrozenBatch() if frozen is None else frozen
@@ -203,14 +203,14 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
                               frozen.prompt_embedding(enc, prompts, per_channel))
     weights = fusion_weights(scores, use_softmax, use_tanh)
     fused = ops.weighted_sum(weights, prompts)  # P_fused = sum_i w[:, i] * P_i
-    return attach_prompt(x, fused), weights, prompts
+    return attach_prompt(x, fused), weights
 
 
 def infer(x, generators, enc, heads, oracle, per_channel=True,
           use_softmax=True, use_tanh=True, return_weights=False):
     """Fused-prompt prediction: argmax class mask for each input."""
     with no_grad():
-        prompted, weights, _ = fusion_forward(
+        prompted, weights = fusion_forward(
             x, generators, enc, heads, per_channel, use_softmax, use_tanh
         )
     mask = oracle.predict_mask(prompted.data)
@@ -240,8 +240,8 @@ def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
 
     def step(xb, yb):
         with Tape() as tape:
-            prompted, _, _ = fusion_forward(xb, generators, enc, heads, apf.per_channel,
-                                            apf.use_softmax, apf.use_tanh, memo.batch(xb))
+            prompted, _ = fusion_forward(xb, generators, enc, heads, apf.per_channel,
+                                         apf.use_softmax, apf.use_tanh, memo.batch(xb))
         loss, grad_x = oracle.input_grad(prompted.data, yb)
         tape.backward(prompted, seed=grad_x)
         return loss

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import atomic_open
 from .config import ExperimentConfig, config_hash, save_config
-from .datasets import DomainSpec, domain_digest, make_domain, save_domain
+from .datasets import DomainSpec, make_domain, save_domain
 from .errors import StageError
 from .fusion import (
     FusionHeads,
@@ -52,13 +52,51 @@ CLASS_COUNT = 6
 
 
 @dataclass
-class MetricsReport:
-    """Everything a finished run emits, before formatting."""
+class Results:
+    """What a run measured, before formatting: the one result type.
 
-    config_hash: str
-    rows: list  # one dict per (domain, seed): baseline/fused mIoU + per-class IoU
-    attention: list  # one dict per (domain, seed, style): mean fusion weight
-    wall_clock: float = 0.0
+    ``cells`` holds one ``(arm, seed, rows, attention)`` tuple per trained
+    pair, seed-major: ``rows`` one dict per evaluated domain (baseline and
+    fused mIoU plus per-class IoU), ``attention`` one per (domain, style)
+    with the mean fusion weight.  A plain run has one arm, named "".  Every
+    report is derived from the cells or from ``target_means``.
+    """
+
+    cells: list
+    oracle_fingerprint: int
+    seal_checks: int = 0
+
+    @property
+    def rows(self) -> list:
+        return [r for _, _, rows, _ in self.cells for r in rows]
+
+    @property
+    def attention(self) -> list:
+        return [a for _, _, _, attention in self.cells for a in attention]
+
+    def target_means(self, column="sage_miou") -> dict:
+        """{arm: {seed: mean of ``column`` over the TARGET_DOMAINS rows}}."""
+        means = {}
+        for arm, seed, rows, _ in self.cells:
+            vals = [r[column] for r in rows if r["domain"] in TARGET_DOMAINS]
+            means.setdefault(arm, {})[seed] = float(np.mean(vals))
+        return means
+
+    def arm_means(self, column="sage_miou") -> dict:
+        """{arm: mean of its ``target_means`` over seeds, in run order}."""
+        return {arm: float(np.mean(list(per_seed.values())))
+                for arm, per_seed in self.target_means(column).items()}
+
+    def attention_means(self, names) -> list:
+        """Mean fusion weight per (domain, style) over every cell, ``names`` in order."""
+        attention, out = self.attention, []
+        for name in names:
+            for style in STYLE_NAMES:
+                vals = [a["mean_weight"] for a in attention
+                        if a["domain"] == name and a["style"] == style]
+                out.append({"domain": name, "style": style,
+                            "mean_weight": float(np.mean(vals))})
+        return out
 
 
 def _stage(name):
@@ -262,9 +300,8 @@ def run_arms(cfg, arms, run_dir=None, names=None):
 
     After every stage from the oracle's on, the seal check compares the
     live weights of the oracle and of the encoder with their fingerprints
-    at build; a change raises ``StageError``.  Returns (oracle, domains,
-    results, seal checks passed), one ``(arm, seed, rows, attention)``
-    result per pair, seed-major.
+    at build; a change raises ``StageError``.  ``Results`` holds one cell
+    per pair and the number of seal checks passed.
     """
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
@@ -280,7 +317,7 @@ def run_arms(cfg, arms, run_dir=None, names=None):
         sealed.append(stage)
 
     check_seal("pretrain-oracle")
-    results = []
+    cells = []
     for seed in cfg.seeds:
         log.info("seed %d", seed)
         sdir = None if run_dir is None else seed_dir(run_dir, seed)
@@ -295,11 +332,11 @@ def run_arms(cfg, arms, run_dir=None, names=None):
             rows, attention = stage_eval(arm_cfg, domains, gens, enc, heads,
                                          oracle, seed, names)
             check_seal("eval")
-            results.append((arm, seed, rows, attention))
-    return oracle, domains, results, len(sealed)
+            cells.append((arm, seed, rows, attention))
+    return Results(cells, oracle.fingerprint, len(sealed))
 
 
-def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
+def run_pipeline(cfg: ExperimentConfig) -> Results:
     """The full experiment: every stage, every seed, reports on disk.
 
     An empty ``cfg.out_dir`` keeps everything in memory.
@@ -307,30 +344,20 @@ def run_pipeline(cfg: ExperimentConfig) -> MetricsReport:
     cfg.validate()
     t0 = time.time()
     run_dir = open_run(cfg) if cfg.out_dir else None
-    oracle, _, results, seal_checks = run_arms(cfg, {"": cfg}, run_dir)
-    report = MetricsReport(config_hash=config_hash(cfg),
-                           rows=[r for _, _, rows, _ in results for r in rows],
-                           attention=[a for _, _, _, att in results for a in att],
-                           wall_clock=time.time() - t0)
+    results = run_arms(cfg, {"": cfg}, run_dir)
     if run_dir is not None:
-        write_csv(os.path.join(run_dir, "report.csv"), report.rows,
+        write_csv(os.path.join(run_dir, "report.csv"), results.rows,
                   report_columns())
-        write_csv(os.path.join(run_dir, "attention.csv"), report.attention,
+        write_csv(os.path.join(run_dir, "attention.csv"), results.attention,
                   ["domain", "seed", "style", "mean_weight"])
-        meta = {"config_hash": report.config_hash,
-                "wall_clock_sec": round(report.wall_clock, 3),
-                "oracle_fingerprint": oracle.fingerprint,
-                "seal_checks": seal_checks}
+        meta = {"config_hash": config_hash(cfg),
+                "wall_clock_sec": round(time.time() - t0, 3),
+                "oracle_fingerprint": results.oracle_fingerprint,
+                "seal_checks": results.seal_checks}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")
-    return report
-
-
-def target_mean(report: MetricsReport, column="sage_miou") -> float:
-    """Mean over all (target domain, seed) cells of the report."""
-    vals = [r[column] for r in report.rows if r["domain"] in TARGET_DOMAINS]
-    return float(np.mean(vals))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -377,56 +404,19 @@ def load_seed_artifacts(cfg, run_dir, seed):
     return model, oracle, enc, gens, heads
 
 
-def evaluate_run(cfg, run_dir, names=None) -> tuple:
-    """(rows, attention) of a finished run, every seed, ``names`` or all domains."""
+def evaluate_run(cfg, run_dir, names=None) -> Results:
+    """A finished run evaluated again, every seed, ``names`` or all domains."""
     domains = stage_data(cfg)
-    rows, attention = [], []
+    cells = []
     for seed in cfg.seeds:
         _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
-        r, a = stage_eval(cfg, domains, gens, enc, heads, oracle, seed, names)
-        rows.extend(r)
-        attention.extend(a)
-    return rows, attention
+        cells.append(("", seed, *stage_eval(cfg, domains, gens, enc, heads,
+                                            oracle, seed, names)))
+    return Results(cells, oracle.fingerprint)
 
 
 # ---------------------------------------------------------------------------
 # ablation suites
-
-@dataclass
-class AblationTable:
-    suite: str
-    arms: list  # dicts: {"arm": name, "per_seed": {seed: miou}, "mean": float}
-    oracle_fingerprint: int
-    data_digests: dict
-
-    def mean(self, arm_name) -> float:
-        for arm in self.arms:
-            if arm["arm"] == arm_name:
-                return arm["mean"]
-        raise KeyError(arm_name)
-
-    def to_csv(self, path):
-        seeds = sorted(self.arms[0]["per_seed"])
-        cols = ["arm"] + [f"seed{k}" for k in seeds] + ["mean"]
-        rows = []
-        for arm in self.arms:
-            row = {"arm": arm["arm"], "mean": arm["mean"]}
-            for k in seeds:
-                row[f"seed{k}"] = arm["per_seed"][k]
-            rows.append(row)
-        write_csv(path, rows, cols)
-
-    def to_markdown(self) -> str:
-        seeds = sorted(self.arms[0]["per_seed"])
-        head = ["arm"] + [f"seed {k}" for k in seeds] + ["mean"]
-        lines = ["| " + " | ".join(head) + " |",
-                 "|" + "|".join("---" for _ in head) + "|"]
-        for arm in self.arms:
-            cells = [arm["arm"]] + [f"{arm['per_seed'][k]:.4f}" for k in seeds]
-            cells.append(f"{arm['mean']:.4f}")
-            lines.append("| " + " | ".join(cells) + " |")
-        return "\n".join(lines) + "\n"
-
 
 def _arm(cfg, section, **changes):
     """``cfg`` with fields of one config section replaced."""
@@ -448,54 +438,6 @@ SUITES = {
 }
 
 
-def suite_arms(cfg, suite) -> dict:
-    """The arms of one ablation suite over ``cfg``."""
-    return SUITES[suite](cfg)
-
-
-def ablate(cfg, suite) -> AblationTable:
-    """Mean fused target mIoU per arm and seed of one suite, on one world."""
-    oracle, domains, results, _ = run_arms(cfg, suite_arms(cfg, suite),
-                                           names=TARGET_DOMAINS)
-    per_arm = {}
-    for arm, seed, rows, _ in results:
-        per_arm.setdefault(arm, {})[seed] = float(
-            np.mean([r["sage_miou"] for r in rows]))
-    arms = [{"arm": name, "per_seed": per_seed,
-             "mean": float(np.mean(list(per_seed.values())))}
-            for name, per_seed in per_arm.items()]
-    return AblationTable(suite=suite, arms=arms,
-                         oracle_fingerprint=oracle.fingerprint,
-                         data_digests={name: domain_digest(samples)
-                                       for name, samples in domains.items()})
-
-
-def attention_report(cfg, attention) -> list:
-    """Mean fusion weight per (domain, style), averaged over seeds."""
-    out = []
-    for name in eval_domains(cfg):
-        for style in STYLE_NAMES:
-            vals = [a["mean_weight"] for a in attention
-                    if a["domain"] == name and a["style"] == style]
-            out.append({"domain": name, "style": style,
-                        "mean_weight": float(np.mean(vals))})
-    return out
-
-
-def styled_alignment(cfg, attention) -> dict:
-    """For each styled val domain: does its own style win the attention row?
-
-    Returns {style: count of seeds where argmax mean weight lands on the
-    matching generator}.
-    """
-    wins = {}
-    for style in STYLE_NAMES:
-        domain = f"{style}_val"
-        count = 0
-        for seed in cfg.seeds:
-            weights = {a["style"]: a["mean_weight"] for a in attention
-                       if a["domain"] == domain and a["seed"] == seed}
-            if max(weights, key=weights.get) == style:
-                count += 1
-        wins[style] = count
-    return wins
+def ablate(cfg, suite) -> Results:
+    """Every arm of one suite, on one world, evaluated on the target domains."""
+    return run_arms(cfg, SUITES[suite](cfg), names=TARGET_DOMAINS)

@@ -87,6 +87,8 @@ class TestValidation:
         {"spg": {"variant": "wedge"}},
         {"spg": {"init": "xavier"}},
         {"data": {"size": 33}},
+        {"data": {"size": 0}, "spg": {"variant": "full"}},
+        {"data": {"size": -8}, "spg": {"variant": "a_full"}},
         {"data": {"base_train": 0}},
         {"seeds": []},
         {"seeds": [1, 1]},

@@ -12,6 +12,7 @@ from promptseg.autograd.tensor import ShapeError
 from promptseg.errors import FormatError
 from promptseg.config import ApfConfig, ExperimentConfig
 from promptseg.fusion import (
+    FrozenBatch,
     FusionHeads,
     SharedEncoder,
     _apf_schedule,
@@ -302,8 +303,12 @@ class TestFusePrompts:
 class TestFusionForward:
     def test_matches_step_by_step_composition(self):
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
+        frozen = FrozenBatch()
         with no_grad():
-            prompted, weights, prompts = fusion_forward(x, gens, enc, heads)
+            prompted, weights = fusion_forward(x, gens, enc, heads, frozen=frozen)
+            # the stack fusion_forward fused, rebuilt from the batch's
+            # modulator outputs, against one generated step by step
+            prompts = collect_prompts(gens, x, lows=frozen.lows)
             manual_prompts = collect_prompts(gens, x)
             scores = encoded_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
@@ -325,15 +330,15 @@ class TestFusionForward:
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
         perm = [2, 0, 1]
         with no_grad():
-            _, w_a, _ = fusion_forward(x, gens, enc, heads)
-            _, w_b, _ = fusion_forward(x, [gens[i] for i in perm], enc, heads)
+            _, w_a = fusion_forward(x, gens, enc, heads)
+            _, w_b = fusion_forward(x, [gens[i] for i in perm], enc, heads)
         assert np.allclose(w_b.data, w_a.data[:, perm], atol=1e-6)
 
     def test_permuted_generators_fuse_to_same_input(self):
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
         with no_grad():
-            a, _, _ = fusion_forward(x, gens, enc, heads)
-            b, _, _ = fusion_forward(x, [gens[i] for i in [1, 2, 0]], enc, heads)
+            a, _ = fusion_forward(x, gens, enc, heads)
+            b, _ = fusion_forward(x, [gens[i] for i in [1, 2, 0]], enc, heads)
         assert np.allclose(a.data, b.data, atol=1e-5)
 
     def test_infer_returns_valid_mask_and_weights(self):
@@ -366,11 +371,11 @@ class TestEndToEndGradient:
 
             def surrogate():
                 with no_grad():
-                    prompted, _, _ = fusion_forward(x, gens, enc, heads)
+                    prompted, _ = fusion_forward(x, gens, enc, heads)
                 return float((g * prompted.data).sum())
 
             with Tape() as tape:
-                prompted, _, _ = fusion_forward(x, gens, enc, heads)
+                prompted, _ = fusion_forward(x, gens, enc, heads)
             tape.backward(prompted, seed=g)
 
             for leaf in (heads.wx.weight, heads.wp.weight, heads.wx.bias):

@@ -14,8 +14,10 @@ the Haswell (AVX2) one with ``OPENBLAS_CORETYPE=Haswell`` on the same host.
 A core with no table fails here with its name: record the values on the
 parent commit with that core before judging a change against them.
 
-Left out: ``config.json`` embeds the output directory, and
-``report_meta.json`` holds the wall clock.
+The report files are made through ``cli.main``, as a user makes them, so
+the formatting the CLI applies falls under the contract too.  Left out:
+``config.json`` embeds the output directory, and ``report_meta.json`` holds
+the wall clock.
 """
 
 import ctypes
@@ -27,16 +29,19 @@ import numpy as np
 import pytest
 from conftest import tiny_experiment
 
-from promptseg.config import config_hash
-from promptseg.pipeline import ablate, run_dir_for, run_pipeline
+from promptseg.cli import main
+from promptseg.config import config_hash, save_config
+from promptseg.pipeline import ablate, run_dir_for
 
 RUN_HASH = "1b980073ffc191d9"
 
-# per OpenBLAS core: run-all artifact digests and the three ablations' arm means
+# per OpenBLAS core: run-all artifact and attention-report digests, the fusion
+# ablation's table files and the three ablations' arm means
 GOLDEN = {
     "SkylakeX": {
         "run": {
             "attention.csv": "b2b43f6eefbd635b9c15c87f248b6a53",
+            "attention_report.csv": "fc6ffd35a2df26782b58ed02d5c4c174",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -61,6 +66,10 @@ GOLDEN = {
             "seed1/spg_green_bright.ckpt": "265703b83f268dd44fc689076e350fe6",
             "seed1/spg_high_contrast.ckpt": "ede34c4d0df27f2b1a4d3bba5f24332b",
             "seed1/spg_warm_hazy.ckpt": "0676c768d3072e633ed0310ff118a612",
+        },
+        "fusion_tables": {
+            "ablate_fusion.csv": "29e008cf4f00d9247daea7e2af0324c9",
+            "ablate_fusion.md": "154b434e09224462b1524cea35d0925d",
         },
         "fusion": {
             "pn+softmax+tanh": 0.11867928787600932,
@@ -88,6 +97,7 @@ GOLDEN = {
     "Haswell": {
         "run": {
             "attention.csv": "a8354decc0d7a3e24dce855f8600d2d0",
+            "attention_report.csv": "5f709bc54f99dce7d1d3b91359410cfd",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -112,6 +122,10 @@ GOLDEN = {
             "seed1/spg_green_bright.ckpt": "63b88714e09ebc3e83b262bb5cef8887",
             "seed1/spg_high_contrast.ckpt": "86386200ae997394a51c1b04af880e50",
             "seed1/spg_warm_hazy.ckpt": "d937f81bcf1fa70106bd11a0861a8ca8",
+        },
+        "fusion_tables": {
+            "ablate_fusion.csv": "417ece30d8ef33c7248d12c092968f70",
+            "ablate_fusion.md": "df675c0eae3cb7b51761749b7b7b91ae",
         },
         "fusion": {
             "pn+softmax+tanh": 0.11976762035334335,
@@ -162,6 +176,16 @@ def _digest(path):
         return hashlib.blake2b(f.read(), digest_size=16).hexdigest()
 
 
+REPORTS = ("report.csv", "attention.csv", "attention_report.csv")
+
+
+def _cli(tmp_path, cfg, *argv):
+    """Run one ``promptseg`` command on ``cfg``, saved as a config file."""
+    path = str(tmp_path / "config.json")
+    save_config(path, cfg)
+    assert main(["--config", path, *argv]) == 0
+
+
 def _contract_files(run_dir):
     """{relative path: digest} for the reports, checkpoints and datasets."""
     out = {}
@@ -169,15 +193,16 @@ def _contract_files(run_dir):
         for name in files:
             rel = os.path.relpath(os.path.join(dirpath, name), run_dir)
             rel = rel.replace(os.sep, "/")
-            if rel.endswith((".ckpt", ".dom")) or rel in ("report.csv", "attention.csv"):
+            if rel.endswith((".ckpt", ".dom")) or rel in REPORTS:
                 out[rel] = _digest(os.path.join(dirpath, name))
     return out
 
 
 class TestGoldenRun:
     def test_run_all_artifacts_match_recorded_digests(self, tmp_path):
-        cfg = tiny_experiment(seeds=(0, 1), out_dir=str(tmp_path))
-        run_pipeline(cfg)
+        cfg = tiny_experiment(seeds=(0, 1), out_dir=str(tmp_path / "runs"))
+        _cli(tmp_path, cfg, "run-all")
+        _cli(tmp_path, cfg, "attention-report")
         run_dir = run_dir_for(cfg)
         assert config_hash(cfg) == RUN_HASH
         assert os.path.basename(run_dir) == RUN_HASH
@@ -185,14 +210,19 @@ class TestGoldenRun:
 
 
 class TestGoldenAblations:
+    def test_fusion_table_files_match_recorded_digests(self, tmp_path):
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        _cli(tmp_path, cfg, "ablate", "--suite", "fusion")
+        run_dir = run_dir_for(cfg)
+        files = ("ablate_fusion.csv", "ablate_fusion.md")
+        got = {name: _digest(os.path.join(run_dir, name)) for name in files}
+        assert got == golden("fusion_tables")
+
     def test_fusion_arm_means(self):
-        table = ablate(tiny_experiment(), "fusion")
-        assert {a["arm"]: a["mean"] for a in table.arms} == golden("fusion")
+        assert ablate(tiny_experiment(), "fusion").arm_means() == golden("fusion")
 
     def test_init_arm_means(self):
-        table = ablate(tiny_experiment(), "init")
-        assert {a["arm"]: a["mean"] for a in table.arms} == golden("init")
+        assert ablate(tiny_experiment(), "init").arm_means() == golden("init")
 
     def test_generators_arm_means(self):
-        table = ablate(tiny_experiment(), "generators")
-        assert {a["arm"]: a["mean"] for a in table.arms} == golden("generators")
+        assert ablate(tiny_experiment(), "generators").arm_means() == golden("generators")

@@ -14,22 +14,21 @@ import pytest
 from conftest import tiny_experiment
 
 from promptseg import pipeline
+from promptseg.cli import ablation_tables
 from promptseg.config import SpgConfig, config_hash, load_config
+from promptseg.datasets import domain_digest
 from promptseg.errors import StageError
 from promptseg.pipeline import (
     STYLE_NAMES,
     TARGET_NAMES,
-    AblationTable,
     ablate,
-    attention_report,
     domain_specs,
     eval_domains,
     load_seed_artifacts,
     report_columns,
     run_dir_for,
     run_pipeline,
-    styled_alignment,
-    target_mean,
+    write_csv,
 )
 
 
@@ -147,14 +146,18 @@ class TestReport:
             assert 0.0 <= cell["mean_weight"] <= 1.0
 
     def test_target_mean_uses_target_rows_only(self, tiny_run):
-        _, report, _ = tiny_run
+        cfg, report, _ = tiny_run
         names = {f"{t}_val" for t in TARGET_NAMES}
-        manual = np.mean([r["sage_miou"] for r in report.rows
-                          if r["domain"] in names])
-        assert target_mean(report) == pytest.approx(manual)
-        base = target_mean(report, "baseline_miou")
-        assert base == pytest.approx(np.mean(
-            [r["baseline_miou"] for r in report.rows if r["domain"] in names]))
+        for column in ("sage_miou", "baseline_miou"):
+            per_seed = report.target_means(column)[""]
+            assert list(per_seed) == list(cfg.seeds)
+            for seed, mean in per_seed.items():
+                assert mean == pytest.approx(np.mean(
+                    [r[column] for r in report.rows
+                     if r["domain"] in names and r["seed"] == seed]))
+            manual = np.mean([r[column] for r in report.rows
+                              if r["domain"] in names])
+            assert report.arm_means(column)[""] == pytest.approx(manual)
 
 
 class TestArtifactLoading:
@@ -249,37 +252,50 @@ class TestStageErrors:
         assert calls == []
 
 
+def ablate_and_digest_world(cfg, suite):
+    """``ablate`` plus a digest of every domain of the world it built."""
+    built = []
+    stage_data = pipeline.stage_data
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "stage_data",
+                   lambda *a: built.append(stage_data(*a)) or built[-1])
+        results = ablate(cfg, suite)
+    (domains,) = built
+    return results, {name: domain_digest(s) for name, s in domains.items()}
+
+
 @pytest.fixture(scope="module")
 def suite_cfg():
     return tiny_config()
 
 
 @pytest.fixture(scope="module")
-def init_table(suite_cfg):
-    return ablate(suite_cfg, "init")
+def init_suite(suite_cfg):
+    return ablate_and_digest_world(suite_cfg, "init")
+
+
+@pytest.fixture(scope="module")
+def generators_suite(suite_cfg):
+    return ablate_and_digest_world(suite_cfg, "generators")
 
 
 class TestAblationSuites:
-    def test_generator_suite_structure(self, suite_cfg):
-        table = ablate(suite_cfg, "generators")
-        assert [a["arm"] for a in table.arms] == [
-            "border", "a_border", "full", "a_full"]
-        for arm in table.arms:
-            assert set(arm["per_seed"]) == set(suite_cfg.seeds)
-            assert arm["mean"] == pytest.approx(
-                np.mean(list(arm["per_seed"].values())))
-        assert table.mean("border") == table.arms[0]["mean"]
-        with pytest.raises(KeyError):
-            table.mean("no-such-arm")
+    def test_generator_suite_structure(self, suite_cfg, generators_suite):
+        results, _ = generators_suite
+        per_seed, means = results.target_means(), results.arm_means()
+        assert list(per_seed) == ["border", "a_border", "full", "a_full"]
+        assert list(means) == list(per_seed)
+        for arm, vals in per_seed.items():
+            assert set(vals) == set(suite_cfg.seeds)
+            assert means[arm] == pytest.approx(np.mean(list(vals.values())))
 
-    def test_init_suite_structure(self, suite_cfg, init_table):
-        assert [a["arm"] for a in init_table.arms] == [
-            "zero", "uniform", "normal", "meta"]
-        assert set(init_table.data_digests) == set(domain_specs(suite_cfg))
+    def test_init_suite_structure(self, suite_cfg, init_suite):
+        results, digests = init_suite
+        assert list(results.arm_means()) == ["zero", "uniform", "normal", "meta"]
+        assert set(digests) == set(domain_specs(suite_cfg))
 
     def test_fusion_suite_has_eight_arms(self, suite_cfg):
-        table = ablate(suite_cfg, "fusion")
-        names = [a["arm"] for a in table.arms]
+        names = list(ablate(suite_cfg, "fusion").arm_means())
         assert len(names) == 8
         assert "pn+softmax+tanh" in names
         assert "none" in names
@@ -297,29 +313,47 @@ class TestAblationSuites:
         ablate(dataclasses.replace(suite_cfg, seeds=(0, 1)), suite)
         assert seeds == [0] * sets_per_seed + [1] * sets_per_seed
 
-    def test_tables_render(self, init_table, tmp_path):
-        table = init_table
-        md = table.to_markdown()
+    def test_tables_render(self, init_suite, tmp_path):
+        results, _ = init_suite
+        columns, rows, md = ablation_tables(results)
         lines = md.strip().splitlines()
-        assert len(lines) == 2 + len(table.arms)
+        assert len(lines) == 2 + len(results.arm_means())
         assert lines[0].startswith("| arm |")
         csv_path = tmp_path / "t.csv"
-        table.to_csv(str(csv_path))
+        write_csv(str(csv_path), rows, columns)
         body = csv_path.read_text().splitlines()
         assert body[0] == "arm,seed0,mean"
-        assert len(body) == 1 + len(table.arms)
+        assert len(body) == 1 + len(results.arm_means())
 
-    def test_suite_shares_one_world(self, suite_cfg, init_table):
-        a = init_table
-        b = ablate(suite_cfg, "generators")
+    def test_suite_shares_one_world(self, init_suite, generators_suite):
+        (a, a_digests), (b, b_digests) = init_suite, generators_suite
         assert a.oracle_fingerprint == b.oracle_fingerprint
-        assert a.data_digests == b.data_digests
+        assert a_digests == b_digests
+
+
+def styled_alignment(cfg, attention) -> dict:
+    """For each styled val domain: does its own style win the attention row?
+
+    Returns {style: count of seeds where argmax mean weight lands on the
+    matching generator}.
+    """
+    wins = {}
+    for style in STYLE_NAMES:
+        domain = f"{style}_val"
+        count = 0
+        for seed in cfg.seeds:
+            weights = {a["style"]: a["mean_weight"] for a in attention
+                       if a["domain"] == domain and a["seed"] == seed}
+            if max(weights, key=weights.get) == style:
+                count += 1
+        wins[style] = count
+    return wins
 
 
 class TestAttentionAnalysis:
     def test_report_matrix_shape(self, tiny_run):
         cfg, report, _ = tiny_run
-        rows = attention_report(cfg, report.attention)
+        rows = report.attention_means(eval_domains(cfg))
         assert len(rows) == len(eval_domains(cfg)) * len(STYLE_NAMES)
         by_domain = {}
         for r in rows:
