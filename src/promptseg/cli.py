@@ -1,10 +1,10 @@
 """Command-line front end.
 
 All subcommands read the same JSON experiment config (``--config``, falling
-back to built-in defaults) and write into ``<out>/<confighash>/``, laid out
-by ``pipeline``.  The output root comes from ``--out``, the PROMPTSEG_OUT
-environment variable, or the config, in that order of precedence; ``--seed``
-narrows the run to the listed seeds.
+back to built-in defaults) and work in ``<out>/<confighash>/``, laid out by
+``pipeline``, reusing what training commands saved there.  The output root
+comes from ``--out``, the PROMPTSEG_OUT environment variable, or the config,
+in that order of precedence; ``--seed`` narrows the run to the listed seeds.
 """
 
 import argparse
@@ -27,8 +27,6 @@ from .pipeline import (
     ablate,
     eval_domains,
     evaluate_run,
-    load_or_train_gens,
-    load_or_train_oracle,
     load_seed_artifacts,
     open_run,
     run_dir_for,
@@ -125,11 +123,11 @@ def cmd_train_spg(cfg, args):
     cfg = dataclasses.replace(cfg, spg=spg).validate()
     run_dir = open_run(cfg)
     domains = stage_data(cfg)
-    _, oracle = load_or_train_oracle(cfg, domains, run_dir)
+    _, oracle, _ = stage_oracle(cfg, domains, run_dir)
     for seed in cfg.seeds:
         gens = stage_spg(cfg, domains, oracle, seed, seed_dir(run_dir, seed),
                          only=args.style)
-        print(f"seed {seed}: trained {', '.join(gens)}")
+        print(f"seed {seed}: generators {', '.join(gens)}")
 
 
 def cmd_train_apf(cfg, args):
@@ -142,11 +140,11 @@ def cmd_train_apf(cfg, args):
     cfg = dataclasses.replace(cfg, apf=apf)
     run_dir = open_run(cfg)
     domains = stage_data(cfg)
-    model, oracle = load_or_train_oracle(cfg, domains, run_dir)
+    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     for seed in cfg.seeds:
         sdir = seed_dir(run_dir, seed)
-        gens = load_or_train_gens(cfg, domains, oracle, seed, sdir)
+        gens = stage_spg(cfg, domains, oracle, seed, sdir)
         stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
         print(f"seed {seed}: fusion heads -> {sdir}")
 

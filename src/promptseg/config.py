@@ -187,10 +187,12 @@ def load_config(path) -> ExperimentConfig:
 def config_hash(cfg: ExperimentConfig) -> str:
     """Short content id over the canonical byte form (16 hex chars).
 
-    The output directory is storage location, not experiment identity, so
-    it is left out: the same experiment hashes the same wherever it lands.
+    The output directory is storage location and the seed list picks which
+    runs of the experiment to do (each seed keeps its own artifacts): neither
+    is experiment identity, so both are left out.
     """
     payload = dataclasses.asdict(cfg)
     payload.pop("out_dir")
+    payload.pop("seeds")
     canonical = json.dumps(payload, sort_keys=True, indent=2)
     return hashlib.blake2b(canonical.encode(), digest_size=8).hexdigest()

@@ -2,8 +2,9 @@
 
 This module alone lays a run out as ``<out>/<confighash>/``: datasets and
 the oracle shared across seeds, one subdirectory per seed for the trained
-prompt artifacts.  Every emitted number is a pure function of (config, seed);
-wall-clock time goes to a side file that takes no part in that contract.
+prompt artifacts.  A stage handed a directory loads what it holds and trains,
+and saves, only what is missing.  Every emitted number is a pure function of
+(config, seed); wall-clock time goes to a side file outside that contract.
 """
 
 import dataclasses
@@ -182,13 +183,17 @@ def stage_data(cfg, run_dir=None) -> dict:
 @_stage("pretrain-oracle")
 def stage_oracle(cfg, domains, run_dir=None):
     """Pretrain the frozen segmentation model on clean base scenes."""
+    path = None if run_dir is None else os.path.join(run_dir, "oracle.ckpt")
+    if path is not None and os.path.exists(path):
+        model = load_oracle(path)
+        return model, seal(model), []
     o = cfg.oracle
     model, losses = pretrain_oracle(
         domains["base_train"], iters=o.iters, seed=o.seed,
         batch_size=o.batch, lr=o.lr, widths=o.widths, kernel=o.kernel,
     )
-    if run_dir is not None:
-        save_oracle(os.path.join(run_dir, "oracle.ckpt"), model)
+    if path is not None:
+        save_oracle(path, model)
     return model, seal(model), losses
 
 
@@ -198,8 +203,13 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
 
     ``only`` restricts per-style training to a single named style; the
     shared warm start still covers every style so the result matches the
-    full run bit for bit.
+    full run bit for bit.  Loaded when ``seed_dir`` holds all those requested.
     """
+    names = STYLE_NAMES if only is None else (only,)
+    paths = {} if seed_dir is None else {
+        name: os.path.join(seed_dir, f"spg_{name}.ckpt") for name in names}
+    if paths and all(os.path.exists(p) for p in paths.values()):
+        return {name: load_generator(p) for name, p in paths.items()}
     s = cfg.spg
     d = cfg.data
     gens = {
@@ -212,17 +222,19 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
     subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
     if s.init == "meta":
         meta_pretrain(gens, subsets, oracle, s, seed=seed)
-    names = STYLE_NAMES if only is None else (only,)
     for name in names:
         train_spg(gens[name], subsets[name], oracle, s, seed=seed)
-        if seed_dir is not None:
-            save_generator(os.path.join(seed_dir, f"spg_{name}.ckpt"), gens[name])
+        if paths:
+            save_generator(paths[name], gens[name])
     return gens if only is None else {only: gens[only]}
 
 
 @_stage("train-apf")
 def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
     """Train the fusion heads; everything else stays frozen."""
+    path = None if seed_dir is None else os.path.join(seed_dir, "apf.ckpt")
+    if path is not None and os.path.exists(path):
+        return _load_checked_heads(path, enc)
     a = cfg.apf
     source = list(domains["base_train"])
     if a.mix_styled:
@@ -233,8 +245,17 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
     heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=a.embed_dim,
                         seed=seed)
     train_apf(heads, source, list(gens.values()), enc, oracle, a, seed=seed)
-    if seed_dir is not None:
-        save_heads(os.path.join(seed_dir, "apf.ckpt"), heads, enc.fingerprint())
+    if path is not None:
+        save_heads(path, heads, enc.fingerprint())
+    return heads
+
+
+def _load_checked_heads(path, enc):
+    """Heads saved at ``path``, refused unless trained against ``enc``."""
+    heads, enc_fp = load_heads(path)
+    if enc_fp != enc.fingerprint():
+        raise StageError(f"{path}: fusion heads were trained against a "
+                         "different encoder (fingerprint mismatch)")
     return heads
 
 
@@ -296,7 +317,7 @@ def run_arms(cfg, arms, run_dir=None, names=None):
     maps a name to a config that differs from ``cfg`` only in its ``spg`` or
     ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
     one set of generators.  Artifacts go under ``run_dir``, which only a
-    one-arm run should pass.
+    one-arm run should pass; a rerun loads what it holds, so it resumes.
 
     After every stage from the oracle's on, the seal check compares the
     live weights of the oracle and of the encoder with their fingerprints
@@ -361,25 +382,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
 
 
 # ---------------------------------------------------------------------------
-# staged runs: each command loads what earlier stages saved
-
-def load_or_train_oracle(cfg, domains, run_dir):
-    """(model, sealed oracle) of the run: loaded if saved, else trained and saved.
-    A flag override changes the config hash, hence the directory: no mismatch."""
-    path = os.path.join(run_dir, "oracle.ckpt")
-    if not os.path.exists(path):
-        return stage_oracle(cfg, domains, run_dir)[:2]
-    model = load_oracle(path)
-    return model, seal(model)
-
-
-def load_or_train_gens(cfg, domains, oracle, seed, seed_dir) -> dict:
-    """One seed's generators: loaded if all are saved, else trained and saved."""
-    paths = {n: os.path.join(seed_dir, f"spg_{n}.ckpt") for n in STYLE_NAMES}
-    if all(os.path.exists(p) for p in paths.values()):
-        return {name: load_generator(p) for name, p in paths.items()}
-    return stage_spg(cfg, domains, oracle, seed, seed_dir)
-
+# reporting: load a finished run or fail
 
 def _saved(directory, name, stage):
     """Path of ``name`` in ``directory``, which ``stage`` must have written."""
@@ -397,10 +400,7 @@ def load_seed_artifacts(cfg, run_dir, seed):
     sdir = seed_dir(run_dir, seed)
     gens = {name: load_generator(_saved(sdir, f"spg_{name}.ckpt", "train-spg"))
             for name in STYLE_NAMES}
-    heads, enc_fp = load_heads(_saved(sdir, "apf.ckpt", "train-apf"))
-    if enc_fp != enc.fingerprint():
-        raise StageError("fusion heads were trained against a different "
-                         "encoder (fingerprint mismatch)")
+    heads = _load_checked_heads(_saved(sdir, "apf.ckpt", "train-apf"), enc)
     return model, oracle, enc, gens, heads
 
 

@@ -7,6 +7,7 @@ reporting commands then read from it.  All on the miniature config.
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import tiny_experiment
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
 from promptseg.datasets import load_domain
-from promptseg.pipeline import STYLE_NAMES, run_dir_for
+from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,29 @@ class TestStagedCommands:
         assert lines[0] == "domain,style,mean_weight"
 
 
+class TestDamagedArtifacts:
+    def test_corrupt_oracle_fails_without_retraining(self, staged, tmp_path,
+                                                     capsys):
+        # a checkpoint that no longer decodes ends the command; training a
+        # fresh oracle over it would hide the damage
+        cfg, _, run_dir = staged
+        runs = tmp_path / "runs"
+        shutil.copytree(cfg.out_dir, runs)
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, dataclasses.replace(cfg, out_dir=str(runs)))
+        path = os.path.join(str(runs), os.path.basename(run_dir), "oracle.ckpt")
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        blob[len(blob) // 2] ^= 0xFF
+        with open(path, "wb") as f:
+            f.write(blob)
+        assert main(["--config", cfg_path, "train-apf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
+        with open(path, "rb") as f:
+            assert f.read() == blob
+
+
 class TestRunAll:
     def test_run_all_and_seed_override(self, tmp_path, capsys):
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
@@ -127,13 +151,30 @@ class TestRunAll:
         out = capsys.readouterr().out
         assert "target mIoU" in out
         run_dir = run_dir_for(cfg)
-        # hash covers the seed override, so this is its own run directory
-        assert not os.path.exists(run_dir)
-        hashed = os.listdir(str(tmp_path / "runs"))
-        assert len(hashed) == 1
-        seed_dirs = [d for d in os.listdir(str(tmp_path / "runs" / hashed[0]))
-                     if d.startswith("seed")]
+        # the hash leaves the seed list out: --seed 1 fills seed1/ of the
+        # config's own run directory
+        assert os.listdir(str(tmp_path / "runs")) == [os.path.basename(run_dir)]
+        seed_dirs = [d for d in os.listdir(run_dir) if d.startswith("seed")]
         assert seed_dirs == ["seed1"]
+
+    def test_seed_narrows_reports_within_one_run(self, tmp_path, capsys):
+        # after a two-seed run-all, --seed picks seeds of that same run
+        cfg = tiny_experiment(seeds=(0, 1), out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        assert main(["--config", cfg_path, "run-all"]) == 0
+        run_dir = run_dir_for(cfg)
+        capsys.readouterr()
+        assert main(["--config", cfg_path, "--seed", "0", "eval"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(eval_domains(cfg))
+        assert {line.split()[1] for line in rows} == {"0"}
+        src = os.path.join(run_dir, "data", "base_val.dom")
+        out_path = str(tmp_path / "pred.dom")
+        assert main(["--config", cfg_path, "--seed", "1", "infer",
+                     "--input", src, "--out", out_path]) == 0
+        assert len(load_domain(out_path)) == len(load_domain(src))
+        assert os.listdir(str(tmp_path / "runs")) == [os.path.basename(run_dir)]
 
     def test_seeds_list_override(self, tmp_path):
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))

@@ -33,7 +33,7 @@ from promptseg.cli import main
 from promptseg.config import config_hash, save_config
 from promptseg.pipeline import ablate, run_dir_for
 
-RUN_HASH = "1b980073ffc191d9"
+RUN_HASH = "54c87d710bb8981f"
 
 # per OpenBLAS core: run-all artifact and attention-report digests, the fusion
 # ablation's table files and the three ablations' arm means

@@ -8,6 +8,7 @@ quality, so budgets are a handful of iterations.
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from promptseg.cli import ablation_tables
 from promptseg.config import SpgConfig, config_hash, load_config
 from promptseg.datasets import domain_digest
 from promptseg.errors import StageError
+from promptseg.fusion import SharedEncoder
 from promptseg.pipeline import (
     STYLE_NAMES,
     TARGET_NAMES,
@@ -174,8 +176,6 @@ class TestArtifactLoading:
 
     def test_missing_generators_named(self, tiny_run, tmp_path):
         cfg, _, run_dir = tiny_run
-        import shutil
-
         partial = tmp_path / "partial"
         partial.mkdir()
         shutil.copy(os.path.join(run_dir, "oracle.ckpt"),
@@ -183,25 +183,46 @@ class TestArtifactLoading:
         with pytest.raises(StageError, match="train-spg"):
             load_seed_artifacts(cfg, str(partial), 0)
 
+    def test_heads_of_another_encoder_refused(self, tiny_run, tmp_path):
+        # seed 0's generators and heads copied beside an oracle trained with
+        # another oracle.seed: the loader of a finished run and stage_apf
+        # both refuse the heads rather than fuse through the wrong encoder
+        cfg, _, run_dir = tiny_run
+        other = dataclasses.replace(
+            cfg, oracle=dataclasses.replace(cfg.oracle, seed=cfg.oracle.seed + 1))
+        domains = pipeline.stage_data(other)
+        model, oracle, _ = pipeline.stage_oracle(other, domains, str(tmp_path))
+        sdir = str(tmp_path / "seed0")
+        shutil.copytree(os.path.join(run_dir, "seed0"), sdir)
+        mismatch = r"apf\.ckpt: fusion heads were trained against a different encoder"
+        with pytest.raises(StageError, match=mismatch):
+            load_seed_artifacts(other, str(tmp_path), 0)
+        gens = pipeline.stage_spg(other, domains, oracle, 0, sdir)
+        enc = SharedEncoder.from_seg_model(model)
+        with pytest.raises(StageError, match=mismatch):
+            pipeline.stage_apf(other, domains, gens, enc, oracle, 0, sdir)
+
 
 class TestDeterminism:
+    # each run gets its own root, so the second trains rather than loading
+    # the first's artifacts; config.json embeds the root, and wall clock
+    # lives in report_meta.json, the one file outside the byte contract
     def test_repeat_run_identical_bytes(self, tmp_path):
-        # same config, same root, run twice; wall clock lives in the one
-        # file excluded from the byte contract
-        cfg = tiny_config(out_dir=str(tmp_path))
-        skip = ("report_meta.json",)
-        run_pipeline(cfg)
-        first = tree_bytes(run_dir_for(cfg), skip=skip)
-        run_pipeline(cfg)
-        second = tree_bytes(run_dir_for(cfg), skip=skip)
+        trees = []
+        for root in ("a", "b"):
+            cfg = tiny_config(out_dir=str(tmp_path / root))
+            run_pipeline(cfg)
+            trees.append(tree_bytes(run_dir_for(cfg),
+                                    skip=("config.json", "report_meta.json")))
+        first, second = trees
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], rel
 
     def test_meta_differs_only_in_wall_clock(self, tmp_path):
-        cfg = tiny_config(out_dir=str(tmp_path))
         metas = []
-        for _ in range(2):
+        for root in ("a", "b"):
+            cfg = tiny_config(out_dir=str(tmp_path / root))
             run_pipeline(cfg)
             with open(os.path.join(run_dir_for(cfg), "report_meta.json")) as f:
                 meta = json.load(f)
@@ -213,7 +234,38 @@ class TestDeterminism:
         a = tiny_config(out_dir=str(tmp_path / "a"))
         b = tiny_config(out_dir=str(tmp_path / "b"))
         assert config_hash(a) == config_hash(b)
-        assert config_hash(a) != config_hash(tiny_config(seeds=(7,)))
+        # the seed list picks runs of one experiment, it is not its identity
+        assert config_hash(a) == config_hash(tiny_config(seeds=(7,)))
+        assert config_hash(a) != config_hash(tiny_config(
+            oracle=dataclasses.replace(a.oracle, seed=a.oracle.seed + 1)))
+
+    def test_resume_trains_only_what_is_missing(self, tiny_run, tmp_path,
+                                                monkeypatch):
+        # a run stopped before seed 1's heads were saved: the rerun loads the
+        # oracle and generators, trains those heads alone, and ends byte-equal
+        # to the uninterrupted run
+        cfg, _, run_dir = tiny_run
+        cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "copy"))
+        shutil.copytree(os.path.dirname(run_dir), cfg.out_dir)
+        os.remove(os.path.join(run_dir_for(cfg), "seed1", "apf.ckpt"))
+        calls = {}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("pretrain_oracle", "train_spg", "train_apf"):
+            monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+        run_pipeline(cfg)
+        assert calls == {"train_apf": 1}
+        skip = ("config.json", "report_meta.json")
+        resumed = tree_bytes(run_dir_for(cfg), skip=skip)
+        whole = tree_bytes(run_dir, skip=skip)
+        assert resumed.keys() == whole.keys()
+        for rel in whole:
+            assert resumed[rel] == whole[rel], rel
 
 
 class TestStageErrors:
