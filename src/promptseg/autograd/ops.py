@@ -1,6 +1,8 @@
 """Differentiable network ops built on the tape in ``tensor``.
 
-Convolution is im2col plus one BLAS matmul; its backward scatters column
+Convolution is lowered to one BLAS matmul (im2col): a strided sliding-window
+view of the padded input, transposed to (B, OH, OW, C, k, k) and reshaped,
+gives the column matrix in a single copy.  Its backward scatters column
 gradients back with k*k strided slice additions in a fixed loop order, so
 results are bit-reproducible on repeated runs.  Bilinear upsampling is a pair
 of precomputed interpolation matrices applied as batched matmuls.
@@ -28,16 +30,6 @@ def _as_tensor(x, name):
 
 # ---------------------------------------------------------------------------
 # convolution
-
-def _im2col(xp, k, stride, out_h, out_w):
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, k, k, out_h, out_w), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki : ki + stride * out_h : stride,
-                                    kj : kj + stride * out_w : stride]
-    return cols
-
 
 def _col2im(dcols, xp_shape, k, stride, out_h, out_w):
     dxp = np.zeros(xp_shape, dtype=dcols.dtype)
@@ -75,11 +67,15 @@ def conv2d(x, weight, bias, stride=1, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    cols6 = _im2col(xp, k, stride, out_h, out_w)
-    # rows: every output position, columns: the receptive field
-    cols = cols6.transpose(0, 4, 5, 1, 2, 3).reshape(b * out_h * out_w, c_in * k * k)
+    # rows: every output position, columns: the receptive field.  The window
+    # view is strided over xp itself; the reshape is the only copy.
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = windows.reshape(b * out_h * out_w, c_in * k * k)
     wmat = weight.data.reshape(c_out, -1)
     out = cols @ wmat.T
+    if not weight.requires_grad:
+        cols = None  # only the weight gradient reads the columns
     out += bias.data
     out = np.ascontiguousarray(out.reshape(b, out_h, out_w, c_out).transpose(0, 3, 1, 2))
 

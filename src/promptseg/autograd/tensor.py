@@ -6,6 +6,11 @@ and accumulates gradients into the ``.grad`` field of the leaf tensors.  Ops
 run eagerly on plain numpy arrays; each op registers a closure that maps the
 output gradient to input gradients.
 
+The tape alone owns a step's graph: its records hold the outputs, inputs and
+closures, and no tensor refers back to a tape.  When the last reference to a
+tape goes, reference counting frees the whole graph at once, activations and
+convolution columns included, without waiting for the cyclic collector.
+
 Storage is float32 by default.  ``shadow_precision()`` switches newly created
 tensors to float64, which the gradient-check tests use to keep finite
 differences clean.  Any op whose forward output contains a NaN or infinity
@@ -58,10 +63,6 @@ def guard_finite(arr, op_name):
 _TAPE_STACK = []
 
 
-def active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 @contextmanager
 def no_grad():
     """Suspend recording even if an outer tape is active."""
@@ -80,13 +81,12 @@ class Tensor:
     ``.data`` in place between tape lifetimes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=current_dtype())
         self.requires_grad = requires_grad
         self.grad = None
-        self._tape = None
 
     @classmethod
     def _raw(cls, arr):
@@ -95,7 +95,6 @@ class Tensor:
         t.data = arr
         t.requires_grad = False
         t.grad = None
-        t._tape = None
         return t
 
     @property
@@ -113,21 +112,17 @@ class Tensor:
     def item(self):
         return float(self.data.reshape(()))
 
-    def backward(self, seed=None):
-        if self._tape is None:
-            raise RuntimeError("tensor was not produced on a live tape")
-        self._tape.backward(self, seed)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
 
 
 class _Node:
-    __slots__ = ("out_id", "inputs", "backward_fn")
+    # Holding ``out`` itself keeps its id() unique for the tape's lifetime.
+    __slots__ = ("out", "inputs", "backward_fn")
 
-    def __init__(self, out_id, inputs, backward_fn):
-        self.out_id = out_id
+    def __init__(self, out, inputs, backward_fn):
+        self.out = out
         self.inputs = inputs
         self.backward_fn = backward_fn
 
@@ -138,8 +133,6 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._produced = set()
-        # Keeps recorded tensors alive so id()s stay unique for the tape's lifetime.
-        self._retained = []
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -151,10 +144,8 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        self._nodes.append(_Node(id(out), inputs, backward_fn))
+        self._nodes.append(_Node(out, inputs, backward_fn))
         self._produced.add(id(out))
-        self._retained.append(out)
-        out._tape = self
 
     def backward(self, output, seed=None):
         """Accumulate d(output)/d(leaf) into leaf ``.grad`` fields.
@@ -186,7 +177,7 @@ class Tape:
 
         pending = {id(output): seed}
         for node in reversed(self._nodes):
-            g = pending.pop(node.out_id, None)
+            g = pending.pop(id(node.out), None)
             if g is None:
                 continue
             grads = node.backward_fn(g)
@@ -210,7 +201,7 @@ def apply_op(op_name, out_data, inputs, backward_fn):
     """Shared epilogue for every op: finite check, wrap, record if needed."""
     guard_finite(out_data, op_name)
     out = Tensor._raw(out_data)
-    tape = active_tape()
+    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._record(out, inputs, backward_fn)
@@ -257,15 +248,6 @@ def mul(a, b):
         return ga, gb
 
     return apply_op("mul", a.data * b.data, (a, b), backward_fn)
-
-
-def scale(a, s):
-    s = float(s)
-
-    def backward_fn(g):
-        return (g * s,)
-
-    return apply_op("scale", a.data * s, (a,), backward_fn)
 
 
 def reshape(a, shape):

@@ -24,6 +24,7 @@ from .fusion import SharedEncoder, infer
 from .pipeline import (
     STYLE_NAMES,
     SUITES,
+    SealCheck,
     ablate,
     eval_domains,
     evaluate_run,
@@ -123,10 +124,12 @@ def cmd_train_spg(cfg, args):
     cfg = dataclasses.replace(cfg, spg=spg).validate()
     run_dir = open_run(cfg)
     domains = stage_data(cfg)
-    _, oracle, _ = stage_oracle(cfg, domains, run_dir)
+    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
+    check_seal = SealCheck(oracle, SharedEncoder.from_seg_model(model))
     for seed in cfg.seeds:
         gens = stage_spg(cfg, domains, oracle, seed, seed_dir(run_dir, seed),
                          only=args.style)
+        check_seal("train-spg")
         print(f"seed {seed}: generators {', '.join(gens)}")
 
 
@@ -142,10 +145,13 @@ def cmd_train_apf(cfg, args):
     domains = stage_data(cfg)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
+    check_seal = SealCheck(oracle, enc)
     for seed in cfg.seeds:
         sdir = seed_dir(run_dir, seed)
         gens = stage_spg(cfg, domains, oracle, seed, sdir)
+        check_seal("train-spg")
         stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
+        check_seal("train-apf")
         print(f"seed {seed}: fusion heads -> {sdir}")
 
 

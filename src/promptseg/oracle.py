@@ -148,10 +148,6 @@ class OracleHandle:
         return loss.item(), xt.grad
 
 
-def seal(model: SegModel) -> OracleHandle:
-    return OracleHandle(model)
-
-
 def save_oracle(path, model: SegModel):
     save_checkpoint(path, "ORCL", tensor_arrays(model.tensors()))
 

@@ -31,7 +31,7 @@ from .fusion import (
     train_apf,
 )
 from .metrics import miou
-from .oracle import load_oracle, pretrain_oracle, save_oracle, seal
+from .oracle import OracleHandle, load_oracle, pretrain_oracle, save_oracle
 from .prompts import (
     INIT_STRATEGIES,
     VARIANTS,
@@ -186,7 +186,7 @@ def stage_oracle(cfg, domains, run_dir=None):
     path = None if run_dir is None else os.path.join(run_dir, "oracle.ckpt")
     if path is not None and os.path.exists(path):
         model = load_oracle(path)
-        return model, seal(model), []
+        return model, OracleHandle(model), []
     o = cfg.oracle
     model, losses = pretrain_oracle(
         domains["base_train"], iters=o.iters, seed=o.seed,
@@ -194,7 +194,7 @@ def stage_oracle(cfg, domains, run_dir=None):
     )
     if path is not None:
         save_oracle(path, model)
-    return model, seal(model), losses
+    return model, OracleHandle(model), losses
 
 
 @_stage("train-spg")
@@ -310,6 +310,27 @@ def report_columns():
     return cols
 
 
+class SealCheck:
+    """The runtime seal check, called after a stage with the stage's name.
+
+    It compares the live weights of the oracle and of the encoder with their
+    fingerprints when the check was built; a change raises ``StageError``
+    naming the stage.  ``passed`` counts the checks that held.
+    """
+
+    def __init__(self, oracle, enc):
+        self.oracle, self.enc = oracle, enc
+        self.enc_fingerprint = enc.fingerprint()
+        self.passed = 0
+
+    def __call__(self, stage):
+        if self.oracle.current_fingerprint() != self.oracle.fingerprint:
+            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
+        if self.enc.fingerprint() != self.enc_fingerprint:
+            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
+        self.passed += 1
+
+
 def run_arms(cfg, arms, run_dir=None, names=None):
     """Train and evaluate every (seed, arm) pair on one world.
 
@@ -319,24 +340,14 @@ def run_arms(cfg, arms, run_dir=None, names=None):
     one set of generators.  Artifacts go under ``run_dir``, which only a
     one-arm run should pass; a rerun loads what it holds, so it resumes.
 
-    After every stage from the oracle's on, the seal check compares the
-    live weights of the oracle and of the encoder with their fingerprints
-    at build; a change raises ``StageError``.  ``Results`` holds one cell
+    After every stage from the oracle's on, ``SealCheck`` checks that the
+    oracle and the encoder kept their weights.  ``Results`` holds one cell
     per pair and the number of seal checks passed.
     """
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
-    enc_fp = enc.fingerprint()
-    sealed = []
-
-    def check_seal(stage):
-        if oracle.current_fingerprint() != oracle.fingerprint:
-            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
-        if enc.fingerprint() != enc_fp:
-            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
-        sealed.append(stage)
-
+    check_seal = SealCheck(oracle, enc)
     check_seal("pretrain-oracle")
     cells = []
     for seed in cfg.seeds:
@@ -354,7 +365,7 @@ def run_arms(cfg, arms, run_dir=None, names=None):
                                          oracle, seed, names)
             check_seal("eval")
             cells.append((arm, seed, rows, attention))
-    return Results(cells, oracle.fingerprint, len(sealed))
+    return Results(cells, oracle.fingerprint, check_seal.passed)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Results:
@@ -395,7 +406,7 @@ def _saved(directory, name, stage):
 def load_seed_artifacts(cfg, run_dir, seed):
     """Rehydrate (model, oracle, enc, gens, heads) from a finished run."""
     model = load_oracle(_saved(run_dir, "oracle.ckpt", "pretrain-oracle"))
-    oracle = seal(model)
+    oracle = OracleHandle(model)
     enc = SharedEncoder.from_seg_model(model)
     sdir = seed_dir(run_dir, seed)
     gens = {name: load_generator(_saved(sdir, f"spg_{name}.ckpt", "train-spg"))

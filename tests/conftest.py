@@ -13,6 +13,16 @@ def sum_all(a):
     return apply_op("sum_all", a.data.sum(keepdims=False).reshape(()), (a,), backward_fn)
 
 
+def scale(a, s):
+    """``a`` times the constant ``s``."""
+    s = float(s)
+
+    def backward_fn(g):
+        return (g * s,)
+
+    return apply_op("scale", a.data * s, (a,), backward_fn)
+
+
 def rel_err(analytic, numeric):
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
@@ -88,11 +98,11 @@ def base_world():
 @pytest.fixture(scope="session")
 def base_oracle(base_world):
     """Oracle pretrained once per session with the reference recipe."""
-    from promptseg.oracle import pretrain_oracle, seal
+    from promptseg.oracle import OracleHandle, pretrain_oracle
 
     train, _ = base_world
     model, losses = pretrain_oracle(train, iters=1500, seed=5)
-    return model, seal(model), losses
+    return model, OracleHandle(model), losses
 
 
 def tiny_experiment(**kw):

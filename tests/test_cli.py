@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from conftest import tiny_experiment
 
+from promptseg import cli
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
 from promptseg.datasets import load_domain
+from promptseg.oracle import OracleHandle
 from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
 
 
@@ -196,6 +198,30 @@ class TestPretrainOracle:
         assert main(["-v", "--config", cfg_path, "pretrain-oracle"]) == 0
         assert "fingerprint" in capsys.readouterr().out
         assert os.path.exists(os.path.join(run_dir_for(cfg), "oracle.ckpt"))
+
+
+class TestSealCheck:
+    @pytest.mark.parametrize("command,stage", [("train-spg", "stage_spg"),
+                                               ("train-apf", "stage_apf")])
+    def test_weight_drift_fails_the_command(self, tmp_path, monkeypatch, capsys,
+                                            command, stage):
+        # a stage that writes into the sealed oracle's weights is caught
+        # right after it, as in run-all
+        train = getattr(cli, stage)
+
+        def drifting(*args, **kwargs):
+            out = train(*args, **kwargs)
+            oracle = next(a for a in args if isinstance(a, OracleHandle))
+            oracle._model.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(cli, stage, drifting)
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        assert main(["--config", cfg_path, command]) == 1
+        err = capsys.readouterr().err
+        assert f"stage '{command}' changed the sealed oracle's weights" in err
 
 
 class TestAblateCommand:

@@ -26,7 +26,7 @@ from promptseg.fusion import (
     train_apf,
 )
 from promptseg.datasets import DomainSpec, make_domain
-from promptseg.oracle import SegModel, seal
+from promptseg.oracle import OracleHandle, SegModel
 from promptseg.prompts import ModulatorNetwork, StylePromptGenerator, save_generator
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
@@ -38,7 +38,7 @@ TANH1 = float(np.tanh(1.0))
 
 def toy_oracle(seed=0, classes=4):
     model = SegModel(classes, stream(seed, "toy-oracle"), widths=(4, 6, 8), kernel=3)
-    return model, seal(model)
+    return model, OracleHandle(model)
 
 
 def random_encoder(seed):
@@ -595,6 +595,6 @@ class TestFrozenMemo:
         for per_channel in (True, False):
             apf = dataclasses.replace(cfg.apf, iters=2, per_channel=per_channel)
             heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=apf.embed_dim)
-            train_apf(heads, dom, gens, enc, seal(model), apf)
+            train_apf(heads, dom, gens, enc, OracleHandle(model), apf)
         per_batch = sum(a.nbytes for a in memo_arrays(enc.memo)) / len(enc.memo.batches)
         assert per_batch * cfg.apf.iters < 25e6

@@ -5,9 +5,9 @@ import pytest
 
 from promptseg.autograd import DegenerateBatchError, ShapeError, Tape, Tensor, shadow_precision
 from promptseg.autograd import ops
-from promptseg.autograd.tensor import add, broadcast_to_batch, mul, reshape, scale
+from promptseg.autograd.tensor import add, broadcast_to_batch, mul, reshape
 
-from conftest import check_gradients, rel_err, sum_all
+from conftest import check_gradients, rel_err, scale, sum_all
 
 
 def project(out, r):
@@ -22,6 +22,25 @@ class TestConv2d:
         b = Tensor(np.zeros(1, np.float32))
         out = ops.conv2d(x, w, b, stride=1, padding=0)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0, np.float32))
+
+    @pytest.mark.parametrize("k,stride,padding,size", [
+        (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
+        (3, 2, 0, 8),  # the last window stops one pixel short of the edge
+    ])
+    def test_matches_direct_loop_over_windows(self, rng, k, stride, padding, size):
+        x0 = rng.normal(size=(2, 3, size, size))
+        w0 = rng.normal(size=(4, 3, k, k))
+        b0 = rng.normal(size=(4,))
+        out = ops.conv2d(Tensor(x0), Tensor(w0), Tensor(b0), stride=stride, padding=padding)
+        xp = np.pad(x0, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh = (size + 2 * padding - k) // stride + 1
+        ref = np.empty((2, 4, oh, oh))
+        for i in range(oh):
+            for j in range(oh):
+                win = xp[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                ref[:, :, i, j] = np.einsum("bchw,ochw->bo", win, w0) + b0
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-4)
 
     def test_output_shape_arithmetic(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))

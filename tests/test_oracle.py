@@ -12,7 +12,6 @@ from promptseg.oracle import (
     load_oracle,
     pretrain_oracle,
     save_oracle,
-    seal,
 )
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
@@ -61,7 +60,7 @@ class TestPretrain:
         val = tiny_domain(7, count=6)
         model, losses = pretrain_oracle(val, iters=0, seed=1)
         assert losses == []
-        handle = seal(model)
+        handle = OracleHandle(model)
         pred = handle.predict_mask(stack_images(val))
         _, mean = miou(pred, stack_masks(val), 6)
         assert mean < 0.35  # untrained output is near chance
@@ -70,13 +69,13 @@ class TestPretrain:
         train = tiny_domain(8, count=8)
         a, _ = pretrain_oracle(train, iters=20, seed=3)
         b, _ = pretrain_oracle(train, iters=20, seed=3)
-        assert seal(a).fingerprint == seal(b).fingerprint
+        assert OracleHandle(a).fingerprint == OracleHandle(b).fingerprint
 
     def test_different_seed_different_fingerprint(self):
         train = tiny_domain(8, count=8)
         a, _ = pretrain_oracle(train, iters=5, seed=3)
         b, _ = pretrain_oracle(train, iters=5, seed=4)
-        assert seal(a).fingerprint != seal(b).fingerprint
+        assert OracleHandle(a).fingerprint != OracleHandle(b).fingerprint
 
     def test_loss_decreases_and_val_miou_high(self, trained):
         model, handle, train, val, losses = trained
@@ -122,7 +121,7 @@ class TestHandle:
     def test_input_grad_matches_finite_differences(self, rng):
         # untrained tiny model keeps this cheap; contract is the same
         model = SegModel(4, stream(3, "fd"), widths=(4, 6, 8))
-        handle = seal(model)
+        handle = OracleHandle(model)
         x = rng.uniform(0.2, 0.8, (1, 3, 8, 8)).astype(np.float32).astype(np.float64)
         y = rng.integers(0, 4, (1, 8, 8))
         _, grad = handle.input_grad(x, y)
@@ -154,9 +153,9 @@ class TestPersistence:
         path = tmp_path / "oracle.ckpt"
         save_oracle(path, model)
         back = load_oracle(path)
-        assert seal(back).fingerprint == handle.fingerprint
+        assert OracleHandle(back).fingerprint == handle.fingerprint
         x = stack_images(val[:2])
-        assert seal(back).predict(x).tobytes() == handle.predict(x).tobytes()
+        assert OracleHandle(back).predict(x).tobytes() == handle.predict(x).tobytes()
 
     def test_rejects_wrong_kind(self, tmp_path, trained):
         from promptseg.checkpoint import save_checkpoint

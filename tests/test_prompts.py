@@ -6,7 +6,7 @@ from promptseg.autograd.tensor import ShapeError
 from promptseg.config import ExperimentConfig, SpgConfig
 from promptseg.datasets import DomainSpec, make_domain, stack_images, stack_masks
 from promptseg.errors import KindMismatchError
-from promptseg.oracle import SegModel, seal
+from promptseg.oracle import OracleHandle, SegModel
 from promptseg.prompts import (
     BorderTemplate,
     ModulatorNetwork,
@@ -269,7 +269,7 @@ class TestAttach:
 
 class TestEndToEndGradient:
     def test_template_and_modulator_grads_through_sealed_oracle(self, rng):
-        oracle = seal(SegModel(4, stream(9, "toy"), widths=(4, 6, 8)))
+        oracle = OracleHandle(SegModel(4, stream(9, "toy"), widths=(4, 6, 8)))
         gen = StylePromptGenerator("s", "a_border", channels=3, height=8, width=8,
                                    pad=2, depth=4, seed=2)
         xb = rng.uniform(0.2, 0.8, (2, 3, 8, 8)).astype(np.float32)
