@@ -5,18 +5,37 @@ Initialization follows Kaiming-normal fan-in scaling for convolutions
 Every initializer takes an explicit numpy Generator so construction is
 reproducible from a seed.
 
-A module names its state in a ``tensors()`` table, which is also the
-checkpoint layout.  Its trainable parameters are the ``Tensor`` entries of
-that table; batch-norm running statistics are plain arrays and fall outside.
+Every model is a ``Module``, and one rule names its state: ``tensors()``
+walks the module's attributes in assignment order.  A ``Tensor`` or array
+is named by itself, a sub-module prefixes its own table with ``name.``, and
+a list of modules numbers its items ``name0.``, ``name1.`` and so on;
+nothing else is state.  That table is the checkpoint layout and what the
+seal fingerprints hash.  Its trainable parameters are the ``Tensor``
+entries; batch-norm running statistics are plain arrays and fall outside.
 """
 
 import numpy as np
 
 from . import ops
-from .tensor import Tensor
+from .tensor import Tensor, current_dtype
 
 
-class Conv2d:
+class Module:
+    def tensors(self, prefix=""):
+        """Every state tensor and array, named by the attribute path to it."""
+        out = {}
+        for name, value in vars(self).items():
+            if isinstance(value, (Tensor, np.ndarray)):
+                out[prefix + name] = value
+            elif isinstance(value, Module):
+                out.update(value.tensors(f"{prefix}{name}."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    out.update(item.tensors(f"{prefix}{name}{i}."))
+        return out
+
+
+class Conv2d(Module):
     def __init__(self, c_in, c_out, kernel, rng, stride=1, padding=0):
         std = np.sqrt(2.0 / (c_in * kernel * kernel))
         self.weight = Tensor(rng.normal(0.0, std, (c_out, c_in, kernel, kernel)), requires_grad=True)
@@ -27,29 +46,20 @@ class Conv2d:
     def __call__(self, x):
         return ops.conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
-    def tensors(self, prefix):
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     def __init__(self, channels):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.state = ops.BnState(channels)
+        self.running_mean = np.zeros(channels, dtype=current_dtype())
+        self.running_var = np.ones(channels, dtype=current_dtype())
 
     def __call__(self, x, training):
-        return ops.batch_norm2d(x, self.gamma, self.beta, self.state, training)
-
-    def tensors(self, prefix):
-        return {
-            f"{prefix}.gamma": self.gamma,
-            f"{prefix}.beta": self.beta,
-            f"{prefix}.running_mean": self.state.running_mean,
-            f"{prefix}.running_var": self.state.running_var,
-        }
+        return ops.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
+                                self.running_var, training)
 
 
-class Linear:
+class Linear(Module):
     def __init__(self, d_in, d_out, rng):
         std = 1.0 / np.sqrt(d_in)
         self.weight = Tensor(rng.normal(0.0, std, (d_in, d_out)), requires_grad=True)
@@ -57,9 +67,6 @@ class Linear:
 
     def __call__(self, x):
         return ops.linear(x, self.weight, self.bias)
-
-    def tensors(self, prefix):
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 def parameters(tensors):
@@ -73,30 +80,28 @@ def freeze(tensors):
         t.requires_grad = False
 
 
+class ConvBn(Module):
+    """relu(bn(conv(x))) with a stride-2 conv, padded to halve H and W."""
+
+    def __init__(self, c_in, c_out, kernel, rng):
+        self.conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=kernel // 2)
+        self.bn = BatchNorm2d(c_out)
+
+    def __call__(self, x, training):
+        return ops.relu(self.bn(self.conv(x), training))
+
+
 def conv_bn_stages(widths, kernel, rng):
-    """Stride-2 conv-BN pairs from RGB through ``widths``, padded to halve H and W."""
-    stages, c_in = [], 3
-    for c_out in widths:
-        conv = Conv2d(c_in, c_out, kernel, rng, stride=2, padding=kernel // 2)
-        stages.append((conv, BatchNorm2d(c_out)))
-        c_in = c_out
-    return stages
+    """``ConvBn`` stages from RGB through ``widths``."""
+    return [ConvBn(c_in, c_out, kernel, rng)
+            for c_in, c_out in zip((3,) + tuple(widths), widths)]
 
 
 def run_stages(stages, x, training):
-    """relu(bn(conv(x))) through every stage."""
-    for conv, bn in stages:
-        x = ops.relu(bn(conv(x), training))
+    """``x`` through every stage in turn."""
+    for stage in stages:
+        x = stage(x, training)
     return x
-
-
-def stage_tensors(stages):
-    """The stages' tensors named ``stage{i}.conv.*`` and ``stage{i}.bn.*``."""
-    out = {}
-    for i, (conv, bn) in enumerate(stages):
-        out.update(conv.tensors(f"stage{i}.conv"))
-        out.update(bn.tensors(f"stage{i}.bn"))
-    return out
 
 
 def tensor_arrays(tensors):

@@ -17,7 +17,6 @@ from .tensor import (
     ShapeError,
     Tensor,
     apply_op,
-    current_dtype,
     guard_finite,
 )
 
@@ -100,22 +99,12 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-class BnState:
-    """Running statistics for one batch-norm layer (mutated only in train mode)."""
-
-    __slots__ = ("running_mean", "running_var")
-
-    def __init__(self, channels):
-        self.running_mean = np.zeros(channels, dtype=current_dtype())
-        self.running_var = np.ones(channels, dtype=current_dtype())
-
-
-def batch_norm2d(x, gamma, beta, state, training):
+def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
     """Per-channel batch norm over (B, H, W).
 
-    Train mode normalizes with biased batch statistics and updates running
-    stats with momentum (unbiased variance, the usual convention).  Eval mode
-    uses the stored running statistics and mutates nothing.
+    Train mode normalizes with biased batch statistics and updates the
+    running arrays in place with momentum (unbiased variance, the usual
+    convention).  Eval mode uses the running statistics and mutates nothing.
     """
     _as_tensor(x, "x")
     if x.ndim != 4:
@@ -134,13 +123,13 @@ def batch_norm2d(x, gamma, beta, state, training):
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x.data - mean[:, None, None]) * inv[:, None, None]
         m = BN_MOMENTUM
-        state.running_mean += m * (mean.astype(state.running_mean.dtype) - state.running_mean)
+        running_mean += m * (mean.astype(running_mean.dtype) - running_mean)
         unbiased = var * (n / (n - 1))
-        state.running_var += m * (unbiased.astype(state.running_var.dtype) - state.running_var)
+        running_var += m * (unbiased.astype(running_var.dtype) - running_var)
     else:
-        inv = 1.0 / np.sqrt(state.running_var + BN_EPS)
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
         inv = inv.astype(x.data.dtype)
-        xhat = (x.data - state.running_mean.astype(x.data.dtype)[:, None, None]) * inv[:, None, None]
+        xhat = (x.data - running_mean.astype(x.data.dtype)[:, None, None]) * inv[:, None, None]
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def backward_fn(g):
@@ -307,8 +296,6 @@ def cross_entropy(logits, target):
     loss = np.asarray((lse - picked).sum() / n)
 
     def backward_fn(g):
-        if not logits.requires_grad:
-            return (None,)
         p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
         np.put_along_axis(p, t2, np.take_along_axis(p, t2, axis=1) - 1.0, axis=1)
         p *= g.reshape(()) / n

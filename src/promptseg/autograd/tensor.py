@@ -150,9 +150,10 @@ class Tape:
     def backward(self, output, seed=None):
         """Accumulate d(output)/d(leaf) into leaf ``.grad`` fields.
 
-        ``seed`` is the upstream gradient with the same shape as ``output``;
-        omitting it requires a scalar output and seeds with 1.  Calling
-        backward twice accumulates, matching the usual convention.
+        ``output`` must be a tensor this tape produced.  ``seed`` is the
+        upstream gradient with the same shape as ``output``; omitting it
+        requires a scalar output and seeds with 1.  Calling backward twice
+        accumulates, matching the usual convention.
         """
         if not isinstance(output, Tensor):
             raise TypeError("backward expects a Tensor")
@@ -170,9 +171,6 @@ class Tape:
                 )
 
         if id(output) not in self._produced:
-            if output.requires_grad:
-                _accumulate(output, seed)
-                return
             raise RuntimeError("output was not produced on this tape")
 
         pending = {id(output): seed}
@@ -188,13 +186,9 @@ class Tape:
                     acc = pending.get(id(t))
                     pending[id(t)] = gi if acc is None else acc + gi
                 else:
-                    _accumulate(t, gi)
-
-
-def _accumulate(leaf, g):
-    if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
-    leaf.grad += g
+                    if t.grad is None:
+                        t.grad = np.zeros_like(t.data)
+                    t.grad += gi
 
 
 def apply_op(op_name, out_data, inputs, backward_fn):

@@ -111,7 +111,7 @@ def cmd_gen_data(cfg, args):
 
 def cmd_pretrain_oracle(cfg, args):
     run_dir = open_run(cfg)
-    model, oracle, losses = stage_oracle(cfg, stage_data(cfg), run_dir)
+    model, oracle, losses = stage_oracle(cfg, stage_data(cfg, run_dir), run_dir)
     if losses:
         log.info("oracle trained: final loss %.4f", losses[-1])
     print(f"oracle: {model.parameter_count()} params, "
@@ -123,7 +123,7 @@ def cmd_train_spg(cfg, args):
                               init=args.init or cfg.spg.init)
     cfg = dataclasses.replace(cfg, spg=spg).validate()
     run_dir = open_run(cfg)
-    domains = stage_data(cfg)
+    domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     check_seal = SealCheck(oracle, SharedEncoder.from_seg_model(model))
     for seed in cfg.seeds:
@@ -142,7 +142,7 @@ def cmd_train_apf(cfg, args):
     )
     cfg = dataclasses.replace(cfg, apf=apf)
     run_dir = open_run(cfg)
-    domains = stage_data(cfg)
+    domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     check_seal = SealCheck(oracle, enc)

@@ -24,12 +24,12 @@ from .autograd import Tape, Tensor, no_grad
 from .autograd import ops
 from .autograd.layers import (
     Linear,
+    Module,
     conv_bn_stages,
     freeze,
     load_tensor_arrays,
     parameters,
     run_stages,
-    stage_tensors,
     tensor_arrays,
 )
 from .autograd.optim import AdamW, CosineWarmRestarts
@@ -41,7 +41,7 @@ from .seeding import stream
 from .train import fit
 
 
-class SharedEncoder:
+class SharedEncoder(Module):
     """Frozen feature extractor: three stride-2 conv-bn-relu stages, then a pool.
 
     The same weights embed images and prompts.  Batch norm always runs on
@@ -51,7 +51,7 @@ class SharedEncoder:
     def __init__(self, rng, widths=(16, 32, 64), kernel=5):
         self.widths = tuple(widths)
         self.kernel = kernel
-        self.stages = conv_bn_stages(self.widths, kernel, rng)
+        self.stage = conv_bn_stages(self.widths, kernel, rng)
         freeze(self.tensors())
         self.memo = None  # the FrozenMemo of the last train_apf (frozen_memo)
 
@@ -59,7 +59,7 @@ class SharedEncoder:
     def from_seg_model(cls, model):
         """Reuse the segmentation model's encoder stages (copied, then frozen)."""
         enc = cls(stream(0, "enc-shell"), model.widths, model.kernel)
-        load_tensor_arrays(enc.tensors(), tensor_arrays(stage_tensors(model.stages)))
+        load_tensor_arrays(enc.tensors(), tensor_arrays(model.tensors()))
         return enc
 
     @property
@@ -72,17 +72,14 @@ class SharedEncoder:
             x = Tensor(np.asarray(x, np.float32))
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError(f"encoder expects (B, 3, H, W), got {x.shape}")
-        pooled = ops.adaptive_avg_pool_to_1(run_stages(self.stages, x, training=False))
+        pooled = ops.adaptive_avg_pool_to_1(run_stages(self.stage, x, training=False))
         return reshape(pooled, (x.shape[0], self.feature_dim))
-
-    def tensors(self):
-        return stage_tensors(self.stages)
 
     def fingerprint(self):
         return fingerprint_tensors(self.tensors())
 
 
-class FusionHeads:
+class FusionHeads(Module):
     """The only trainable pieces of the fusion stage: W_x for the input
     embedding, W_p for prompt embeddings."""
 
@@ -92,11 +89,6 @@ class FusionHeads:
         self.embed_dim = embed_dim
         self.wx = Linear(feature_dim, embed_dim, rng)
         self.wp = Linear(feature_dim, embed_dim, rng)
-
-    def tensors(self):
-        out = dict(self.wx.tensors("wx"))
-        out.update(self.wp.tensors("wp"))
-        return out
 
 
 class FrozenBatch:

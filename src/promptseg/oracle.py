@@ -17,12 +17,12 @@ from .autograd import Tape, Tensor, no_grad
 from .autograd import ops
 from .autograd.layers import (
     Conv2d,
+    Module,
     conv_bn_stages,
     freeze,
     load_tensor_arrays,
     parameters,
     run_stages,
-    stage_tensors,
     tensor_arrays,
 )
 from .autograd.optim import AdamW, MultiStepLr
@@ -31,27 +31,22 @@ from .seeding import stream
 from .train import fit
 
 
-class SegModel:
+class SegModel(Module):
     """Encoder-decoder segmentation network over (B, 3, H, W) with H, W % 8 == 0."""
 
     def __init__(self, class_count, rng, widths=(16, 32, 64), kernel=5):
         self.class_count = class_count
         self.widths = tuple(widths)
         self.kernel = kernel
-        self.stages = conv_bn_stages(self.widths, kernel, rng)
+        self.stage = conv_bn_stages(self.widths, kernel, rng)
         self.head = Conv2d(self.widths[-1], class_count, 1, rng)
 
     def forward(self, x, training=False):
         _, _, h_in, w_in = x.shape
         if h_in % 8 or w_in % 8:
             raise ValueError(f"spatial dims must be divisible by 8, got {h_in}x{w_in}")
-        logits = self.head(run_stages(self.stages, x, training))
+        logits = self.head(run_stages(self.stage, x, training))
         return ops.bilinear_upsample(logits, h_in, w_in)
-
-    def tensors(self):
-        out = stage_tensors(self.stages)
-        out.update(self.head.tensors("head"))
-        return out
 
     def parameter_count(self):
         return sum(t.size for t in parameters(self.tensors()))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .checkpoint import atomic_open
 from .config import ExperimentConfig, config_hash, save_config
-from .datasets import DomainSpec, make_domain, save_domain
+from .datasets import DomainSpec, load_domain, make_domain, save_domain
 from .errors import StageError
 from .fusion import (
     FusionHeads,
@@ -172,11 +172,17 @@ def seed_dir(run_dir, seed) -> str:
 
 @_stage("gen-data")
 def stage_data(cfg, run_dir=None) -> dict:
-    """Build every domain; optionally persist them under ``run_dir/data``."""
-    domains = {name: make_domain(spec) for name, spec in domain_specs(cfg).items()}
-    if run_dir is not None:
-        for name, samples in domains.items():
-            save_domain(os.path.join(run_dir, "data", f"{name}.dom"), samples)
+    """Every domain: loaded from ``run_dir/data`` where saved there, else
+    rendered (and saved there, given ``run_dir``)."""
+    domains = {}
+    for name, spec in domain_specs(cfg).items():
+        path = None if run_dir is None else os.path.join(run_dir, "data", f"{name}.dom")
+        if path is not None and os.path.exists(path):
+            domains[name] = load_domain(path)
+            continue
+        domains[name] = make_domain(spec)
+        if path is not None:
+            save_domain(path, domains[name])
     return domains
 
 
@@ -416,11 +422,15 @@ def load_seed_artifacts(cfg, run_dir, seed):
 
 
 def evaluate_run(cfg, run_dir, names=None) -> Results:
-    """A finished run evaluated again, every seed, ``names`` or all domains."""
-    domains = stage_data(cfg)
+    """A finished run evaluated again, every seed, ``names`` or all domains.
+
+    Every seed's artifacts load before the data, so a run that is not
+    trained fails before anything is rendered into its directory.
+    """
+    arts = {seed: load_seed_artifacts(cfg, run_dir, seed) for seed in cfg.seeds}
+    domains = stage_data(cfg, run_dir)
     cells = []
-    for seed in cfg.seeds:
-        _, oracle, enc, gens, heads = load_seed_artifacts(cfg, run_dir, seed)
+    for seed, (_, oracle, enc, gens, heads) in arts.items():
         cells.append(("", seed, *stage_eval(cfg, domains, gens, enc, heads,
                                             oracle, seed, names)))
     return Results(cells, oracle.fingerprint)

@@ -22,6 +22,7 @@ from .autograd import ops
 from .autograd.layers import (
     BatchNorm2d,
     Conv2d,
+    Module,
     load_tensor_arrays,
     parameters,
     tensor_arrays,
@@ -47,8 +48,9 @@ def _init_values(shape, strategy, rng):
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
-class BorderTemplate:
-    """Four learnable edge strips; the assembled canvas has an exactly zero center.
+class BorderTemplate(Module):
+    """Four learnable edge strips, the attributes ``top``, ``bottom``, ``left``
+    and ``right``; the assembled canvas has an exactly zero center.
 
     Top and bottom span the full width; left and right cover only the middle
     rows, so the corners belong to the horizontal strips.
@@ -61,20 +63,10 @@ class BorderTemplate:
         self.height = height
         self.width = width
         self.pad = pad
-        self.sides = {
-            name: Tensor(_init_values(shape, strategy, rng), requires_grad=True)
-            for name, shape in self.side_shapes(channels, height, width, pad).items()
-        }
-
-    @staticmethod
-    def side_shapes(channels, height, width, pad):
         mid = height - 2 * pad
-        return {
-            "top": (channels, pad, width),
-            "bottom": (channels, pad, width),
-            "left": (channels, mid, pad),
-            "right": (channels, mid, pad),
-        }
+        for name, shape in zip(SIDES, [(pad, width)] * 2 + [(mid, pad)] * 2):
+            values = _init_values((channels,) + shape, strategy, rng)
+            setattr(self, name, Tensor(values, requires_grad=True))
 
     def _placements(self):
         h, w, p = self.height, self.width, self.pad
@@ -92,7 +84,7 @@ class BorderTemplate:
             batch = alpha.shape[0]
         canvas = None
         for i, name in enumerate(SIDES):
-            strip = self.sides[name]
+            strip = getattr(self, name)
             block = reshape(strip, (1,) + strip.shape)
             if alpha is None:
                 block = broadcast_to_batch(block, batch)
@@ -104,11 +96,8 @@ class BorderTemplate:
             canvas = piece if canvas is None else add(canvas, piece)
         return canvas
 
-    def tensors(self, prefix="template"):
-        return {f"{prefix}.{name}": t for name, t in self.sides.items()}
 
-
-class FullTemplate:
+class FullTemplate(Module):
     """A single learnable canvas covering the whole image."""
 
     def __init__(self, channels, height, width, strategy, rng):
@@ -126,11 +115,8 @@ class FullTemplate:
             return broadcast_to_batch(canvas, batch)
         return mul(canvas, pixel_map)
 
-    def tensors(self, prefix="template"):
-        return {f"{prefix}.canvas": self.canvas}
 
-
-class ModulatorBlock:
+class ModulatorBlock(Module):
     """Stride-2 residual block: Conv-BN-ReLU-Conv-BN plus a projection shortcut."""
 
     def __init__(self, c_in, c_out, rng):
@@ -145,14 +131,8 @@ class ModulatorBlock:
         main = self.bn2(self.conv2(ops.relu(self.bn1(self.conv1(x), training))), training)
         return ops.relu(add(main, self.proj_bn(self.proj(x), training)))
 
-    def tensors(self, prefix):
-        out = {}
-        for name in ("conv1", "bn1", "conv2", "bn2", "proj", "proj_bn"):
-            out.update(getattr(self, name).tensors(f"{prefix}.{name}"))
-        return out
 
-
-class ModulatorNetwork:
+class ModulatorNetwork(Module):
     """Three stride-2 blocks (d, 2d, 4d channels) and a 1x1 head.
 
     mode "coeffs": head emits 4C channels, pooled to per-side per-channel
@@ -169,20 +149,17 @@ class ModulatorNetwork:
         self.mode = mode
         self.out_channels = out_channels
         widths = (depth, 2 * depth, 4 * depth)
-        self.blocks = []
-        c = in_channels
-        for wd in widths:
-            self.blocks.append(ModulatorBlock(c, wd, rng))
-            c = wd
+        # one attribute, named ``block``, so the table reads block0., block1., ...
+        self.block = [ModulatorBlock(c_in, c_out, rng)
+                      for c_in, c_out in zip((in_channels,) + widths, widths)]
         head_out = 4 * out_channels if mode == "coeffs" else out_channels
-        self.head = Conv2d(c, head_out, 1, rng)
+        self.head = Conv2d(widths[-1], head_out, 1, rng)
 
     def backbone(self, x, training):
         """The 1/8-resolution feature map feeding the head."""
-        h = x
-        for block in self.blocks:
-            h = block(h, training)
-        return h
+        for block in self.block:
+            x = block(x, training)
+        return x
 
     def low_res(self, x, training=False):
         """Everything below the input resolution: the (B, 4, C) coefficients
@@ -205,15 +182,8 @@ class ModulatorNetwork:
             return low
         return ops.bilinear_upsample(low, height, width)
 
-    def tensors(self, prefix="modulator"):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.tensors(f"{prefix}.block{i}"))
-        out.update(self.head.tensors(f"{prefix}.head"))
-        return out
 
-
-class StylePromptGenerator:
+class StylePromptGenerator(Module):
     """One style's prompt generator: template, variant, and optional modulator."""
 
     def __init__(self, style, variant="a_border", channels=3, height=64, width=64,
@@ -265,12 +235,6 @@ class StylePromptGenerator:
     def generate(self, x, training=False):
         """The style prompt for a batch, shaped like the batch itself."""
         return self.prompt(self.modulate(x, training), x.shape[0])
-
-    def tensors(self):
-        out = dict(self.template.tensors("template"))
-        if self.modulator is not None:
-            out.update(self.modulator.tensors("modulator"))
-        return out
 
 
 def attach_prompt(x, prompt):

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from conftest import tiny_experiment
 
-from promptseg import cli
+from promptseg import cli, pipeline
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
-from promptseg.datasets import load_domain
+from promptseg.datasets import domain_digest, load_domain
 from promptseg.oracle import OracleHandle
 from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
 
@@ -143,6 +143,69 @@ class TestDamagedArtifacts:
         with open(path, "rb") as f:
             assert f.read() == blob
 
+    def test_corrupt_domain_fails_eval(self, staged, tmp_path, capsys):
+        # a saved domain that no longer decodes is an error, never rendered over
+        cfg, _, run_dir = staged
+        runs = tmp_path / "runs"
+        shutil.copytree(cfg.out_dir, runs)
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, dataclasses.replace(cfg, out_dir=str(runs)))
+        path = os.path.join(str(runs), os.path.basename(run_dir), "data", "dusk_val.dom")
+        with open(path, "rb") as f:
+            blob = bytearray(f.read())
+        blob[len(blob) // 2] ^= 0xFF
+        with open(path, "wb") as f:
+            f.write(blob)
+        assert main(["--config", cfg_path, "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
+        with open(path, "rb") as f:
+            assert f.read() == blob
+
+
+class TestStagedData:
+    def test_commands_after_gen_data_render_nothing(self, tmp_path, monkeypatch):
+        # gen-data saves every domain; later commands load them back
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        assert main(["--config", cfg_path, "gen-data"]) == 0
+        calls = []
+        render = pipeline.make_domain
+        monkeypatch.setattr(pipeline, "make_domain",
+                            lambda spec: calls.append(spec.name) or render(spec))
+        assert main(["--config", cfg_path, "train-apf"]) == 0
+        assert main(["--config", cfg_path, "eval"]) == 0
+        assert calls == []
+
+    def test_eval_of_an_untrained_run_renders_nothing(self, tmp_path, capsys):
+        # the missing checkpoint is reported before any domain is rendered
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        assert main(["--config", cfg_path, "eval"]) == 1
+        assert "run pretrain-oracle first" in capsys.readouterr().err
+        assert not os.path.exists(run_dir_for(cfg))
+
+    def test_only_missing_domains_are_rendered(self, tmp_path, monkeypatch):
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        run_dir = run_dir_for(cfg)
+        saved = pipeline.stage_data(cfg, run_dir)
+        path = os.path.join(run_dir, "data", "dusk_val.dom")
+        with open(path, "rb") as f:
+            blob = f.read()
+        os.remove(path)
+        calls = []
+        render = pipeline.make_domain
+        monkeypatch.setattr(pipeline, "make_domain",
+                            lambda spec: calls.append(spec.name) or render(spec))
+        domains = pipeline.stage_data(cfg, run_dir)
+        assert calls == ["dusk_val"]
+        with open(path, "rb") as f:
+            assert f.read() == blob
+        digests = {n: domain_digest(s) for n, s in domains.items()}
+        assert digests == {n: domain_digest(s) for n, s in saved.items()}
+
 
 class TestRunAll:
     def test_run_all_and_seed_override(self, tmp_path, capsys):
@@ -212,7 +275,7 @@ class TestSealCheck:
         def drifting(*args, **kwargs):
             out = train(*args, **kwargs)
             oracle = next(a for a in args if isinstance(a, OracleHandle))
-            oracle._model.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
+            oracle._model.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
             return out
 
         monkeypatch.setattr(cli, stage, drifting)

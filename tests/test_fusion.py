@@ -87,7 +87,7 @@ class TestSharedEncoder:
         model, _ = toy_oracle()
         enc = SharedEncoder.from_seg_model(model)
         before = tensor_arrays(model.tensors())["stage0.conv.weight"].copy()
-        enc.stages[0][0].weight.data += 1.0
+        enc.stage[0].conv.weight.data += 1.0
         assert np.array_equal(
             tensor_arrays(model.tensors())["stage0.conv.weight"], before
         )
@@ -133,7 +133,7 @@ class TestSharedEncoder:
         a = random_encoder(0)
         b = random_encoder(0)
         assert a.fingerprint() == b.fingerprint()
-        b.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
+        b.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
         assert a.fingerprint() != b.fingerprint()
 
 
@@ -550,7 +550,7 @@ class TestFrozenMemo:
         gens = memo_gens()
         arm = (True, True, True)
         train_arm(memo_world, enc, gens, arm)
-        for weight in (gens[0].modulator.head.weight, enc.stages[0][0].weight):
+        for weight in (gens[0].modulator.head.weight, enc.stage[0].conv.weight):
             weight.data[0, 0, 0, 0] = 0.5
             call_counts.update(encode=0, low_res=0)
             train_arm(memo_world, enc, gens, arm, iters=1)

@@ -5,7 +5,7 @@ import pytest
 
 from promptseg.autograd import DegenerateBatchError, ShapeError, Tape, Tensor, shadow_precision
 from promptseg.autograd import ops
-from promptseg.autograd.tensor import add, broadcast_to_batch, mul, reshape
+from promptseg.autograd.tensor import add, broadcast_to_batch, current_dtype, mul, reshape
 
 from conftest import check_gradients, rel_err, scale, sum_all
 
@@ -13,6 +13,11 @@ from conftest import check_gradients, rel_err, scale, sum_all
 def project(out, r):
     """Reduce an op output to a scalar with a fixed projection array."""
     return sum_all(mul(out, Tensor(r)))
+
+
+def bn_stats(c):
+    """Fresh batch-norm running statistics: mean 0, variance 1."""
+    return np.zeros(c, current_dtype()), np.ones(c, current_dtype())
 
 
 class TestConv2d:
@@ -84,28 +89,28 @@ class TestBatchNorm2d:
     def _layer(self, c, dtype=np.float32):
         gamma = Tensor(np.ones(c, dtype), requires_grad=True)
         beta = Tensor(np.zeros(c, dtype), requires_grad=True)
-        return gamma, beta, ops.BnState(c)
+        return gamma, beta, bn_stats(c)
 
     def test_already_normalized_input_passes_through(self, rng):
         x0 = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
         x0 -= x0.mean(axis=(0, 2, 3), keepdims=True)
         x0 /= x0.std(axis=(0, 2, 3), keepdims=True)
         gamma, beta, state = self._layer(3)
-        out = ops.batch_norm2d(Tensor(x0), gamma, beta, state, training=True)
+        out = ops.batch_norm2d(Tensor(x0), gamma, beta, *state, training=True)
         assert np.max(np.abs(out.data - x0)) < 1e-4
 
     def test_constant_channel_maps_to_beta(self):
         x = Tensor(np.full((2, 2, 3, 3), 5.0, np.float32))
         gamma = Tensor(np.ones(2, np.float32))
         beta = Tensor(np.array([0.25, -1.0], np.float32))
-        out = ops.batch_norm2d(x, gamma, beta, ops.BnState(2), training=True)
+        out = ops.batch_norm2d(x, gamma, beta, *bn_stats(2), training=True)
         np.testing.assert_allclose(out.data[:, 0], 0.25, atol=1e-5)
         np.testing.assert_allclose(out.data[:, 1], -1.0, atol=1e-5)
 
     def test_train_output_statistics(self, rng):
         x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 8, 8)).astype(np.float32))
         gamma, beta, state = self._layer(5)
-        out = ops.batch_norm2d(x, gamma, beta, state, training=True)
+        out = ops.batch_norm2d(x, gamma, beta, *state, training=True)
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         assert np.max(np.abs(mean)) < 1e-4
@@ -113,27 +118,28 @@ class TestBatchNorm2d:
 
     def test_running_stats_update_and_eval_use(self, rng):
         x0 = rng.normal(1.0, 2.0, size=(8, 2, 4, 4)).astype(np.float32)
-        gamma, beta, state = self._layer(2)
-        ops.batch_norm2d(Tensor(x0), gamma, beta, state, training=True)
+        gamma, beta, (running_mean, running_var) = self._layer(2)
+        ops.batch_norm2d(Tensor(x0), gamma, beta, running_mean, running_var, training=True)
         n = 8 * 4 * 4
         expect_mean = 0.1 * x0.mean(axis=(0, 2, 3))
         expect_var = 0.9 + 0.1 * x0.var(axis=(0, 2, 3)) * n / (n - 1)
-        np.testing.assert_allclose(state.running_mean, expect_mean, rtol=1e-5)
-        np.testing.assert_allclose(state.running_var, expect_var, rtol=1e-5)
+        np.testing.assert_allclose(running_mean, expect_mean, rtol=1e-5)
+        np.testing.assert_allclose(running_var, expect_var, rtol=1e-5)
         # eval mode must use them and leave them untouched
-        before = state.running_mean.copy()
-        out = ops.batch_norm2d(Tensor(x0), gamma, beta, state, training=False)
-        expected = (x0 - state.running_mean[:, None, None]) / np.sqrt(
-            state.running_var[:, None, None] + ops.BN_EPS
+        before = running_mean.copy()
+        out = ops.batch_norm2d(Tensor(x0), gamma, beta, running_mean, running_var,
+                               training=False)
+        expected = (x0 - running_mean[:, None, None]) / np.sqrt(
+            running_var[:, None, None] + ops.BN_EPS
         )
         np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
-        np.testing.assert_array_equal(before, state.running_mean)
+        np.testing.assert_array_equal(before, running_mean)
 
     def test_single_value_batch_raises(self):
         x = Tensor(np.zeros((1, 3, 1, 1), np.float32))
         gamma, beta, state = self._layer(3)
         with pytest.raises(DegenerateBatchError):
-            ops.batch_norm2d(x, gamma, beta, state, training=True)
+            ops.batch_norm2d(x, gamma, beta, *state, training=True)
 
     def test_gradients_train_mode(self, rng):
         x0 = rng.normal(size=(3, 2, 4, 4))
@@ -142,8 +148,7 @@ class TestBatchNorm2d:
         r = rng.normal(size=(3, 2, 4, 4))
 
         def loss(x, gamma, beta):
-            state = ops.BnState(2)
-            return project(ops.batch_norm2d(x, gamma, beta, state, training=True), r)
+            return project(ops.batch_norm2d(x, gamma, beta, *bn_stats(2), training=True), r)
 
         check_gradients(loss, [x0, g0, b0], tol=2e-3)
 
@@ -153,12 +158,13 @@ class TestBatchNorm2d:
         b0 = rng.normal(size=(2,))
         r = rng.normal(size=(2, 2, 3, 3))
         with shadow_precision():
-            state = ops.BnState(2)
-            state.running_mean += np.asarray([0.3, -0.2])
-            state.running_var *= np.asarray([1.5, 0.7])
+            running_mean, running_var = bn_stats(2)
+            running_mean += np.asarray([0.3, -0.2])
+            running_var *= np.asarray([1.5, 0.7])
 
             def loss(x, gamma, beta):
-                return project(ops.batch_norm2d(x, gamma, beta, state, training=False), r)
+                return project(ops.batch_norm2d(x, gamma, beta, running_mean, running_var,
+                                                training=False), r)
 
             check_gradients(loss, [x0, g0, b0])
 
@@ -383,7 +389,7 @@ def _gradcheck_registry(rng):
         r = rng.normal(size=(3, 2, 3, 3))
 
         def loss(x_, g_, b_):
-            return project(ops.batch_norm2d(x_, g_, b_, ops.BnState(2), True), r)
+            return project(ops.batch_norm2d(x_, g_, b_, *bn_stats(2), True), r)
 
         return loss, [x, g, b]
 
@@ -509,7 +515,7 @@ def test_composite_net_gradient_at_f32(rng):
     def forward():
         x, cw, cb, gamma, beta, lw, lb = leaves
         h = ops.conv2d(x, cw, cb, stride=1, padding=1)
-        h = ops.batch_norm2d(h, gamma, beta, ops.BnState(3), training=True)
+        h = ops.batch_norm2d(h, gamma, beta, *bn_stats(3), training=True)
         h = ops.relu(h)
         h = ops.adaptive_avg_pool_to_1(h)
         h = reshape(h, (2, 3))

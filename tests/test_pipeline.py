@@ -286,7 +286,7 @@ class TestStageErrors:
         def drifting(cfg, domains, gens, enc, oracle, *rest):
             heads = train(cfg, domains, gens, enc, oracle, *rest)
             module = enc if frozen == "encoder" else oracle._model
-            module.stages[0][0].weight.data[0, 0, 0, 0] += 1.0
+            module.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
             return heads
 
         monkeypatch.setattr(pipeline, "stage_apf", drifting)

@@ -53,25 +53,25 @@ def styled_subset():
 class TestInitStrategies:
     def test_zero_is_all_zero(self):
         t = border_template("zero", seed=1)
-        assert all(not np.any(s.data) for s in t.sides.values())
+        assert all(not np.any(s.data) for s in t.tensors().values())
 
     def test_normal_std_in_window(self):
         # larger dims push the parameter count past 1e4 so the window is tight
         t = border_template("normal", seed=2, height=128, width=128, pad=8)
-        flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
+        flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert flat.size >= 10_000
         assert 0.08 < flat.std() < 0.12
         assert abs(flat.mean()) < 0.01
 
     def test_uniform_mean_in_window(self):
         t = border_template("uniform", seed=3, height=128, width=128, pad=8)
-        flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
+        flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert 0.45 < flat.mean() < 0.55
         assert flat.min() >= 0.0 and flat.max() <= 1.0
 
     def test_meta_draws_like_normal_until_pretrained(self):
         t = border_template("meta", seed=4, height=128, width=128, pad=8)
-        flat = np.concatenate([s.data.ravel() for s in t.sides.values()])
+        flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert 0.08 < flat.std() < 0.12
 
     def test_unknown_strategy_rejected(self):
@@ -96,7 +96,7 @@ class TestBorderTemplate:
     def test_canvas_sum_equals_side_sum(self):
         t = border_template("normal", seed=7)
         canvas = t.assemble(None, batch=1)
-        total = sum(float(s.data.sum()) for s in t.sides.values())
+        total = sum(float(s.data.sum()) for s in t.tensors().values())
         np.testing.assert_allclose(canvas.data.sum(), total, rtol=1e-5)
 
     def test_disassemble_recovers_modulated_sides(self, rng):
@@ -107,7 +107,7 @@ class TestBorderTemplate:
         back = {"top": c[..., :p, :], "bottom": c[..., 64 - p:, :],
                 "left": c[..., p:64 - p, :p], "right": c[..., p:64 - p, 64 - p:]}
         for i, name in enumerate(("top", "bottom", "left", "right")):
-            expect = t.sides[name].data[None] * alpha[:, i, :, None, None]
+            expect = getattr(t, name).data[None] * alpha[:, i, :, None, None]
             np.testing.assert_array_equal(back[name], expect)
 
     def test_identity_and_zero_modulation(self):
@@ -183,7 +183,7 @@ class TestModulator:
             out = m.low_res(x, training=True)
             tape.backward(out, seed=r)
 
-        for name in ("modulator.block0.conv1.weight", "modulator.head.weight"):
+        for name in ("block0.conv1.weight", "head.weight"):
             leaf = m.tensors()[name]
             coords = sorted(rng.choice(leaf.size, min(20, leaf.size), replace=False).tolist())
             num = numeric_grad(run, leaf, eps=1e-4, coords=coords)
@@ -230,7 +230,7 @@ class TestGeneratorVariants:
         x = rng.uniform(0, 1, (2, 3, 64, 64)).astype(np.float32)
         gen = StylePromptGenerator("s", "a_border", seed=5)
         before = gen.generate(x).data.copy()
-        for side in gen.template.sides.values():
+        for side in gen.template.tensors().values():
             side.data *= 2.0
         np.testing.assert_array_equal(gen.generate(x).data, 2.0 * before)
 

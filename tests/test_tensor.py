@@ -106,6 +106,21 @@ class TestTapeMechanics:
         assert y.requires_grad is False
         assert len(tape._nodes) == 0
 
+    def test_backward_needs_an_output_of_this_tape(self, rng):
+        # a leaf, trainable or not, and another tape's output all raise;
+        # none of them leaves a gradient behind
+        x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
+        with Tape() as other:
+            foreign = sum_all(mul(x, x))
+        with Tape() as tape:
+            sum_all(x)
+        for output in (x, Tensor(np.ones(3, np.float32)), foreign):
+            with pytest.raises(RuntimeError, match="not produced on this tape"):
+                tape.backward(output, seed=np.ones(output.shape, np.float32))
+        assert x.grad is None
+        other.backward(foreign)
+        np.testing.assert_allclose(x.grad, 2.0 * x.data, rtol=1e-6)
+
 
 class TestNumericPolicy:
     def test_non_finite_forward_raises(self):
