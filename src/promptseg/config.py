@@ -141,8 +141,8 @@ def to_json(cfg: ExperimentConfig) -> str:
 
 def _build(cls, payload, path, where="config"):
     """``cls`` from parsed JSON: a section whose default is a dataclass recurses,
-    a tuple default needs a list of numbers, a scalar its default's type (or
-    int for float); anything else raises FormatError."""
+    a tuple default a list of ints (of numbers if it holds a float), a scalar
+    its default's type (or int for float); anything else raises FormatError."""
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: {where} must be an object")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
@@ -155,9 +155,10 @@ def _build(cls, payload, path, where="config"):
         if dataclasses.is_dataclass(default):
             value = _build(type(default), value, path, key)
         elif isinstance(default, tuple):
-            if not isinstance(value, list) or any(
-                    type(v) not in (int, float) for v in value):
-                raise FormatError(f"{path}: {key} must be a list of numbers")
+            kinds = (int, float) if float in map(type, default) else (int,)
+            if not isinstance(value, list) or any(type(v) not in kinds for v in value):
+                kind = "numbers" if float in kinds else "integers"
+                raise FormatError(f"{path}: {key} must be a list of {kind}")
             value = tuple(value)
         elif type(value) is not type(default) and (type(default), type(value)) != (float, int):
             raise FormatError(f"{path}: {key} must be {type(default).__name__}")

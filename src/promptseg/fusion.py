@@ -9,11 +9,12 @@ the segmentation oracle stay byte-identical through the whole phase.
 
 So for a given batch the frozen half of the pass (image embeddings,
 modulator outputs, prompt embeddings) is a pure function of the batch's
-bytes.  Training keeps it in a memo keyed by those bytes: every arm of an
-ablation draws the same batch sequence, so the arms after the first reuse
-what the first computed.  Keying by the whole batch, not by sample, keeps
-reuse exact: on some BLAS kernels a sample's results depend on the batch
-it sits in.
+bytes.  Training and evaluation keep it in a memo keyed by those bytes: the
+arms of an ablation draw the same batches and are evaluated on the same
+domains, so the arms after the first reuse what the first computed, the
+sealed oracle's baseline mask of an evaluated batch included.  Keying by the
+whole batch, not by sample, keeps reuse exact: on some BLAS kernels a
+sample's results depend on the batch it sits in.
 """
 
 import hashlib
@@ -53,7 +54,7 @@ class SharedEncoder(Module):
         self.kernel = kernel
         self.stage = conv_bn_stages(self.widths, kernel, rng)
         freeze(self.tensors())
-        self.memo = None  # the FrozenMemo of the last train_apf (frozen_memo)
+        self.memo = None  # the FrozenMemo last filled (frozen_memo)
 
     @classmethod
     def from_seg_model(cls, model):
@@ -97,13 +98,20 @@ class FrozenBatch:
     ``lows`` holds every generator's low-resolution modulator output
     (``StylePromptGenerator.modulate``), ``image_emb`` the (B, D) image
     embeddings and ``prompt_emb`` the (B * n, D) prompt embeddings per
-    ``per_channel`` setting.  None of it has the input's resolution.
+    ``per_channel`` setting; an evaluated batch also keeps ``mask``, the sealed
+    oracle's uint8 (B, H, W) baseline.  Only that has the input's resolution.
     """
 
     def __init__(self):
         self.lows = []
         self.image_emb = None
         self.prompt_emb = {}
+        self.mask = None
+
+    def baseline_mask(self, oracle, x):
+        if self.mask is None:
+            self.mask = oracle.predict_mask(x)
+        return self.mask
 
     def image_embedding(self, enc, x):
         if self.image_emb is None:
@@ -130,14 +138,15 @@ class FrozenMemo:
         return self.batches.setdefault((x.shape, digest), FrozenBatch())
 
 
-def frozen_memo(enc, generators):
-    """The memo that ``enc`` holds for ``generators``.
+def frozen_memo(enc, generators, oracle):
+    """The memo that ``enc`` holds for ``generators`` and ``oracle``.
 
     Kept on the encoder, it lives as long as the encoder does.  It holds one
-    set of frozen weights, named by the fingerprints of the encoder and of
-    every generator: other weights replace it with an empty memo.
+    set of frozen weights, named by the fingerprints of the encoder, of every
+    generator and of the oracle: other weights replace it with an empty memo.
     """
-    key = (enc.fingerprint(), tuple(fingerprint_tensors(g.tensors()) for g in generators))
+    key = (enc.fingerprint(), tuple(fingerprint_tensors(g.tensors()) for g in generators),
+           oracle.fingerprint)
     if enc.memo is None or enc.memo.key != key:
         enc.memo = FrozenMemo(key)
     return enc.memo
@@ -199,11 +208,13 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
 
 
 def infer(x, generators, enc, heads, oracle, per_channel=True,
-          use_softmax=True, use_tanh=True, return_weights=False):
-    """Fused-prompt prediction: argmax class mask for each input."""
+          use_softmax=True, use_tanh=True, return_weights=False, frozen=None):
+    """Fused-prompt prediction: argmax class mask for each input.
+
+    Without ``frozen`` (a ``FrozenMemo`` entry) no memo is read or filled."""
     with no_grad():
         prompted, weights = fusion_forward(
-            x, generators, enc, heads, per_channel, use_softmax, use_tanh
+            x, generators, enc, heads, per_channel, use_softmax, use_tanh, frozen
         )
     mask = oracle.predict_mask(prompted.data)
     if return_weights:
@@ -228,7 +239,7 @@ def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
     curve.
     """
     opt = AdamW(parameters(heads.tensors()), betas=apf.betas)
-    memo = frozen_memo(enc, generators)
+    memo = frozen_memo(enc, generators, oracle)
 
     def step(xb, yb):
         with Tape() as tape:

@@ -92,13 +92,15 @@ class OracleHandle:
     """Sealed model: exposes prediction and input-gradient, nothing else.
 
     Inputs and outputs are plain numpy arrays.  Internal parameters have
-    requires_grad off, so backward passes reach the input only.
+    requires_grad off, so backward passes reach the input only.  ``queries``
+    counts the calls and images of each kind of query that reached the model.
     """
 
     def __init__(self, model: SegModel):
         freeze(model.tensors())
         self._model = model
         self._fingerprint = fingerprint_tensors(model.tensors())
+        self.queries = {q: {"calls": 0, "images": 0} for q in ("predict", "input_grad")}
 
     @property
     def fingerprint(self) -> int:
@@ -112,7 +114,7 @@ class OracleHandle:
         """Recompute from live weights; equals ``fingerprint`` while sealed."""
         return fingerprint_tensors(self._model.tensors())
 
-    def _check_input(self, x):
+    def _check_input(self, x, query):
         x = np.asarray(x, dtype=np.float32)
         if x.ndim != 4 or x.shape[1] != 3:
             raise ValueError(f"expected (B, 3, H, W) input, got {x.shape}")
@@ -120,11 +122,13 @@ class OracleHandle:
             raise ValueError(f"spatial dims must be divisible by 8, got {x.shape[2]}x{x.shape[3]}")
         if not np.all(np.isfinite(x)):
             raise ValueError("input contains non-finite values")
+        self.queries[query]["calls"] += 1
+        self.queries[query]["images"] += x.shape[0]
         return x
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode logits (B, K, H, W)."""
-        x = self._check_input(x)
+        x = self._check_input(x, "predict")
         with no_grad():
             return self._model.forward(Tensor(x), training=False).data
 
@@ -133,7 +137,7 @@ class OracleHandle:
 
     def input_grad(self, x: np.ndarray, target: np.ndarray):
         """Cross-entropy loss and its gradient with respect to the input only."""
-        x = self._check_input(x)
+        x = self._check_input(x, "input_grad")
         target = np.asarray(target)
         xt = Tensor(x, requires_grad=True)
         with Tape() as tape:

@@ -25,6 +25,7 @@ from .errors import StageError
 from .fusion import (
     FusionHeads,
     SharedEncoder,
+    frozen_memo,
     infer,
     load_heads,
     save_heads,
@@ -61,11 +62,13 @@ class Results:
     fused mIoU plus per-class IoU), ``attention`` one per (domain, style)
     with the mean fusion weight.  A plain run has one arm, named "".  Every
     report is derived from the cells or from ``target_means``.
+    ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end.
     """
 
     cells: list
     oracle_fingerprint: int
     seal_checks: int = 0
+    oracle_queries: dict = None
 
     @property
     def rows(self) -> list:
@@ -272,18 +275,22 @@ def eval_domains(cfg) -> tuple:
 
 @_stage("eval")
 def stage_eval(cfg, domains, gens, enc, heads, oracle, seed, names=None) -> tuple:
-    """Baseline and fused mIoU plus attention statistics per val domain."""
+    """Baseline and fused mIoU plus attention statistics per val domain; the
+    frozen results, the baseline mask too, come from the encoder's memo."""
     a = cfg.apf
     gen_list = list(gens.values())
+    memo = frozen_memo(enc, gen_list, oracle)
     rows, attention = [], []
     for name in (eval_domains(cfg) if names is None else names):
         samples = domains[name]
         xs = np.stack([x.image for x in samples])
         ys = np.stack([x.mask for x in samples])
-        base_iou, base_mean = miou(oracle.predict_mask(xs), ys, CLASS_COUNT)
+        frozen = memo.batch(xs)
+        base_iou, base_mean = miou(frozen.baseline_mask(oracle, xs), ys, CLASS_COUNT)
         pred, weights = infer(
             xs, gen_list, enc, heads, oracle, per_channel=a.per_channel,
             use_softmax=a.use_softmax, use_tanh=a.use_tanh, return_weights=True,
+            frozen=frozen,
         )
         fused_iou, fused_mean = miou(pred, ys, CLASS_COUNT)
         row = {"domain": name, "seed": seed,
@@ -348,7 +355,7 @@ def run_arms(cfg, arms, run_dir=None, names=None):
 
     After every stage from the oracle's on, ``SealCheck`` checks that the
     oracle and the encoder kept their weights.  ``Results`` holds one cell
-    per pair and the number of seal checks passed.
+    per pair, the number of seal checks passed and the oracle's query counts.
     """
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
@@ -371,7 +378,7 @@ def run_arms(cfg, arms, run_dir=None, names=None):
                                          oracle, seed, names)
             check_seal("eval")
             cells.append((arm, seed, rows, attention))
-    return Results(cells, oracle.fingerprint, check_seal.passed)
+    return Results(cells, oracle.fingerprint, check_seal.passed, oracle.queries)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Results:
@@ -391,7 +398,8 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
         meta = {"config_hash": config_hash(cfg),
                 "wall_clock_sec": round(time.time() - t0, 3),
                 "oracle_fingerprint": results.oracle_fingerprint,
-                "seal_checks": results.seal_checks}
+                "seal_checks": results.seal_checks,
+                "oracle_queries": results.oracle_queries}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")

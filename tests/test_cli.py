@@ -342,13 +342,16 @@ class TestResolution:
         ({"seeds": 3}, "seeds"),
         ({"oracle": {"widths": 7}}, "oracle.widths"),
         ({"oracle": {"widths": ["a"]}}, "oracle.widths"),
+        ({"oracle": {"widths": [16.5, 32, 64]}}, "oracle.widths"),
     ])
     def test_malformed_config_reports_error(self, tmp_path, capsys, payload, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(payload))
-        assert main(["--config", str(path), "gen-data"]) == 1
+        out = tmp_path / "runs"
+        assert main(["--config", str(path), "--out", str(out), "gen-data"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert not out.exists()  # nothing was rendered
 
 
 def open_config_text(cfg):

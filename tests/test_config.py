@@ -55,6 +55,8 @@ class TestRoundTrip:
         assert cfg.seeds == (3,)
         assert cfg.spg.iters == 7
         assert cfg.apf == ApfConfig()
+        # betas hold floats by default, so ints are numbers there too
+        assert from_dict({"apf": {"betas": [0, 0.5]}}).apf.betas == (0, 0.5)
 
 
 class TestStrictness:
@@ -92,6 +94,11 @@ class TestValidation:
         {"data": {"base_train": 0}},
         {"seeds": []},
         {"seeds": [1, 1]},
+        # a list whose default holds ints takes ints only
+        {"seeds": [0.5]},
+        {"seeds": [0, 0.5]},
+        {"seeds": [True]},
+        {"oracle": {"widths": [16.5, 32, 64]}},
     ])
     def test_bad_values_rejected(self, override):
         with pytest.raises(ValueError):

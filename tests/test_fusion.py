@@ -27,6 +27,7 @@ from promptseg.fusion import (
 )
 from promptseg.datasets import DomainSpec, make_domain
 from promptseg.oracle import OracleHandle, SegModel
+from promptseg.pipeline import stage_eval
 from promptseg.prompts import ModulatorNetwork, StylePromptGenerator, save_generator
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
@@ -598,3 +599,88 @@ class TestFrozenMemo:
             train_apf(heads, dom, gens, enc, OracleHandle(model), apf)
         per_batch = sum(a.nbytes for a in memo_arrays(enc.memo)) / len(enc.memo.batches)
         assert per_batch * cfg.apf.iters < 25e6
+
+
+def eval_gens():
+    """``memo_gens`` plus a ``full`` generator: one per report style."""
+    gens = memo_gens() + [StylePromptGenerator("s3", "full", height=32, width=32,
+                                               pad=3, depth=4, seed=3)]
+    return {f"s{i}": g for i, g in enumerate(gens)}
+
+
+def eval_arm(world, enc, gens, arm, seed=0):
+    """``stage_eval`` of one fusion arm on the pool, with fresh heads."""
+    _, handle, dom = world
+    cfg = ExperimentConfig(apf=ApfConfig(per_channel=arm[0], use_softmax=arm[1],
+                                         use_tanh=arm[2]))
+    heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=seed)
+    return stage_eval(cfg, {"toy": dom}, gens, enc, heads, handle, 0, ("toy",))
+
+
+def entry_held(entry):
+    """(part, object) for everything a memo entry holds, the mask last."""
+    parts = [(f"low{i}", t) for i, t in enumerate(entry.lows)]
+    parts += [("image", entry.image_emb)]
+    parts += [(f"prompt{k}", t) for k, t in sorted(entry.prompt_emb.items())]
+    return parts + [("mask", entry.mask)]
+
+
+def entry_parts(entry):
+    """(part, per-sample shape, dtype) of every array a memo entry holds."""
+    arrays = [(name, t.data if isinstance(t, Tensor) else t)
+              for name, t in entry_held(entry)]
+    return [(name, None if a is None else (a.shape[1:], a.dtype)) for name, a in arrays]
+
+
+class TestEvalMemo:
+    def test_second_arm_runs_only_its_heads(self, memo_world, call_counts):
+        handle = memo_world[1]
+        enc = SharedEncoder.from_seg_model(memo_world[0])
+        eval_arm(memo_world, enc, eval_gens(), (True, True, True))
+        assert call_counts["encode"] > 0 and call_counts["low_res"] > 0
+        call_counts.update(encode=0, low_res=0)
+        before = handle.queries["predict"]["calls"]
+        eval_arm(memo_world, enc, eval_gens(), (True, False, True), seed=1)
+        assert call_counts == {"encode": 0, "low_res": 0}
+        # the baseline comes from the memo: only the fused prediction runs
+        assert handle.queries["predict"]["calls"] == before + 1
+
+    def test_reused_results_equal_fresh_ones(self, memo_world):
+        model = memo_world[0]
+        enc = SharedEncoder.from_seg_model(model)
+        eval_arm(memo_world, enc, eval_gens(), (True, True, True))
+        for arm in FUSION_ARMS:
+            shared = eval_arm(memo_world, enc, eval_gens(), arm, seed=1)
+            fresh = eval_arm(memo_world, SharedEncoder.from_seg_model(model),
+                             eval_gens(), arm, seed=1)
+            # repr is exact for floats and equal for NaN
+            assert repr(shared) == repr(fresh), arm
+
+    def test_infer_without_an_entry_leaves_the_memo_alone(self, memo_world):
+        model, handle, dom = memo_world
+        enc = SharedEncoder.from_seg_model(model)
+        gens = eval_gens()
+        eval_arm(memo_world, enc, gens, (True, True, True))
+        memo = enc.memo
+        (entry,) = memo.batches.values()
+        held = [id(t) for _, t in entry_held(entry)]
+        heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
+        x = np.stack([s.image for s in dom])
+        for batch in (x, x[:4]):
+            infer(batch, list(gens.values()), enc, heads, handle, per_channel=False)
+        assert enc.memo is memo and list(memo.batches.values()) == [entry]
+        assert [id(t) for _, t in entry_held(entry)] == held
+
+    def test_eval_entry_adds_the_baseline_mask(self, memo_world):
+        model, _, dom = memo_world
+        enc = SharedEncoder.from_seg_model(model)
+        gens = eval_gens()
+        arm = (True, True, True)
+        train_arm(memo_world, enc, list(gens.values()), arm, iters=1)
+        (trained,) = enc.memo.batches.values()
+        eval_arm(memo_world, enc, gens, arm)
+        evaluated = [b for b in enc.memo.batches.values() if b is not trained]
+        assert len(evaluated) == 1 and trained.mask is None
+        entry = evaluated[0]
+        assert entry_parts(entry)[:-1] == entry_parts(trained)[:-1]
+        assert entry.mask.dtype == np.uint8 and entry.mask.shape == (len(dom), 32, 32)

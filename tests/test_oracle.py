@@ -141,6 +141,18 @@ class TestHandle:
         with pytest.raises(ValueError):
             handle.predict(bad)
 
+    def test_queries_count_calls_and_images(self):
+        model = SegModel(4, stream(3, "queries"), widths=(4, 6, 8))
+        handle = OracleHandle(model)
+        x = np.zeros((3, 3, 8, 8), np.float32)
+        handle.predict(x)
+        handle.predict_mask(x[:2])
+        handle.input_grad(x[:1], np.zeros((1, 8, 8), np.int64))
+        with pytest.raises(ValueError):
+            handle.predict(np.zeros((1, 3, 7, 8), np.float32))
+        assert handle.queries == {"predict": {"calls": 2, "images": 5},
+                                  "input_grad": {"calls": 1, "images": 1}}
+
     def test_params_receive_no_gradients(self, trained):
         model, handle, _, val, _ = trained
         handle.input_grad(stack_images(val[:1]), stack_masks(val[:1]))

@@ -114,8 +114,9 @@ class TestRunLayout:
         with open(os.path.join(run_dir, "report_meta.json")) as f:
             meta = json.load(f)
         assert set(meta) == {"config_hash", "wall_clock_sec",
-                             "oracle_fingerprint", "seal_checks"}
+                             "oracle_fingerprint", "seal_checks", "oracle_queries"}
         assert meta["wall_clock_sec"] > 0
+        assert set(meta["oracle_queries"]) == {"predict", "input_grad"}
         # after the oracle, then after SPG, APF and eval for each of 2 seeds
         assert meta["seal_checks"] == 1 + 2 * 3
 
@@ -331,6 +332,11 @@ def generators_suite(suite_cfg):
     return ablate_and_digest_world(suite_cfg, "generators")
 
 
+@pytest.fixture(scope="module")
+def fusion_suite(suite_cfg):
+    return ablate(suite_cfg, "fusion")
+
+
 class TestAblationSuites:
     def test_generator_suite_structure(self, suite_cfg, generators_suite):
         results, _ = generators_suite
@@ -346,12 +352,18 @@ class TestAblationSuites:
         assert list(results.arm_means()) == ["zero", "uniform", "normal", "meta"]
         assert set(digests) == set(domain_specs(suite_cfg))
 
-    def test_fusion_suite_has_eight_arms(self, suite_cfg):
-        names = list(ablate(suite_cfg, "fusion").arm_means())
+    def test_fusion_suite_has_eight_arms(self, fusion_suite):
+        names = list(fusion_suite.arm_means())
         assert len(names) == 8
         assert "pn+softmax+tanh" in names
         assert "none" in names
         assert "pn+tanh" in names
+
+    def test_fusion_arms_share_the_baseline(self, suite_cfg, fusion_suite):
+        # per target domain one baseline prediction and one fused one per arm
+        calls = len(TARGET_NAMES) * (1 + 8)
+        assert fusion_suite.oracle_queries["predict"] == {
+            "calls": calls, "images": calls * suite_cfg.data.target_val}
 
     @pytest.mark.parametrize("suite, sets_per_seed", [("fusion", 1), ("init", 4)])
     def test_arms_with_equal_spg_share_generators(self, suite_cfg, monkeypatch,
