@@ -20,23 +20,21 @@ from .checkpoint import atomic_open
 from .config import default_config, load_config
 from .datasets import Sample, load_domain, save_domain
 from .errors import FormatError, StageError
-from .fusion import SharedEncoder, infer
+from .fusion import infer
 from .pipeline import (
     STYLE_NAMES,
     SUITES,
-    SealCheck,
     ablate,
     eval_domains,
     evaluate_run,
     load_seed_artifacts,
     open_run,
+    run_arms,
     run_dir_for,
     run_pipeline,
     seed_dir,
-    stage_apf,
     stage_data,
     stage_oracle,
-    stage_spg,
     write_csv,
 )
 from .scenes import PALETTE
@@ -122,15 +120,10 @@ def cmd_train_spg(cfg, args):
     spg = dataclasses.replace(cfg.spg, variant=args.variant or cfg.spg.variant,
                               init=args.init or cfg.spg.init)
     cfg = dataclasses.replace(cfg, spg=spg).validate()
-    run_dir = open_run(cfg)
-    domains = stage_data(cfg, run_dir)
-    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
-    check_seal = SealCheck(oracle, SharedEncoder.from_seg_model(model))
+    run_arms(cfg, {"": cfg}, open_run(cfg), last="train-spg", only=args.style)
+    names = (args.style,) if args.style else STYLE_NAMES
     for seed in cfg.seeds:
-        gens = stage_spg(cfg, domains, oracle, seed, seed_dir(run_dir, seed),
-                         only=args.style)
-        check_seal("train-spg")
-        print(f"seed {seed}: generators {', '.join(gens)}")
+        print(f"seed {seed}: generators {', '.join(names)}")
 
 
 def cmd_train_apf(cfg, args):
@@ -142,17 +135,9 @@ def cmd_train_apf(cfg, args):
     )
     cfg = dataclasses.replace(cfg, apf=apf)
     run_dir = open_run(cfg)
-    domains = stage_data(cfg, run_dir)
-    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
-    enc = SharedEncoder.from_seg_model(model)
-    check_seal = SealCheck(oracle, enc)
+    run_arms(cfg, {"": cfg}, run_dir, last="train-apf")
     for seed in cfg.seeds:
-        sdir = seed_dir(run_dir, seed)
-        gens = stage_spg(cfg, domains, oracle, seed, sdir)
-        check_seal("train-spg")
-        stage_apf(cfg, domains, gens, enc, oracle, seed, sdir)
-        check_seal("train-apf")
-        print(f"seed {seed}: fusion heads -> {sdir}")
+        print(f"seed {seed}: fusion heads -> {seed_dir(run_dir, seed)}")
 
 
 def cmd_eval(cfg, args):

@@ -9,6 +9,7 @@ silently dropped, and a load-save round trip is byte-identical.
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from .checkpoint import atomic_open
@@ -95,8 +96,11 @@ class ExperimentConfig:
 
     def validate(self):
         """Reject a config that cannot run, before any stage spends compute."""
-        if self.data.size < 8 or self.data.size % 8:
-            raise ValueError(f"size must be a positive multiple of 8, got {self.data.size}")
+        for key, value in _leaves(self):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        if self.data.size < 16 or self.data.size % 8:  # a scene's sign disc needs 16 px
+            raise ValueError(f"data.size must be a multiple of 8, at least 16, got {self.data.size}")
         for field in ("base_train", "base_val", "styled_train", "styled_val",
                       "target_val"):
             if getattr(self.data, field) < 1:
@@ -127,6 +131,16 @@ class ExperimentConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         return self
+
+
+def _leaves(obj, key=""):
+    """(dotted key, value) for every scalar of a config, tuple entries as ``key[i]``."""
+    if dataclasses.is_dataclass(obj):
+        return [leaf for f in dataclasses.fields(obj) for leaf in
+                _leaves(getattr(obj, f.name), f"{key}.{f.name}".lstrip("."))]
+    if isinstance(obj, tuple):
+        return [leaf for i, v in enumerate(obj) for leaf in _leaves(v, f"{key}[{i}]")]
+    return [(key, obj)]
 
 
 def default_config() -> ExperimentConfig:

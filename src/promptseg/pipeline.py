@@ -67,8 +67,8 @@ class Results:
 
     cells: list
     oracle_fingerprint: int
-    seal_checks: int = 0
-    oracle_queries: dict = None
+    seal_checks: int
+    oracle_queries: dict
 
     @property
     def rows(self) -> list:
@@ -243,7 +243,11 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
     """Train the fusion heads; everything else stays frozen."""
     path = None if seed_dir is None else os.path.join(seed_dir, "apf.ckpt")
     if path is not None and os.path.exists(path):
-        return _load_checked_heads(path, enc)
+        heads, enc_fp = load_heads(path)
+        if enc_fp != enc.fingerprint():
+            raise StageError(f"{path}: fusion heads were trained against a "
+                             "different encoder (fingerprint mismatch)")
+        return heads
     a = cfg.apf
     source = list(domains["base_train"])
     if a.mix_styled:
@@ -256,15 +260,6 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
     train_apf(heads, source, list(gens.values()), enc, oracle, a, seed=seed)
     if path is not None:
         save_heads(path, heads, enc.fingerprint())
-    return heads
-
-
-def _load_checked_heads(path, enc):
-    """Heads saved at ``path``, refused unless trained against ``enc``."""
-    heads, enc_fp = load_heads(path)
-    if enc_fp != enc.fingerprint():
-        raise StageError(f"{path}: fusion heads were trained against a "
-                         "different encoder (fingerprint mismatch)")
     return heads
 
 
@@ -323,28 +318,7 @@ def report_columns():
     return cols
 
 
-class SealCheck:
-    """The runtime seal check, called after a stage with the stage's name.
-
-    It compares the live weights of the oracle and of the encoder with their
-    fingerprints when the check was built; a change raises ``StageError``
-    naming the stage.  ``passed`` counts the checks that held.
-    """
-
-    def __init__(self, oracle, enc):
-        self.oracle, self.enc = oracle, enc
-        self.enc_fingerprint = enc.fingerprint()
-        self.passed = 0
-
-    def __call__(self, stage):
-        if self.oracle.current_fingerprint() != self.oracle.fingerprint:
-            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
-        if self.enc.fingerprint() != self.enc_fingerprint:
-            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
-        self.passed += 1
-
-
-def run_arms(cfg, arms, run_dir=None, names=None):
+def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
     """Train and evaluate every (seed, arm) pair on one world.
 
     The world (domains, oracle, encoder) is built once from ``cfg``; ``arms``
@@ -352,15 +326,28 @@ def run_arms(cfg, arms, run_dir=None, names=None):
     ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
     one set of generators.  Artifacts go under ``run_dir``, which only a
     one-arm run should pass; a rerun loads what it holds, so it resumes.
+    It stops after stage ``last`` (a cell short of "eval" has no rows) and
+    hands ``only``, the one style to train, to ``stage_spg``.
 
-    After every stage from the oracle's on, ``SealCheck`` checks that the
-    oracle and the encoder kept their weights.  ``Results`` holds one cell
-    per pair, the number of seal checks passed and the oracle's query counts.
+    After every stage from the oracle's on, the runtime seal check compares
+    the live weights of the oracle and of the encoder with their
+    fingerprints at build; a change raises ``StageError`` naming the stage.
+    ``Results`` holds one cell per pair, the number of seal checks passed
+    and the oracle's query counts.
     """
     domains = stage_data(cfg, run_dir)
     model, oracle, _ = stage_oracle(cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
-    check_seal = SealCheck(oracle, enc)
+    enc_fingerprint, seal_checks = enc.fingerprint(), 0
+
+    def check_seal(stage):
+        nonlocal seal_checks
+        if oracle.current_fingerprint() != oracle.fingerprint:
+            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
+        if enc.fingerprint() != enc_fingerprint:
+            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
+        seal_checks += 1
+
     check_seal("pretrain-oracle")
     cells = []
     for seed in cfg.seeds:
@@ -369,16 +356,20 @@ def run_arms(cfg, arms, run_dir=None, names=None):
         shared = {}
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
-                shared[arm_cfg.spg] = stage_spg(arm_cfg, domains, oracle, seed, sdir)
+                shared[arm_cfg.spg] = stage_spg(arm_cfg, domains, oracle, seed,
+                                                sdir, only)
                 check_seal("train-spg")
             gens = shared[arm_cfg.spg]
-            heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, sdir)
-            check_seal("train-apf")
-            rows, attention = stage_eval(arm_cfg, domains, gens, enc, heads,
-                                         oracle, seed, names)
-            check_seal("eval")
+            rows, attention = [], []
+            if last != "train-spg":
+                heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, sdir)
+                check_seal("train-apf")
+                if last == "eval":
+                    rows, attention = stage_eval(arm_cfg, domains, gens, enc,
+                                                 heads, oracle, seed, names)
+                    check_seal("eval")
             cells.append((arm, seed, rows, attention))
-    return Results(cells, oracle.fingerprint, check_seal.passed, oracle.queries)
+    return Results(cells, oracle.fingerprint, seal_checks, oracle.queries)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Results:
@@ -409,39 +400,36 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
 # ---------------------------------------------------------------------------
 # reporting: load a finished run or fail
 
-def _saved(directory, name, stage):
-    """Path of ``name`` in ``directory``, which ``stage`` must have written."""
-    path = os.path.join(directory, name)
-    if not os.path.exists(path):
-        raise StageError(f"no checkpoint at {path}; run {stage} first")
-    return path
+def _require_trained(run_dir, seeds):
+    """Fail, naming the stage to run, unless every checkpoint of ``seeds`` is saved."""
+    needed = {os.path.join(run_dir, "oracle.ckpt"): "pretrain-oracle"}
+    for sdir in (seed_dir(run_dir, seed) for seed in seeds):
+        needed |= {os.path.join(sdir, f"spg_{n}.ckpt"): "train-spg" for n in STYLE_NAMES}
+        needed[os.path.join(sdir, "apf.ckpt")] = "train-apf"
+    for path, stage in needed.items():
+        if not os.path.exists(path):
+            raise StageError(f"no checkpoint at {path}; run {stage} first")
 
 
 def load_seed_artifacts(cfg, run_dir, seed):
     """Rehydrate (model, oracle, enc, gens, heads) from a finished run."""
-    model = load_oracle(_saved(run_dir, "oracle.ckpt", "pretrain-oracle"))
-    oracle = OracleHandle(model)
+    _require_trained(run_dir, (seed,))
+    model, oracle, _ = stage_oracle(cfg, None, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     sdir = seed_dir(run_dir, seed)
-    gens = {name: load_generator(_saved(sdir, f"spg_{name}.ckpt", "train-spg"))
-            for name in STYLE_NAMES}
-    heads = _load_checked_heads(_saved(sdir, "apf.ckpt", "train-apf"), enc)
+    gens = stage_spg(cfg, None, oracle, seed, sdir)
+    heads = stage_apf(cfg, None, gens, enc, oracle, seed, sdir)
     return model, oracle, enc, gens, heads
 
 
 def evaluate_run(cfg, run_dir, names=None) -> Results:
     """A finished run evaluated again, every seed, ``names`` or all domains.
 
-    Every seed's artifacts load before the data, so a run that is not
-    trained fails before anything is rendered into its directory.
+    A run that is not trained fails before anything is rendered into its
+    directory; ``run_arms`` then loads every artifact and checks the seal.
     """
-    arts = {seed: load_seed_artifacts(cfg, run_dir, seed) for seed in cfg.seeds}
-    domains = stage_data(cfg, run_dir)
-    cells = []
-    for seed, (_, oracle, enc, gens, heads) in arts.items():
-        cells.append(("", seed, *stage_eval(cfg, domains, gens, enc, heads,
-                                            oracle, seed, names)))
-    return Results(cells, oracle.fingerprint)
+    _require_trained(run_dir, cfg.seeds)
+    return run_arms(cfg, {"": cfg}, run_dir, names)
 
 
 # ---------------------------------------------------------------------------

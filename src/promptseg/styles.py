@@ -23,9 +23,6 @@ class StyleParams:
     v_ramp: float = 0.0  # vertical lighting slope; > 0 brightens the bottom
 
 
-IDENTITY = StyleParams()
-
-
 def hue_rotation_matrix(degrees: float) -> np.ndarray:
     """Rotation of RGB space about the gray axis (1,1,1)/sqrt(3)."""
     if degrees == 0.0:

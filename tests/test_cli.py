@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import tiny_experiment
 
-from promptseg import cli, pipeline
+from promptseg import pipeline
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
 from promptseg.datasets import domain_digest, load_domain
@@ -263,6 +263,19 @@ class TestPretrainOracle:
         assert os.path.exists(os.path.join(run_dir_for(cfg), "oracle.ckpt"))
 
 
+def drift_oracle_after(monkeypatch, stage):
+    """Make ``pipeline.<stage>`` write into the sealed oracle's weights after it runs."""
+    run = getattr(pipeline, stage)
+
+    def drifting(*args, **kwargs):
+        out = run(*args, **kwargs)
+        oracle = next(a for a in args if isinstance(a, OracleHandle))
+        oracle._model.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(pipeline, stage, drifting)
+
+
 class TestSealCheck:
     @pytest.mark.parametrize("command,stage", [("train-spg", "stage_spg"),
                                                ("train-apf", "stage_apf")])
@@ -270,21 +283,23 @@ class TestSealCheck:
                                             command, stage):
         # a stage that writes into the sealed oracle's weights is caught
         # right after it, as in run-all
-        train = getattr(cli, stage)
-
-        def drifting(*args, **kwargs):
-            out = train(*args, **kwargs)
-            oracle = next(a for a in args if isinstance(a, OracleHandle))
-            oracle._model.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
-            return out
-
-        monkeypatch.setattr(cli, stage, drifting)
+        drift_oracle_after(monkeypatch, stage)
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
         cfg_path = str(tmp_path / "config.json")
         save_config(cfg_path, cfg)
         assert main(["--config", cfg_path, command]) == 1
         err = capsys.readouterr().err
         assert f"stage '{command}' changed the sealed oracle's weights" in err
+
+    @pytest.mark.parametrize("command", ["eval", "attention-report"])
+    def test_drift_during_eval_fails_a_report(self, staged, monkeypatch, capsys,
+                                              command):
+        # the reports of a trained run evaluate through the same checked chain
+        _, cfg_path, _ = staged
+        drift_oracle_after(monkeypatch, "stage_eval")
+        assert main(["--config", cfg_path, command]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'eval' changed the sealed oracle's weights" in err
 
 
 class TestAblateCommand:
@@ -343,6 +358,11 @@ class TestResolution:
         ({"oracle": {"widths": 7}}, "oracle.widths"),
         ({"oracle": {"widths": ["a"]}}, "oracle.widths"),
         ({"oracle": {"widths": [16.5, 32, 64]}}, "oracle.widths"),
+        # json reads NaN and Infinity; validation refuses them before any compute
+        ({"apf": {"lr": float("nan")}}, "apf.lr"),
+        ({"oracle": {"lr": float("inf")}}, "oracle.lr"),
+        ({"spg": {"momentum": float("nan")}}, "spg.momentum"),
+        ({"data": {"jitter": {"haze": float("nan")}}}, "data.jitter.haze"),
     ])
     def test_malformed_config_reports_error(self, tmp_path, capsys, payload, key):
         path = tmp_path / "cfg.json"

@@ -99,6 +99,8 @@ class TestValidation:
         {"seeds": [0, 0.5]},
         {"seeds": [True]},
         {"oracle": {"widths": [16.5, 32, 64]}},
+        # a multiple of 8 too small for a scene's sign disc to render
+        {"data": {"size": 8}, "spg": {"variant": "full"}},
     ])
     def test_bad_values_rejected(self, override):
         with pytest.raises(ValueError):

@@ -204,6 +204,22 @@ class TestArtifactLoading:
             pipeline.stage_apf(other, domains, gens, enc, oracle, 0, sdir)
 
 
+class TestEvaluateRun:
+    def test_one_oracle_load_and_a_seal_check_per_stage(self, tiny_run, monkeypatch):
+        # a finished run is evaluated through run_arms: the oracle loads once
+        # for every seed, each stage is seal-checked, and the rows are the run's
+        cfg, report, run_dir = tiny_run
+        loads = []
+        load_oracle = pipeline.load_oracle
+        monkeypatch.setattr(pipeline, "load_oracle",
+                            lambda path: loads.append(path) or load_oracle(path))
+        results = pipeline.evaluate_run(cfg, run_dir)
+        assert loads == [os.path.join(run_dir, "oracle.ckpt")]
+        assert results.seal_checks == 1 + 3 * len(cfg.seeds)
+        assert results.oracle_queries["predict"]["calls"] > 0
+        assert results.rows == report.rows
+
+
 class TestDeterminism:
     # each run gets its own root, so the second trains rather than loading
     # the first's artifacts; config.json embeds the root, and wall clock

@@ -13,7 +13,6 @@ from promptseg.datasets import (
 from promptseg.errors import FormatError
 from promptseg.scenes import PALETTE, SceneSpec, render_scene
 from promptseg.styles import (
-    IDENTITY,
     StyleJitter,
     StyleParams,
     TARGET_STYLES,
@@ -88,7 +87,7 @@ class TestRenderScene:
 class TestApplyStyle:
     def test_identity_is_bitwise_noop(self):
         img = render_scene(SceneSpec(seed=1), 0).image
-        out = apply_style(img, IDENTITY, seed=9)
+        out = apply_style(img, StyleParams(), seed=9)
         assert out.tobytes() == img.tobytes()
 
     def test_full_haze_is_uniform_gray(self):
