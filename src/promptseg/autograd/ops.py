@@ -1,11 +1,13 @@
 """Differentiable network ops built on the tape in ``tensor``.
 
-Convolution is lowered to one BLAS matmul (im2col): a strided sliding-window
-view of the padded input, transposed to (B, OH, OW, C, k, k) and reshaped,
-gives the column matrix in a single copy.  Its backward scatters column
-gradients back with k*k strided slice additions in a fixed loop order, so
-results are bit-reproducible on repeated runs.  Bilinear upsampling is a pair
-of precomputed interpolation matrices applied as batched matmuls.
+Convolution is lowered to one BLAS matmul (im2col) on channel-major columns:
+a strided sliding-window view of the padded input, transposed to
+(C, k, k, B, OH, OW) and reshaped to (C*k*k, B*OH*OW) in one copy, whose
+inner axis is a row of the input.  Its backward views the column gradient
+the same way and adds it back with k*k strided slice additions in a fixed
+loop order, so results are bit-reproducible on repeated runs.  Bilinear
+upsampling is a pair of precomputed interpolation matrices applied as
+batched matmuls.
 """
 
 from functools import lru_cache
@@ -29,15 +31,6 @@ def _as_tensor(x, name):
 
 # ---------------------------------------------------------------------------
 # convolution
-
-def _col2im(dcols, xp_shape, k, stride, out_h, out_w):
-    dxp = np.zeros(xp_shape, dtype=dcols.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            dxp[:, :, ki : ki + stride * out_h : stride,
-                kj : kj + stride * out_w : stride] += dcols[:, :, ki, kj]
-    return dxp
-
 
 def conv2d(x, weight, bias, stride=1, padding=0):
     """2-D convolution, NCHW input, OIHW weight, square kernel.
@@ -66,26 +59,30 @@ def conv2d(x, weight, bias, stride=1, padding=0):
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    # rows: every output position, columns: the receptive field.  The window
+    # rows: the receptive field, columns: every output position.  The window
     # view is strided over xp itself; the reshape is the only copy.
     windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
-    cols = windows.reshape(b * out_h * out_w, c_in * k * k)
+    windows = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+    cols = windows.reshape(c_in * k * k, b * out_h * out_w)
     wmat = weight.data.reshape(c_out, -1)
-    out = cols @ wmat.T
+    out = wmat @ cols
     if not weight.requires_grad:
         cols = None  # only the weight gradient reads the columns
-    out += bias.data
-    out = np.ascontiguousarray(out.reshape(b, out_h, out_w, c_out).transpose(0, 3, 1, 2))
+    out += bias.data[:, None]
+    out = np.ascontiguousarray(out.reshape(c_out, b, out_h, out_w).transpose(1, 0, 2, 3))
 
     def backward_fn(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(-1, c_out)
-        gw = (g2.T @ cols).reshape(weight.shape) if weight.requires_grad else None
-        gb = g2.sum(axis=0) if bias.requires_grad else None
+        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
+        gw = (g2 @ cols.T).reshape(weight.shape) if weight.requires_grad else None
+        gb = g2.sum(axis=1) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            dcols = (g2 @ wmat).reshape(b, out_h, out_w, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-            dxp = _col2im(np.ascontiguousarray(dcols), xp.shape, k, stride, out_h, out_w)
+            dcols = (wmat.T @ g2).reshape(c_in, k, k, b, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
+            dxp = np.zeros(xp.shape, dtype=dcols.dtype)
+            for ki in range(k):
+                for kj in range(k):
+                    dxp[:, :, ki : ki + stride * out_h : stride,
+                        kj : kj + stride * out_w : stride] += dcols[:, :, ki, kj]
             gx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
         return gx, gw, gb
 

@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from .autograd import NonFiniteError
 from .checkpoint import atomic_open
 from .config import default_config, load_config
 from .datasets import Sample, load_domain, save_domain
@@ -169,9 +170,11 @@ def cmd_infer(cfg, args):
     samples = load_domain(args.input)
     xs = np.stack([s.image for s in samples])
     a = cfg.apf
-    pred = infer(xs, list(gens.values()), enc, heads, oracle,
-                 per_channel=a.per_channel, use_softmax=a.use_softmax,
-                 use_tanh=a.use_tanh)
+    # a finite but huge pixel can overflow a layer: guard_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = infer(xs, list(gens.values()), enc, heads, oracle,
+                     per_channel=a.per_channel, use_softmax=a.use_softmax,
+                     use_tanh=a.use_tanh)
     out = [Sample(image=s.image, mask=pred[i].astype(np.uint8),
                   class_count=oracle.class_count)
            for i, s in enumerate(samples)]
@@ -254,7 +257,7 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         COMMANDS[args.command](cfg, args)
-    except (StageError, FormatError, ValueError) as e:
+    except (StageError, FormatError, ValueError, NonFiniteError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -62,13 +62,16 @@ class Results:
     fused mIoU plus per-class IoU), ``attention`` one per (domain, style)
     with the mean fusion weight.  A plain run has one arm, named "".  Every
     report is derived from the cells or from ``target_means``.
-    ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end.
+    ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end;
+    ``stage_seconds`` the wall time summed per stage ("data", "oracle",
+    "spg", "apf", "eval"), which no byte contract covers.
     """
 
     cells: list
     oracle_fingerprint: int
     seal_checks: int
     oracle_queries: dict
+    stage_seconds: dict
 
     @property
     def rows(self) -> list:
@@ -332,11 +335,19 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
     After every stage from the oracle's on, the runtime seal check compares
     the live weights of the oracle and of the encoder with their
     fingerprints at build; a change raises ``StageError`` naming the stage.
-    ``Results`` holds one cell per pair, the number of seal checks passed
-    and the oracle's query counts.
+    ``Results`` holds one cell per pair, the number of seal checks passed,
+    the oracle's query counts and the seconds spent in each stage.
     """
-    domains = stage_data(cfg, run_dir)
-    model, oracle, _ = stage_oracle(cfg, domains, run_dir)
+    seconds = {}
+
+    def timed(name, stage, *args):
+        t0 = time.perf_counter()
+        out = stage(*args)
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        return out
+
+    domains = timed("data", stage_data, cfg, run_dir)
+    model, oracle, _ = timed("oracle", stage_oracle, cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     enc_fingerprint, seal_checks = enc.fingerprint(), 0
 
@@ -356,20 +367,21 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
         shared = {}
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
-                shared[arm_cfg.spg] = stage_spg(arm_cfg, domains, oracle, seed,
-                                                sdir, only)
+                shared[arm_cfg.spg] = timed("spg", stage_spg, arm_cfg, domains,
+                                            oracle, seed, sdir, only)
                 check_seal("train-spg")
             gens = shared[arm_cfg.spg]
             rows, attention = [], []
             if last != "train-spg":
-                heads = stage_apf(arm_cfg, domains, gens, enc, oracle, seed, sdir)
+                heads = timed("apf", stage_apf, arm_cfg, domains, gens, enc,
+                              oracle, seed, sdir)
                 check_seal("train-apf")
                 if last == "eval":
-                    rows, attention = stage_eval(arm_cfg, domains, gens, enc,
-                                                 heads, oracle, seed, names)
+                    rows, attention = timed("eval", stage_eval, arm_cfg, domains,
+                                            gens, enc, heads, oracle, seed, names)
                     check_seal("eval")
             cells.append((arm, seed, rows, attention))
-    return Results(cells, oracle.fingerprint, seal_checks, oracle.queries)
+    return Results(cells, oracle.fingerprint, seal_checks, oracle.queries, seconds)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Results:
@@ -390,7 +402,9 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
                 "wall_clock_sec": round(time.time() - t0, 3),
                 "oracle_fingerprint": results.oracle_fingerprint,
                 "seal_checks": results.seal_checks,
-                "oracle_queries": results.oracle_queries}
+                "oracle_queries": results.oracle_queries,
+                "stage_seconds": {name: round(sec, 3)
+                                  for name, sec in results.stage_seconds.items()}}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")

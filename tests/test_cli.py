@@ -16,7 +16,7 @@ from conftest import tiny_experiment
 from promptseg import pipeline
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
-from promptseg.datasets import domain_digest, load_domain
+from promptseg.datasets import domain_digest, load_domain, save_domain
 from promptseg.oracle import OracleHandle
 from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
 
@@ -91,6 +91,18 @@ class TestStagedCommands:
             assert np.array_equal(after.image, before.image)
             assert after.mask.shape == before.mask.shape
             assert after.mask.max() < after.class_count
+
+    def test_infer_overflowing_pixel_is_an_error(self, staged, tmp_path, capsys):
+        # finite, so the loader accepts it, but the first conv overflows
+        cfg, cfg_path, run_dir = staged
+        samples = load_domain(os.path.join(run_dir, "data", "base_val.dom"))
+        samples[0].image[0, 0, 0] = 3e38
+        src = str(tmp_path / "huge.dom")
+        save_domain(src, samples)
+        assert main(["--config", cfg_path, "infer", "--input", src,
+                     "--out", str(tmp_path / "pred.dom")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "pred.dom")
 
     def test_infer_color_ppm_output(self, staged, tmp_path):
         cfg, cfg_path, run_dir = staged

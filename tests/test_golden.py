@@ -40,8 +40,8 @@ RUN_HASH = "54c87d710bb8981f"
 GOLDEN = {
     "SkylakeX": {
         "run": {
-            "attention.csv": "b2b43f6eefbd635b9c15c87f248b6a53",
-            "attention_report.csv": "fc6ffd35a2df26782b58ed02d5c4c174",
+            "attention.csv": "6e282661109dd0787abff5e024f9d96e",
+            "attention_report.csv": "80c5b59dc43b9da3f35623ac60e4ca7d",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -54,100 +54,100 @@ GOLDEN = {
             "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
             "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
-            "oracle.ckpt": "c1f267b1a47af7f555bff850924abe69",
-            "report.csv": "2af56fbee52e51f14be49d68914841a3",
-            "seed0/apf.ckpt": "8958f3f2919231f74b3f6c48b449f929",
-            "seed0/spg_cool_dim.ckpt": "a8ec9b00ce2cd151c2afe7ff8717a346",
-            "seed0/spg_green_bright.ckpt": "27f7f3daf73474b34fac5e302bab6ac9",
-            "seed0/spg_high_contrast.ckpt": "67adf9cba3d018b3ef521ef4d9528c52",
-            "seed0/spg_warm_hazy.ckpt": "dad2b32e3b099813bdeb35266ed4f2e7",
-            "seed1/apf.ckpt": "265c7ce947053b38394a9bee398c94c7",
-            "seed1/spg_cool_dim.ckpt": "29d78ffe18f5afcbb7781de343044bd9",
-            "seed1/spg_green_bright.ckpt": "265703b83f268dd44fc689076e350fe6",
-            "seed1/spg_high_contrast.ckpt": "ede34c4d0df27f2b1a4d3bba5f24332b",
-            "seed1/spg_warm_hazy.ckpt": "0676c768d3072e633ed0310ff118a612",
+            "oracle.ckpt": "705dc21e991a9ae80862b1caec8b5e57",
+            "report.csv": "5bfcf7330c6acae79e3dbde8f72073b0",
+            "seed0/apf.ckpt": "5043a84d0a87fcb6078919b7135fbb22",
+            "seed0/spg_cool_dim.ckpt": "2781a314559dfe2f63e3282d7c310146",
+            "seed0/spg_green_bright.ckpt": "8e3c252a270855681f90d7e2797dd9e8",
+            "seed0/spg_high_contrast.ckpt": "9834a158b06d5f1dc1989ccba57b2213",
+            "seed0/spg_warm_hazy.ckpt": "3f27fcb6f31c1688f6361f86f0756258",
+            "seed1/apf.ckpt": "14992772ec3ff54fcdba6eaeb0a5d167",
+            "seed1/spg_cool_dim.ckpt": "2c58b20f00d421ffb06dc716a2b5bcbe",
+            "seed1/spg_green_bright.ckpt": "58716a95c870a110e026f1ca55a3fbe7",
+            "seed1/spg_high_contrast.ckpt": "3b8a70b1fd09ae577c08573c92d60c4c",
+            "seed1/spg_warm_hazy.ckpt": "f373d38cff69b2ce7369fe8e61cbf1fd",
         },
         "fusion_tables": {
-            "ablate_fusion.csv": "29e008cf4f00d9247daea7e2af0324c9",
-            "ablate_fusion.md": "154b434e09224462b1524cea35d0925d",
+            "ablate_fusion.csv": "7b5e6eea980390649fc4c8e797108baa",
+            "ablate_fusion.md": "4509024956814e3b91d2ab7ec1d054ed",
         },
         "fusion": {
-            "pn+softmax+tanh": 0.11867928787600932,
-            "pn+softmax": 0.11867928787600932,
-            "pn+tanh": 0.09996535115430782,
-            "pn": 0.11172680420221467,
-            "softmax+tanh": 0.12523038874650685,
-            "softmax": 0.12505357191574704,
-            "tanh": 0.10513592203152883,
-            "none": 0.11709777315744299,
+            "pn+softmax+tanh": 0.11601995027000148,
+            "pn+softmax": 0.11571896745694762,
+            "pn+tanh": 0.10066538628828747,
+            "pn": 0.11226972363936313,
+            "softmax+tanh": 0.1261755253205985,
+            "softmax": 0.1261755253205985,
+            "tanh": 0.10961306221079264,
+            "none": 0.1151991738212961,
         },
         "init": {
-            "zero": 0.11867928787600932,
+            "zero": 0.11601995027000148,
             "uniform": 0.0987809356053361,
-            "normal": 0.10701998117489712,
-            "meta": 0.10664379258957665,
-        },
-        "generators": {
-            "border": 0.10840086179455391,
-            "a_border": 0.11867928787600932,
-            "full": 0.12137256034571545,
-            "a_full": 0.1115440769973333,
-        },
-    },
-    "Haswell": {
-        "run": {
-            "attention.csv": "a8354decc0d7a3e24dce855f8600d2d0",
-            "attention_report.csv": "5f709bc54f99dce7d1d3b91359410cfd",
-            "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
-            "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
-            "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
-            "data/cool_dim_val.dom": "e770dfa3d730aadcfe176b126f074768",
-            "data/dusk_val.dom": "6ce82a3f23a033766d4d5b339d98df36",
-            "data/green_bright_train.dom": "0cf49ab7447d7942ec542749a4d00b93",
-            "data/green_bright_val.dom": "f368f7d5e58d6a828f0255f2cda0be68",
-            "data/high_contrast_train.dom": "65e406a49927ae2aaebe4f5724f5c22b",
-            "data/high_contrast_val.dom": "6a7aad3a9da9d9dc05d8a498a538a1da",
-            "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
-            "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
-            "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
-            "oracle.ckpt": "d35f941c57f581305c470ad2333c4f7f",
-            "report.csv": "a4716abd77c5ea8d8c1b40e9e81c5fb2",
-            "seed0/apf.ckpt": "0ffa5217549d51a983267c86c6a6af07",
-            "seed0/spg_cool_dim.ckpt": "075b1ac00b699765f5edcd00a14963c6",
-            "seed0/spg_green_bright.ckpt": "c429b0aeeb112e9bdc174ef59a366f45",
-            "seed0/spg_high_contrast.ckpt": "13d73c5277460e5ba6df29ef312e7d3d",
-            "seed0/spg_warm_hazy.ckpt": "dca33b1539b0c06dff6eb09fb6d797f4",
-            "seed1/apf.ckpt": "90936069a56782ac1b30e64352c4c170",
-            "seed1/spg_cool_dim.ckpt": "491d5f1c43492423b676a5019525b21d",
-            "seed1/spg_green_bright.ckpt": "63b88714e09ebc3e83b262bb5cef8887",
-            "seed1/spg_high_contrast.ckpt": "86386200ae997394a51c1b04af880e50",
-            "seed1/spg_warm_hazy.ckpt": "d937f81bcf1fa70106bd11a0861a8ca8",
-        },
-        "fusion_tables": {
-            "ablate_fusion.csv": "417ece30d8ef33c7248d12c092968f70",
-            "ablate_fusion.md": "df675c0eae3cb7b51761749b7b7b91ae",
-        },
-        "fusion": {
-            "pn+softmax+tanh": 0.11976762035334335,
-            "pn+softmax": 0.11976762035334335,
-            "pn+tanh": 0.09389900953661034,
-            "pn": 0.10818657757880672,
-            "softmax+tanh": 0.1269507550632873,
-            "softmax": 0.1267567606223411,
-            "tanh": 0.10581423645087061,
-            "none": 0.11432879847316604,
-        },
-        "init": {
-            "zero": 0.11976762035334335,
-            "uniform": 0.11221899317619617,
             "normal": 0.10618982472172062,
             "meta": 0.10664379258957665,
         },
         "generators": {
-            "border": 0.11662645167629329,
-            "a_border": 0.11976762035334335,
-            "full": 0.116550025814331,
-            "a_full": 0.11251514739168307,
+            "border": 0.11165881365644756,
+            "a_border": 0.11601995027000148,
+            "full": 0.11568762413264869,
+            "a_full": 0.11262954439027556,
+        },
+    },
+    "Haswell": {
+        "run": {
+            "attention.csv": "cd4079aa8519572b4ee4fe095ff6fec8",
+            "attention_report.csv": "17fae3e6646baa64abb7b6a6f2f713a2",
+            "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
+            "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
+            "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
+            "data/cool_dim_val.dom": "e770dfa3d730aadcfe176b126f074768",
+            "data/dusk_val.dom": "6ce82a3f23a033766d4d5b339d98df36",
+            "data/green_bright_train.dom": "0cf49ab7447d7942ec542749a4d00b93",
+            "data/green_bright_val.dom": "f368f7d5e58d6a828f0255f2cda0be68",
+            "data/high_contrast_train.dom": "65e406a49927ae2aaebe4f5724f5c22b",
+            "data/high_contrast_val.dom": "6a7aad3a9da9d9dc05d8a498a538a1da",
+            "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
+            "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
+            "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
+            "oracle.ckpt": "dc05ff28d2df09bd75ad7f98d2441dd7",
+            "report.csv": "f6158b7800f3327305c8973291758bdd",
+            "seed0/apf.ckpt": "e570e82b9889eafd73f8f62ebf0b4c9c",
+            "seed0/spg_cool_dim.ckpt": "dc7f1edcfde7bc13396ee201e030dd5d",
+            "seed0/spg_green_bright.ckpt": "190edab94f889e94a8827e4cf091c525",
+            "seed0/spg_high_contrast.ckpt": "fa5bd54a1265e103a8ce5d5a0d5cf72c",
+            "seed0/spg_warm_hazy.ckpt": "78d8f2737980b3aea81d08b4c5e5e09d",
+            "seed1/apf.ckpt": "cfd1f8504f4d445ff7ff7bcc66479f94",
+            "seed1/spg_cool_dim.ckpt": "dc2cab8f43d14694225ad7a3a9b1127b",
+            "seed1/spg_green_bright.ckpt": "ad5cc7e122c5b732644345dddd9282dc",
+            "seed1/spg_high_contrast.ckpt": "36c4a028763224b094be9d2c504a7969",
+            "seed1/spg_warm_hazy.ckpt": "d59e4fc209e76a4e5c59bc99b4db67c1",
+        },
+        "fusion_tables": {
+            "ablate_fusion.csv": "fce6236162a1bf30d154c0dad0c6a13b",
+            "ablate_fusion.md": "a6035026e104ad8fe126874a326130af",
+        },
+        "fusion": {
+            "pn+softmax+tanh": 0.11643885529847225,
+            "pn+softmax": 0.11643885529847225,
+            "pn+tanh": 0.10577768362224002,
+            "pn": 0.10846344308696015,
+            "softmax+tanh": 0.12599748630535018,
+            "softmax": 0.12599748630535018,
+            "tanh": 0.10530200931144328,
+            "none": 0.1129293737993873,
+        },
+        "init": {
+            "zero": 0.11643885529847225,
+            "uniform": 0.0987809356053361,
+            "normal": 0.10632530313539187,
+            "meta": 0.10664379258957665,
+        },
+        "generators": {
+            "border": 0.10780331126020956,
+            "a_border": 0.11643885529847225,
+            "full": 0.11555190194422284,
+            "a_full": 0.11230217714595524,
         },
     },
 }

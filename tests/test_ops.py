@@ -1,3 +1,4 @@
+import inspect
 import zlib
 
 import numpy as np
@@ -28,24 +29,62 @@ class TestConv2d:
         out = ops.conv2d(x, w, b, stride=1, padding=0)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0, np.float32))
 
+    @staticmethod
+    def _check_against_loop(rng, k, stride, padding, size, batch):
+        """conv2d's output and gradients against a float64 loop over windows;
+        returns the tape and the input tensor."""
+        x0 = rng.normal(size=(batch, 3, size, size))
+        w0 = rng.normal(size=(4, 3, k, k))
+        b0 = rng.normal(size=(4,))
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+        with Tape() as tape:
+            out = ops.conv2d(x, w, b, stride=stride, padding=padding)
+            g = rng.normal(size=out.shape)
+            tape.backward(out, g)
+        xp = np.pad(x0, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh = (size + 2 * padding - k) // stride + 1
+        ref = np.empty((batch, 4, oh, oh))
+        gxp, gw = np.zeros_like(xp), np.zeros_like(w0)
+        for i in range(oh):
+            for j in range(oh):
+                at = np.s_[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                ref[:, :, i, j] = np.einsum("bchw,ochw->bo", xp[at], w0) + b0
+                gw += np.einsum("bo,bchw->ochw", g[:, :, i, j], xp[at])
+                gxp[at] += np.einsum("bo,ochw->bchw", g[:, :, i, j], w0)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-4)
+        gx = gxp[:, :, padding : padding + size, padding : padding + size]
+        np.testing.assert_allclose(x.grad, gx, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(w.grad, gw, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2, 3)), rtol=1e-4, atol=1e-4)
+        return tape, x
+
+    @staticmethod
+    def _columns(tape):
+        """The column matrix the last conv2d on ``tape`` keeps for backward."""
+        return inspect.getclosurevars(tape._nodes[-1].backward_fn).nonlocals["cols"]
+
     @pytest.mark.parametrize("k,stride,padding,size", [
         (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
         (3, 2, 0, 8),  # the last window stops one pixel short of the edge
     ])
     def test_matches_direct_loop_over_windows(self, rng, k, stride, padding, size):
-        x0 = rng.normal(size=(2, 3, size, size))
-        w0 = rng.normal(size=(4, 3, k, k))
-        b0 = rng.normal(size=(4,))
-        out = ops.conv2d(Tensor(x0), Tensor(w0), Tensor(b0), stride=stride, padding=padding)
-        xp = np.pad(x0, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-        oh = (size + 2 * padding - k) // stride + 1
-        ref = np.empty((2, 4, oh, oh))
-        for i in range(oh):
-            for j in range(oh):
-                win = xp[:, :, i * stride : i * stride + k, j * stride : j * stride + k]
-                ref[:, :, i, j] = np.einsum("bchw,ochw->bo", win, w0) + b0
-        assert out.shape == ref.shape
-        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-4)
+        self._check_against_loop(rng, k, stride, padding, size, batch=2)
+
+    def test_1x1_stride1_single_image_columns_are_a_view(self, rng):
+        tape, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1)
+        assert np.shares_memory(self._columns(tape), x.data)
+
+    def test_frozen_weight_returns_only_the_input_gradient(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32))
+        b = Tensor(np.zeros(4, np.float32))
+        with Tape() as tape:
+            out = ops.conv2d(x, w, b, stride=2, padding=1)
+        assert self._columns(tape) is None  # only the weight gradient reads them
+        gx, gw, gb = tape._nodes[-1].backward_fn(np.ones_like(out.data))
+        assert gw is None and gb is None
+        assert gx.shape == x.shape
 
     def test_output_shape_arithmetic(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))

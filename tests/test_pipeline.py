@@ -113,9 +113,13 @@ class TestRunLayout:
         _, _, run_dir = tiny_run
         with open(os.path.join(run_dir, "report_meta.json")) as f:
             meta = json.load(f)
-        assert set(meta) == {"config_hash", "wall_clock_sec",
-                             "oracle_fingerprint", "seal_checks", "oracle_queries"}
+        assert set(meta) == {"config_hash", "wall_clock_sec", "oracle_fingerprint",
+                             "seal_checks", "oracle_queries", "stage_seconds"}
         assert meta["wall_clock_sec"] > 0
+        stages = meta["stage_seconds"]
+        assert list(stages) == ["apf", "data", "eval", "oracle", "spg"]  # sort_keys
+        assert all(sec >= 0 for sec in stages.values())
+        assert sum(stages.values()) <= meta["wall_clock_sec"] + 0.005  # rounding
         assert set(meta["oracle_queries"]) == {"predict", "input_grad"}
         # after the oracle, then after SPG, APF and eval for each of 2 seeds
         assert meta["seal_checks"] == 1 + 2 * 3
@@ -244,6 +248,7 @@ class TestDeterminism:
             with open(os.path.join(run_dir_for(cfg), "report_meta.json")) as f:
                 meta = json.load(f)
             meta.pop("wall_clock_sec")
+            meta["stage_seconds"] = sorted(meta["stage_seconds"])  # the stages, not times
             metas.append(meta)
         assert metas[0] == metas[1]
 
