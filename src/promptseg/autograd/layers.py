@@ -12,12 +12,14 @@ a list of modules numbers its items ``name0.``, ``name1.`` and so on;
 nothing else is state.  That table is the checkpoint layout and what the
 seal fingerprints hash.  Its trainable parameters are the ``Tensor``
 entries; batch-norm running statistics are plain arrays and fall outside.
+A conv and its batch norm run as one pair, ``conv_bn``, whose eval mode
+folds the norm into the conv: it is for inference, with no parameter gradients.
 """
 
 import numpy as np
 
 from . import ops
-from .tensor import Tensor, current_dtype
+from .tensor import Tensor, active_tape, current_dtype
 
 
 class Module:
@@ -54,9 +56,22 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=current_dtype())
         self.running_var = np.ones(channels, dtype=current_dtype())
 
-    def __call__(self, x, training):
-        return ops.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                                self.running_var, training)
+
+def conv_bn(conv, bn, x, training):
+    """bn(conv(x)).  Training mode normalizes with batch statistics and
+    updates the running ones.  Eval mode is one conv with weight w*s and bias
+    (b - mean)*s + beta, s = gamma / sqrt(var + eps), folded from the live
+    weights on every call; it gives no parameter gradients, so it refuses a
+    recording tape while a parameter of the pair is trainable."""
+    if training:
+        return ops.batch_norm2d(conv(x), bn.gamma, bn.beta, bn.running_mean, bn.running_var)
+    params = (conv.weight, conv.bias, bn.gamma, bn.beta)
+    if active_tape() is not None and any(t.requires_grad for t in params):
+        raise RuntimeError("eval-mode conv_bn gives no parameter gradients; freeze the pair")
+    s = bn.gamma.data / np.sqrt(bn.running_var + ops.BN_EPS)
+    weight = Tensor._raw(conv.weight.data * s[:, None, None, None])
+    bias = Tensor._raw((conv.bias.data - bn.running_mean) * s + bn.beta.data)
+    return ops.conv2d(x, weight, bias, conv.stride, conv.padding)
 
 
 class Linear(Module):
@@ -88,7 +103,7 @@ class ConvBn(Module):
         self.bn = BatchNorm2d(c_out)
 
     def __call__(self, x, training):
-        return ops.relu(self.bn(self.conv(x), training))
+        return ops.relu(conv_bn(self.conv, self.bn, x, training))
 
 
 def conv_bn_stages(widths, kernel, rng):

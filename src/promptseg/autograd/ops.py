@@ -5,9 +5,10 @@ a strided sliding-window view of the padded input, transposed to
 (C, k, k, B, OH, OW) and reshaped to (C*k*k, B*OH*OW) in one copy, whose
 inner axis is a row of the input.  Its backward views the column gradient
 the same way and adds it back with k*k strided slice additions in a fixed
-loop order, so results are bit-reproducible on repeated runs.  Bilinear
-upsampling is a pair of precomputed interpolation matrices applied as
-batched matmuls.
+loop order, so results are bit-reproducible on repeated runs.  Batch norm
+is training-mode only: ``layers.conv_bn`` folds eval mode into the conv.
+Bilinear upsampling is a pair of precomputed interpolation matrices applied
+as batched matmuls.
 """
 
 from functools import lru_cache
@@ -56,7 +57,8 @@ def conv2d(x, weight, bias, stride=1, padding=0):
         raise ShapeError(f"conv2d kernel {k} does not fit input {h}x{w} with padding {padding}")
 
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), x.data.dtype)
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
     # rows: the receptive field, columns: every output position.  The window
@@ -96,54 +98,38 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def batch_norm2d(x, gamma, beta, running_mean, running_var, training):
-    """Per-channel batch norm over (B, H, W).
-
-    Train mode normalizes with biased batch statistics and updates the
-    running arrays in place with momentum (unbiased variance, the usual
-    convention).  Eval mode uses the running statistics and mutates nothing.
-    """
+def batch_norm2d(x, gamma, beta, running_mean, running_var):
+    """Training-mode batch norm per channel over (B, H, W): biased batch
+    statistics, and the running arrays updated in place with momentum
+    (unbiased variance, the usual convention).  With fixed statistics batch
+    norm is an affine map, which ``layers.conv_bn`` folds into its conv."""
     _as_tensor(x, "x")
     if x.ndim != 4:
         raise ShapeError(f"batch_norm2d input must be 4-D NCHW, got {x.shape}")
     b, c, h, w = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batch_norm2d affine params must be ({c},)")
-    if training:
-        n = b * h * w
-        if n < 2:
-            raise DegenerateBatchError(
-                f"batch_norm2d train mode needs at least 2 values per channel, got {n}"
-            )
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x.data - mean[:, None, None]) * inv[:, None, None]
-        m = BN_MOMENTUM
-        running_mean += m * (mean.astype(running_mean.dtype) - running_mean)
-        unbiased = var * (n / (n - 1))
-        running_var += m * (unbiased.astype(running_var.dtype) - running_var)
-    else:
-        inv = 1.0 / np.sqrt(running_var + BN_EPS)
-        inv = inv.astype(x.data.dtype)
-        xhat = (x.data - running_mean.astype(x.data.dtype)[:, None, None]) * inv[:, None, None]
+    n = b * h * w
+    if n < 2:
+        raise DegenerateBatchError(f"batch_norm2d needs at least 2 values per channel, got {n}")
+    mean = x.data.mean(axis=(0, 2, 3))
+    var = x.data.var(axis=(0, 2, 3))
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x.data - mean[:, None, None]) * inv[:, None, None]
+    m = BN_MOMENTUM
+    running_mean += m * (mean.astype(running_mean.dtype) - running_mean)
+    unbiased = var * (n / (n - 1))
+    running_var += m * (unbiased.astype(running_var.dtype) - running_var)
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
     def backward_fn(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+        gsum = g.sum(axis=(0, 2, 3))  # the beta gradient
+        gxhat = (g * xhat).sum(axis=(0, 2, 3))  # the gamma gradient
         gx = None
         if x.requires_grad:
-            if training:
-                n = b * h * w
-                gsum = g.sum(axis=(0, 2, 3))
-                gxhat = (g * xhat).sum(axis=(0, 2, 3))
-                gx = (gamma.data * inv / n)[:, None, None] * (
-                    n * g - gsum[:, None, None] - xhat * gxhat[:, None, None]
-                )
-            else:
-                gx = g * (gamma.data * inv)[:, None, None]
-        return gx, ggamma, gbeta
+            gx = (gamma.data * inv / n)[:, None, None] * (
+                n * g - gsum[:, None, None] - xhat * gxhat[:, None, None])
+        return gx, gxhat if gamma.requires_grad else None, gsum if beta.requires_grad else None
 
     return apply_op("batch_norm2d", out, (x, gamma, beta), backward_fn)
 

@@ -63,6 +63,11 @@ def guard_finite(arr, op_name):
 _TAPE_STACK = []
 
 
+def active_tape():
+    """The tape that records ops now, or None (no tape, or under no_grad)."""
+    return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
 @contextmanager
 def no_grad():
     """Suspend recording even if an outer tape is active."""
@@ -195,7 +200,7 @@ def apply_op(op_name, out_data, inputs, backward_fn):
     """Shared epilogue for every op: finite check, wrap, record if needed."""
     guard_finite(out_data, op_name)
     out = Tensor._raw(out_data)
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         tape._record(out, inputs, backward_fn)

@@ -62,15 +62,17 @@ class Results:
     fused mIoU plus per-class IoU), ``attention`` one per (domain, style)
     with the mean fusion weight.  A plain run has one arm, named "".  Every
     report is derived from the cells or from ``target_means``.
-    ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end;
-    ``stage_seconds`` the wall time summed per stage ("data", "oracle",
-    "spg", "apf", "eval"), which no byte contract covers.
+    ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end
+    and ``stage_queries`` splits them by stage; ``stage_seconds`` is the wall
+    time summed per stage ("data", "oracle", "spg", "apf", "eval"), which no
+    byte contract covers.
     """
 
     cells: list
     oracle_fingerprint: int
     seal_checks: int
     oracle_queries: dict
+    stage_queries: dict
     stage_seconds: dict
 
     @property
@@ -336,14 +338,18 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
     the live weights of the oracle and of the encoder with their
     fingerprints at build; a change raises ``StageError`` naming the stage.
     ``Results`` holds one cell per pair, the number of seal checks passed,
-    the oracle's query counts and the seconds spent in each stage.
+    the oracle's query counts (in all and per stage) and each stage's seconds.
     """
-    seconds = {}
+    seconds, queries, oracle = {}, {}, None
 
     def timed(name, stage, *args):
+        before = {} if oracle is None else {q: dict(c) for q, c in oracle.queries.items()}
         t0 = time.perf_counter()
         out = stage(*args)
         seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+        for query, counts in before.items():
+            split = queries.setdefault(name, {}).setdefault(query, dict.fromkeys(counts, 0))
+            split.update({k: split[k] + n - counts[k] for k, n in oracle.queries[query].items()})
         return out
 
     domains = timed("data", stage_data, cfg, run_dir)
@@ -381,7 +387,7 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
                                             gens, enc, heads, oracle, seed, names)
                     check_seal("eval")
             cells.append((arm, seed, rows, attention))
-    return Results(cells, oracle.fingerprint, seal_checks, oracle.queries, seconds)
+    return Results(cells, oracle.fingerprint, seal_checks, oracle.queries, queries, seconds)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> Results:
@@ -403,6 +409,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
                 "oracle_fingerprint": results.oracle_fingerprint,
                 "seal_checks": results.seal_checks,
                 "oracle_queries": results.oracle_queries,
+                "stage_queries": results.stage_queries,
                 "stage_seconds": {name: round(sec, 3)
                                   for name, sec in results.stage_seconds.items()}}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:

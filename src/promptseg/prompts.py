@@ -23,6 +23,7 @@ from .autograd.layers import (
     BatchNorm2d,
     Conv2d,
     Module,
+    conv_bn,
     load_tensor_arrays,
     parameters,
     tensor_arrays,
@@ -128,8 +129,9 @@ class ModulatorBlock(Module):
         self.proj_bn = BatchNorm2d(c_out)
 
     def __call__(self, x, training):
-        main = self.bn2(self.conv2(ops.relu(self.bn1(self.conv1(x), training))), training)
-        return ops.relu(add(main, self.proj_bn(self.proj(x), training)))
+        main = ops.relu(conv_bn(self.conv1, self.bn1, x, training))
+        main = conv_bn(self.conv2, self.bn2, main, training)
+        return ops.relu(add(main, conv_bn(self.proj, self.proj_bn, x, training)))
 
 
 class ModulatorNetwork(Module):

@@ -23,6 +23,33 @@ def scale(a, s):
     return apply_op("scale", a.data * s, (a,), backward_fn)
 
 
+def vary_bn_state(bn, rng):
+    """Give a ``BatchNorm2d`` non-trivial affine parameters and running
+    statistics, in its own dtypes."""
+    c = bn.gamma.shape[0]
+    bn.gamma.data[...] = rng.normal(1.0, 0.3, c)
+    bn.beta.data[...] = rng.normal(0.0, 0.5, c)
+    bn.running_mean[...] = rng.normal(0.0, 0.5, c)
+    bn.running_var[...] = rng.uniform(0.3, 2.0, c)
+
+
+def conv_bn_reference(conv, bn, x):
+    """Float64 conv (a loop over output positions) then batch norm on the
+    running statistics: the unfolded eval-mode pair."""
+    w, b = (np.asarray(t.data, np.float64) for t in (conv.weight, conv.bias))
+    p, st, k = conv.padding, conv.stride, w.shape[2]
+    xp = np.pad(np.asarray(x, np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    oh, ow = ((n + 2 * p - k) // st + 1 for n in x.shape[2:])
+    out = np.empty((x.shape[0], w.shape[0], oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            window = xp[:, :, i * st : i * st + k, j * st : j * st + k]
+            out[:, :, i, j] = np.einsum("bchw,ochw->bo", window, w) + b
+    mean, var, gamma, beta = (np.asarray(a, np.float64)[:, None, None] for a in (
+        bn.running_mean, bn.running_var, bn.gamma.data, bn.beta.data))
+    return (out - mean) / np.sqrt(var + 1e-5) * gamma + beta
+
+
 def rel_err(analytic, numeric):
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)

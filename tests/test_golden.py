@@ -40,8 +40,8 @@ RUN_HASH = "54c87d710bb8981f"
 GOLDEN = {
     "SkylakeX": {
         "run": {
-            "attention.csv": "6e282661109dd0787abff5e024f9d96e",
-            "attention_report.csv": "80c5b59dc43b9da3f35623ac60e4ca7d",
+            "attention.csv": "1a9a81004e03c289571e532d38270044",
+            "attention_report.csv": "915dc6bca02244b7c6fe87680de7d821",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -56,16 +56,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
             "oracle.ckpt": "705dc21e991a9ae80862b1caec8b5e57",
             "report.csv": "5bfcf7330c6acae79e3dbde8f72073b0",
-            "seed0/apf.ckpt": "5043a84d0a87fcb6078919b7135fbb22",
-            "seed0/spg_cool_dim.ckpt": "2781a314559dfe2f63e3282d7c310146",
-            "seed0/spg_green_bright.ckpt": "8e3c252a270855681f90d7e2797dd9e8",
-            "seed0/spg_high_contrast.ckpt": "9834a158b06d5f1dc1989ccba57b2213",
-            "seed0/spg_warm_hazy.ckpt": "3f27fcb6f31c1688f6361f86f0756258",
-            "seed1/apf.ckpt": "14992772ec3ff54fcdba6eaeb0a5d167",
-            "seed1/spg_cool_dim.ckpt": "2c58b20f00d421ffb06dc716a2b5bcbe",
-            "seed1/spg_green_bright.ckpt": "58716a95c870a110e026f1ca55a3fbe7",
-            "seed1/spg_high_contrast.ckpt": "3b8a70b1fd09ae577c08573c92d60c4c",
-            "seed1/spg_warm_hazy.ckpt": "f373d38cff69b2ce7369fe8e61cbf1fd",
+            "seed0/apf.ckpt": "a7b529333b2391a10df875a3ebb1180d",
+            "seed0/spg_cool_dim.ckpt": "bf0df2824d2cf1a49f81a8a5cfa2d551",
+            "seed0/spg_green_bright.ckpt": "35ea9c8c0c77b5b96f3e13a77c1f206d",
+            "seed0/spg_high_contrast.ckpt": "cb97c6948668ff192aab270c5488d78d",
+            "seed0/spg_warm_hazy.ckpt": "45a2f2bdf47a6ff79ae1fb16c92d085d",
+            "seed1/apf.ckpt": "b381fca3d436f2b46798d8b9182a6629",
+            "seed1/spg_cool_dim.ckpt": "ce05e17c9533ff5cf6f0611157d44f1a",
+            "seed1/spg_green_bright.ckpt": "fa60a32a65701ce4de360c4d614b6f53",
+            "seed1/spg_high_contrast.ckpt": "89a9406311f397c960f9035fd076c6fa",
+            "seed1/spg_warm_hazy.ckpt": "7c28dbd089e8367ba5cc1a891e337009",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "7b5e6eea980390649fc4c8e797108baa",
@@ -96,8 +96,8 @@ GOLDEN = {
     },
     "Haswell": {
         "run": {
-            "attention.csv": "cd4079aa8519572b4ee4fe095ff6fec8",
-            "attention_report.csv": "17fae3e6646baa64abb7b6a6f2f713a2",
+            "attention.csv": "582959d7c843ad3b2fb227aa0cb99d52",
+            "attention_report.csv": "94e286fdefcef0f455cb7fceca4589d2",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -112,16 +112,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
             "oracle.ckpt": "dc05ff28d2df09bd75ad7f98d2441dd7",
             "report.csv": "f6158b7800f3327305c8973291758bdd",
-            "seed0/apf.ckpt": "e570e82b9889eafd73f8f62ebf0b4c9c",
-            "seed0/spg_cool_dim.ckpt": "dc7f1edcfde7bc13396ee201e030dd5d",
-            "seed0/spg_green_bright.ckpt": "190edab94f889e94a8827e4cf091c525",
-            "seed0/spg_high_contrast.ckpt": "fa5bd54a1265e103a8ce5d5a0d5cf72c",
-            "seed0/spg_warm_hazy.ckpt": "78d8f2737980b3aea81d08b4c5e5e09d",
-            "seed1/apf.ckpt": "cfd1f8504f4d445ff7ff7bcc66479f94",
-            "seed1/spg_cool_dim.ckpt": "dc2cab8f43d14694225ad7a3a9b1127b",
-            "seed1/spg_green_bright.ckpt": "ad5cc7e122c5b732644345dddd9282dc",
-            "seed1/spg_high_contrast.ckpt": "36c4a028763224b094be9d2c504a7969",
-            "seed1/spg_warm_hazy.ckpt": "d59e4fc209e76a4e5c59bc99b4db67c1",
+            "seed0/apf.ckpt": "011b348e1378427375eee439c5209452",
+            "seed0/spg_cool_dim.ckpt": "95a488e638891b54ddb30cf84cf4040d",
+            "seed0/spg_green_bright.ckpt": "59eb90393dd91e98434d5b8896309c95",
+            "seed0/spg_high_contrast.ckpt": "aba45f0924cd626bba22ccbb20167316",
+            "seed0/spg_warm_hazy.ckpt": "691f1ab42c4045fe662c0a3224325f48",
+            "seed1/apf.ckpt": "3df92c67dd6fd8fb0f7a240abb760744",
+            "seed1/spg_cool_dim.ckpt": "321648fdae14f310e94f57da2e5ecdca",
+            "seed1/spg_green_bright.ckpt": "914f6f6ca47c996a5f1033999ccb2855",
+            "seed1/spg_high_contrast.ckpt": "3e3c5ea443aa17c8957d8871bba061b6",
+            "seed1/spg_warm_hazy.ckpt": "f5deea300b447b8a10b5d90e59020bce",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "fce6236162a1bf30d154c0dad0c6a13b",

@@ -4,11 +4,35 @@ import zlib
 import numpy as np
 import pytest
 
-from promptseg.autograd import DegenerateBatchError, ShapeError, Tape, Tensor, shadow_precision
+from promptseg.autograd import (
+    DegenerateBatchError,
+    ShapeError,
+    Tape,
+    Tensor,
+    no_grad,
+    shadow_precision,
+)
 from promptseg.autograd import ops
+from promptseg.autograd.layers import (
+    BatchNorm2d,
+    Conv2d,
+    ConvBn,
+    conv_bn,
+    freeze,
+    load_tensor_arrays,
+    tensor_arrays,
+)
 from promptseg.autograd.tensor import add, broadcast_to_batch, current_dtype, mul, reshape
+from promptseg.seeding import stream
 
-from conftest import check_gradients, rel_err, scale, sum_all
+from conftest import (
+    check_gradients,
+    conv_bn_reference,
+    rel_err,
+    scale,
+    sum_all,
+    vary_bn_state,
+)
 
 
 def project(out, r):
@@ -135,21 +159,21 @@ class TestBatchNorm2d:
         x0 -= x0.mean(axis=(0, 2, 3), keepdims=True)
         x0 /= x0.std(axis=(0, 2, 3), keepdims=True)
         gamma, beta, state = self._layer(3)
-        out = ops.batch_norm2d(Tensor(x0), gamma, beta, *state, training=True)
+        out = ops.batch_norm2d(Tensor(x0), gamma, beta, *state)
         assert np.max(np.abs(out.data - x0)) < 1e-4
 
     def test_constant_channel_maps_to_beta(self):
         x = Tensor(np.full((2, 2, 3, 3), 5.0, np.float32))
         gamma = Tensor(np.ones(2, np.float32))
         beta = Tensor(np.array([0.25, -1.0], np.float32))
-        out = ops.batch_norm2d(x, gamma, beta, *bn_stats(2), training=True)
+        out = ops.batch_norm2d(x, gamma, beta, *bn_stats(2))
         np.testing.assert_allclose(out.data[:, 0], 0.25, atol=1e-5)
         np.testing.assert_allclose(out.data[:, 1], -1.0, atol=1e-5)
 
     def test_train_output_statistics(self, rng):
         x = Tensor(rng.normal(2.0, 3.0, size=(4, 5, 8, 8)).astype(np.float32))
         gamma, beta, state = self._layer(5)
-        out = ops.batch_norm2d(x, gamma, beta, *state, training=True)
+        out = ops.batch_norm2d(x, gamma, beta, *state)
         mean = out.data.mean(axis=(0, 2, 3))
         var = out.data.var(axis=(0, 2, 3))
         assert np.max(np.abs(mean)) < 1e-4
@@ -157,28 +181,31 @@ class TestBatchNorm2d:
 
     def test_running_stats_update_and_eval_use(self, rng):
         x0 = rng.normal(1.0, 2.0, size=(8, 2, 4, 4)).astype(np.float32)
-        gamma, beta, (running_mean, running_var) = self._layer(2)
-        ops.batch_norm2d(Tensor(x0), gamma, beta, running_mean, running_var, training=True)
+        bn = BatchNorm2d(2)
+        ops.batch_norm2d(Tensor(x0), bn.gamma, bn.beta, bn.running_mean, bn.running_var)
         n = 8 * 4 * 4
         expect_mean = 0.1 * x0.mean(axis=(0, 2, 3))
         expect_var = 0.9 + 0.1 * x0.var(axis=(0, 2, 3)) * n / (n - 1)
-        np.testing.assert_allclose(running_mean, expect_mean, rtol=1e-5)
-        np.testing.assert_allclose(running_var, expect_var, rtol=1e-5)
-        # eval mode must use them and leave them untouched
-        before = running_mean.copy()
-        out = ops.batch_norm2d(Tensor(x0), gamma, beta, running_mean, running_var,
-                               training=False)
-        expected = (x0 - running_mean[:, None, None]) / np.sqrt(
-            running_var[:, None, None] + ops.BN_EPS
+        np.testing.assert_allclose(bn.running_mean, expect_mean, rtol=1e-5)
+        np.testing.assert_allclose(bn.running_var, expect_var, rtol=1e-5)
+        # eval mode (folded into an identity 1x1 conv) must use them and
+        # leave them untouched
+        conv = Conv2d(2, 2, 1, rng)
+        conv.weight.data[...] = np.eye(2, dtype=np.float32)[:, :, None, None]
+        before = bn.running_mean.copy(), bn.running_var.copy()
+        out = conv_bn(conv, bn, Tensor(x0), training=False)
+        expected = (x0 - bn.running_mean[:, None, None]) / np.sqrt(
+            bn.running_var[:, None, None] + ops.BN_EPS
         )
         np.testing.assert_allclose(out.data, expected, rtol=1e-4, atol=1e-5)
-        np.testing.assert_array_equal(before, running_mean)
+        np.testing.assert_array_equal(before[0], bn.running_mean)
+        np.testing.assert_array_equal(before[1], bn.running_var)
 
     def test_single_value_batch_raises(self):
         x = Tensor(np.zeros((1, 3, 1, 1), np.float32))
         gamma, beta, state = self._layer(3)
         with pytest.raises(DegenerateBatchError):
-            ops.batch_norm2d(x, gamma, beta, *state, training=True)
+            ops.batch_norm2d(x, gamma, beta, *state)
 
     def test_gradients_train_mode(self, rng):
         x0 = rng.normal(size=(3, 2, 4, 4))
@@ -187,25 +214,83 @@ class TestBatchNorm2d:
         r = rng.normal(size=(3, 2, 4, 4))
 
         def loss(x, gamma, beta):
-            return project(ops.batch_norm2d(x, gamma, beta, *bn_stats(2), training=True), r)
+            return project(ops.batch_norm2d(x, gamma, beta, *bn_stats(2)), r)
 
         check_gradients(loss, [x0, g0, b0], tol=2e-3)
 
-    def test_gradients_eval_mode(self, rng):
-        x0 = rng.normal(size=(2, 2, 3, 3))
-        g0 = rng.normal(1.0, 0.2, size=(2,))
-        b0 = rng.normal(size=(2,))
-        r = rng.normal(size=(2, 2, 3, 3))
+
+class TestConvBn:
+    """``layers.conv_bn``: batch statistics in training mode, one folded
+    convolution in eval mode."""
+
+    @staticmethod
+    def _pair(rng, kernel=3):
+        """A 3 -> 4 channel pair with a non-zero bias and non-trivial BN state."""
+        pair = ConvBn(3, 4, kernel, stream(0, "conv-bn"))
+        pair.conv.bias.data[...] = rng.normal(0.0, 0.5, 4)
+        vary_bn_state(pair.bn, rng)
+        return pair
+
+    @pytest.mark.parametrize("kernel,size", [(1, 6), (3, 7), (5, 8)])
+    def test_eval_matches_float64_conv_then_batch_norm(self, rng, kernel, size):
+        pair = self._pair(rng, kernel=kernel)
+        x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
+        out = conv_bn(pair.conv, pair.bn, Tensor(x), training=False)
+        ref = conv_bn_reference(pair.conv, pair.bn, x)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-4)
+        np.testing.assert_array_equal(pair(Tensor(x), training=False).data,
+                                      np.maximum(out.data, 0))
+
+    def test_eval_input_gradient_matches_finite_differences(self, rng):
         with shadow_precision():
-            running_mean, running_var = bn_stats(2)
-            running_mean += np.asarray([0.3, -0.2])
-            running_var *= np.asarray([1.5, 0.7])
+            pair = self._pair(rng)
+        freeze(pair.tensors())
+        r = rng.normal(size=(2, 4, 3, 3))
+        check_gradients(
+            lambda x: project(conv_bn(pair.conv, pair.bn, x, training=False), r),
+            [rng.normal(size=(2, 3, 6, 6))],
+        )
 
-            def loss(x, gamma, beta):
-                return project(ops.batch_norm2d(x, gamma, beta, running_mean, running_var,
-                                                training=False), r)
+    def test_training_mode_is_conv_then_batch_norm(self, rng):
+        pair, twin = self._pair(rng), ConvBn(3, 4, 3, stream(0, "conv-bn"))
+        load_tensor_arrays(twin.tensors(), tensor_arrays(pair.tensors()))
+        stats_before = pair.bn.running_mean.copy(), pair.bn.running_var.copy()
+        x0 = rng.normal(size=(4, 3, 8, 8)).astype(np.float32)
+        xs = [Tensor(x0, requires_grad=True) for _ in range(2)]
+        g = rng.normal(size=(4, 4, 4, 4)).astype(np.float32)
+        outs = []
+        for fn in (lambda: conv_bn(pair.conv, pair.bn, xs[0], training=True),
+                   lambda: ops.batch_norm2d(twin.conv(xs[1]), twin.bn.gamma, twin.bn.beta,
+                                            twin.bn.running_mean, twin.bn.running_var)):
+            with Tape() as tape:
+                outs.append(fn())
+                tape.backward(outs[-1], g)
+        np.testing.assert_array_equal(outs[0].data, outs[1].data)
+        np.testing.assert_array_equal(xs[0].grad, xs[1].grad)
+        for name, t in pair.tensors().items():
+            other = twin.tensors()[name]
+            if isinstance(t, Tensor):
+                np.testing.assert_array_equal(t.grad, other.grad, err_msg=name)
+            else:
+                np.testing.assert_array_equal(t, other, err_msg=name)
+        assert not np.array_equal(pair.bn.running_mean, stats_before[0])
+        assert not np.array_equal(pair.bn.running_var, stats_before[1])
 
-            check_gradients(loss, [x0, g0, b0])
+    @pytest.mark.parametrize("trainable", ["conv.weight", "conv.bias", "bn.gamma", "bn.beta"])
+    def test_eval_refuses_a_trainable_parameter_under_a_tape(self, rng, trainable):
+        pair = self._pair(rng)
+        freeze(pair.tensors())
+        pair.tensors()[trainable].requires_grad = True
+        x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32))
+        with Tape():
+            with pytest.raises(RuntimeError, match="no parameter gradients"):
+                pair(x, training=False)
+            with no_grad():
+                pair(x, training=False)  # nothing records here
+        pair(x, training=False)  # nor here
+        freeze(pair.tensors())
+        with Tape():
+            pair(x, training=False)
 
 
 class TestActivations:
@@ -428,7 +513,7 @@ def _gradcheck_registry(rng):
         r = rng.normal(size=(3, 2, 3, 3))
 
         def loss(x_, g_, b_):
-            return project(ops.batch_norm2d(x_, g_, b_, *bn_stats(2), True), r)
+            return project(ops.batch_norm2d(x_, g_, b_, *bn_stats(2)), r)
 
         return loss, [x, g, b]
 
@@ -554,7 +639,7 @@ def test_composite_net_gradient_at_f32(rng):
     def forward():
         x, cw, cb, gamma, beta, lw, lb = leaves
         h = ops.conv2d(x, cw, cb, stride=1, padding=1)
-        h = ops.batch_norm2d(h, gamma, beta, *bn_stats(3), training=True)
+        h = ops.batch_norm2d(h, gamma, beta, *bn_stats(3))
         h = ops.relu(h)
         h = ops.adaptive_avg_pool_to_1(h)
         h = reshape(h, (2, 3))

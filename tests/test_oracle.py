@@ -153,6 +153,19 @@ class TestHandle:
         assert handle.queries == {"predict": {"calls": 2, "images": 5},
                                   "input_grad": {"calls": 1, "images": 1}}
 
+    def test_predict_reads_the_live_running_variance(self):
+        # eval mode folds batch norm into the conv on every call: a changed
+        # running statistic changes the next prediction, no stale fold is kept
+        model = SegModel(4, stream(4, "fold"), widths=(4, 6, 8))
+        handle = OracleHandle(model)
+        x = np.random.default_rng(0).uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
+        before = handle.predict(x)
+        model.stage[1].bn.running_var[2] *= 4.0
+        after = handle.predict(x)
+        assert not np.array_equal(before, after)
+        model.stage[1].bn.running_var[2] /= 4.0
+        np.testing.assert_array_equal(handle.predict(x), before)
+
     def test_params_receive_no_gradients(self, trained):
         model, handle, _, val, _ = trained
         handle.input_grad(stack_images(val[:1]), stack_masks(val[:1]))

@@ -114,13 +114,27 @@ class TestRunLayout:
         with open(os.path.join(run_dir, "report_meta.json")) as f:
             meta = json.load(f)
         assert set(meta) == {"config_hash", "wall_clock_sec", "oracle_fingerprint",
-                             "seal_checks", "oracle_queries", "stage_seconds"}
+                             "seal_checks", "oracle_queries", "stage_queries",
+                             "stage_seconds"}
         assert meta["wall_clock_sec"] > 0
         stages = meta["stage_seconds"]
         assert list(stages) == ["apf", "data", "eval", "oracle", "spg"]  # sort_keys
         assert all(sec >= 0 for sec in stages.values())
         assert sum(stages.values()) <= meta["wall_clock_sec"] + 0.005  # rounding
-        assert set(meta["oracle_queries"]) == {"predict", "input_grad"}
+        totals = meta["oracle_queries"]
+        assert set(totals) == {"predict", "input_grad"}
+        # the stages that query the oracle split its totals between them:
+        # training asks for input gradients only, evaluation for predictions
+        split = meta["stage_queries"]
+        assert list(split) == ["apf", "eval", "spg"]  # sort_keys
+        for query, counts in totals.items():
+            for key, n in counts.items():
+                assert sum(split[stage][query][key] for stage in split) == n, (query, key)
+        for stage in ("spg", "apf"):
+            assert split[stage]["predict"] == {"calls": 0, "images": 0}
+            assert split[stage]["input_grad"]["calls"] > 0
+        assert split["eval"]["input_grad"] == {"calls": 0, "images": 0}
+        assert split["eval"]["predict"]["calls"] > 0
         # after the oracle, then after SPG, APF and eval for each of 2 seeds
         assert meta["seal_checks"] == 1 + 2 * 3
 

@@ -9,6 +9,7 @@ from promptseg.errors import KindMismatchError
 from promptseg.oracle import OracleHandle, SegModel
 from promptseg.prompts import (
     BorderTemplate,
+    ModulatorBlock,
     ModulatorNetwork,
     StylePromptGenerator,
     _spg_schedule,
@@ -23,7 +24,7 @@ from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 from promptseg.styles import style_presets
 
-from conftest import numeric_grad, rel_err
+from conftest import conv_bn_reference, numeric_grad, rel_err, vary_bn_state
 
 
 def border_template(strategy, seed, height=64, width=64, pad=6):
@@ -166,6 +167,19 @@ class TestModulator:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             ModulatorNetwork(3, 3, depth=4, mode="pool", rng=stream(0, "m"))
+
+    def test_eval_block_matches_float64_conv_then_batch_norm(self, rng):
+        block = ModulatorBlock(3, 4, stream(0, "block"))
+        for conv, bn in ((block.conv1, block.bn1), (block.conv2, block.bn2),
+                         (block.proj, block.proj_bn)):
+            conv.bias.data[...] = rng.normal(0.0, 0.5, conv.bias.shape)
+            vary_bn_state(bn, rng)
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        out = block(Tensor(x), training=False)
+        main = np.maximum(conv_bn_reference(block.conv1, block.bn1, x), 0.0)
+        main = conv_bn_reference(block.conv2, block.bn2, main)
+        ref = np.maximum(main + conv_bn_reference(block.proj, block.proj_bn, x), 0.0)
+        np.testing.assert_allclose(out.data, ref, rtol=1e-4, atol=1e-4)
 
     def test_parameter_gradients_match_finite_differences(self, rng):
         # batch-norm curvature makes f32 differencing too noisy; build the
