@@ -288,43 +288,7 @@ def cross_entropy(logits, target):
 
 
 # ---------------------------------------------------------------------------
-# prompt-specific structural ops
-
-def embed2d(x, out_h, out_w, row, col):
-    """Paste (B, C, h, w) into a zero canvas of (B, C, out_h, out_w) at (row, col)."""
-    _as_tensor(x, "x")
-    if x.ndim != 4:
-        raise ShapeError(f"embed2d input must be 4-D, got {x.shape}")
-    b, c, h, w = x.shape
-    if row < 0 or col < 0 or row + h > out_h or col + w > out_w:
-        raise ShapeError(
-            f"embed2d block {h}x{w} at ({row}, {col}) exceeds canvas {out_h}x{out_w}"
-        )
-    out = np.zeros((b, c, out_h, out_w), dtype=x.data.dtype)
-    out[:, :, row : row + h, col : col + w] = x.data
-
-    def backward_fn(g):
-        return (np.ascontiguousarray(g[:, :, row : row + h, col : col + w]),)
-
-    return apply_op("embed2d", out, (x,), backward_fn)
-
-
-def slice_axis1(x, start, stop):
-    """Take ``x[:, start:stop]``; the gradient zero-pads the dropped slots."""
-    _as_tensor(x, "x")
-    if x.ndim < 2:
-        raise ShapeError(f"slice_axis1 input must be at least 2-D, got {x.shape}")
-    if not 0 <= start < stop <= x.shape[1]:
-        raise ShapeError(f"slice_axis1 range [{start}, {stop}) invalid for axis of {x.shape[1]}")
-    out = np.ascontiguousarray(x.data[:, start:stop])
-
-    def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return apply_op("slice_axis1", out, (x,), backward_fn)
-
+# attention
 
 def bilinear_scores(q, keys):
     """Row-wise dot products: (B, d) x (B, n, d) -> (B, n)."""

@@ -29,7 +29,7 @@ from .autograd.layers import (
     tensor_arrays,
 )
 from .autograd.optim import MultiStepLr, SgdMomentum
-from .autograd.tensor import ShapeError, add, broadcast_to_batch, mul, reshape
+from .autograd.tensor import ShapeError, add, apply_op, broadcast_to_batch, mul, reshape
 from .checkpoint import load_checkpoint, loader, pack_tag, save_checkpoint, unpack_tag
 from .seeding import mix_seed, stream
 from .train import fit
@@ -69,33 +69,37 @@ class BorderTemplate(Module):
             values = _init_values((channels,) + shape, strategy, rng)
             setattr(self, name, Tensor(values, requires_grad=True))
 
-    def _placements(self):
-        h, w, p = self.height, self.width, self.pad
-        return {"top": (0, 0), "bottom": (h - p, 0), "left": (p, 0), "right": (p, w - p)}
-
     def assemble(self, alpha=None, batch=1):
         """Canvas (B, C, H, W) from the four strips, optionally side/channel scaled.
 
         ``alpha`` is a (B, 4, C) tensor of raw modulation coefficients in side
-        order top, bottom, left, right; None means the bare template.
+        order top, bottom, left, right; None means the bare template.  One op
+        writes the scaled strips into one canvas.
         """
         if alpha is not None:
             if alpha.ndim != 3 or alpha.shape[1] != 4 or alpha.shape[2] != self.channels:
                 raise ShapeError(f"alpha must be (B, 4, {self.channels}), got {alpha.shape}")
             batch = alpha.shape[0]
-        canvas = None
-        for i, name in enumerate(SIDES):
-            strip = getattr(self, name)
-            block = reshape(strip, (1,) + strip.shape)
-            if alpha is None:
-                block = broadcast_to_batch(block, batch)
-            else:
-                coeff = reshape(ops.slice_axis1(alpha, i, i + 1), (batch, self.channels, 1, 1))
-                block = mul(block, coeff)
-            row, col = self._placements()[name]
-            piece = ops.embed2d(block, self.height, self.width, row, col)
-            canvas = piece if canvas is None else add(canvas, piece)
-        return canvas
+        h, w, p = self.height, self.width, self.pad
+        strips = [getattr(self, name) for name in SIDES]
+        spans = [np.s_[:, :, r : r + s.shape[1], c : c + s.shape[2]]
+                 for s, (r, c) in zip(strips, [(0, 0), (h - p, 0), (p, 0), (p, w - p)])]
+        coeffs = [1] * 4 if alpha is None else [alpha.data[:, i, :, None, None] for i in range(4)]
+        canvas = np.zeros((batch, self.channels, h, w), strips[0].data.dtype)
+        for strip, at, coeff in zip(strips, spans, coeffs):
+            canvas[at] += strip.data * coeff  # disjoint strips: onto zeros is their exact sum
+
+        def backward_fn(g):
+            gs = [np.ascontiguousarray(g[at]) for at in spans]
+            grads = [(gi * coeff).sum(axis=0) for gi, coeff in zip(gs, coeffs)]
+            if alpha is not None:
+                grads.append(np.zeros_like(alpha.data))
+                for i, (gi, strip) in enumerate(zip(gs, strips)):
+                    grads[4][:, i] += (gi * strip.data).sum(axis=(2, 3))
+            return grads
+
+        inputs = strips if alpha is None else strips + [alpha]
+        return apply_op("border_canvas", canvas, tuple(inputs), backward_fn)
 
 
 class FullTemplate(Module):

@@ -23,6 +23,7 @@ from promptseg.autograd.layers import (
     tensor_arrays,
 )
 from promptseg.autograd.tensor import add, broadcast_to_batch, current_dtype, mul, reshape
+from promptseg.prompts import SIDES, BorderTemplate
 from promptseg.seeding import stream
 
 from conftest import (
@@ -451,27 +452,6 @@ class TestCrossEntropy:
 
 
 class TestStructuralOps:
-    def test_embed_places_block(self, rng):
-        block = rng.normal(size=(1, 2, 2, 3)).astype(np.float32)
-        out = ops.embed2d(Tensor(block), 6, 7, 1, 2)
-        assert out.shape == (1, 2, 6, 7)
-        np.testing.assert_array_equal(out.data[:, :, 1:3, 2:5], block)
-        total = np.abs(out.data).sum()
-        np.testing.assert_allclose(total, np.abs(block).sum(), rtol=1e-6)
-
-    def test_embed_out_of_bounds(self):
-        with pytest.raises(ShapeError):
-            ops.embed2d(Tensor(np.zeros((1, 1, 4, 4), np.float32)), 5, 5, 2, 0)
-
-    def test_slice_axis1_values_and_bounds(self, rng):
-        x = rng.normal(size=(2, 4, 3)).astype(np.float32)
-        out = ops.slice_axis1(Tensor(x), 1, 3)
-        np.testing.assert_array_equal(out.data, x[:, 1:3])
-        with pytest.raises(ShapeError):
-            ops.slice_axis1(Tensor(x), 3, 3)
-        with pytest.raises(ShapeError):
-            ops.slice_axis1(Tensor(x), 0, 5)
-
     def test_bilinear_scores_hand_value(self):
         q = Tensor(np.array([[1.0, 2.0]], np.float32))
         k = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], np.float32))
@@ -554,21 +534,26 @@ def _gradcheck_registry(rng):
         t = rng.integers(0, 3, size=(2, 3, 3))
         return lambda x_: ops.cross_entropy(x_, t), [x]
 
-    def embed_case():
-        x = rng.normal(size=(2, 2, 2, 3))
-        r = rng.normal(size=(2, 2, 5, 6))
-        return lambda x_: project(ops.embed2d(x_, 5, 6, 1, 2), r), [x]
-
     def scores_case():
         q = rng.normal(size=(3, 4))
         k = rng.normal(size=(3, 2, 4))
         r = rng.normal(size=(3, 2))
         return lambda q_, k_: project(ops.bilinear_scores(q_, k_), r), [q, k]
 
-    def slice_case():
-        x = rng.normal(size=(2, 5, 3))
-        r = rng.normal(size=(2, 2, 3))
-        return lambda x_: project(ops.slice_axis1(x_, 1, 3), r), [x]
+    def canvas_case(coeffs):
+        def make():
+            t = BorderTemplate(2, 7, 8, 2, "normal", rng)
+            alpha = [rng.normal(size=(3, 4, 2))] if coeffs else []
+            r = rng.normal(size=(3 if coeffs else 2, 2, 7, 8))
+
+            def loss(*leaves):
+                for side, leaf in zip(SIDES, leaves):
+                    setattr(t, side, leaf)
+                return project(t.assemble(*leaves[4:], batch=2), r)
+
+            return loss, [getattr(t, side).data for side in SIDES] + alpha
+
+        return make
 
     def wsum_case():
         w = rng.normal(size=(2, 3))
@@ -601,9 +586,9 @@ def _gradcheck_registry(rng):
         "adaptive_avg_pool_to_1": pool_case,
         "bilinear_upsample": upsample_case,
         "cross_entropy": ce_case,
-        "embed2d": embed_case,
+        "border_canvas": canvas_case(coeffs=False),
+        "border_canvas_coeffs": canvas_case(coeffs=True),
         "bilinear_scores": scores_case,
-        "slice_axis1": slice_case,
         "weighted_sum": wsum_case,
         "elementwise": elementwise_case,
         "reshape": reshape_case,
