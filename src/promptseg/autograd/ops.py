@@ -1,12 +1,12 @@
 """Differentiable network ops built on the tape in ``tensor``.
 
-Convolution is lowered to one BLAS matmul (im2col) on channel-major columns:
-a strided sliding-window view of the padded input, transposed to
-(C, k, k, B, OH, OW) and reshaped to (C*k*k, B*OH*OW) in one copy, whose
-inner axis is a row of the input.  Its backward views the column gradient
-the same way and adds it back with k*k strided slice additions in a fixed
-loop order, so results are bit-reproducible on repeated runs.  Batch norm
-is training-mode only: ``layers.conv_bn`` folds eval mode into the conv.
+Convolution is lowered to one BLAS matmul (im2col) on a stride-phase
+lattice: tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded
+input shifted by (ki // s, kj // s), so each row of the column matrix is one
+contiguous copy, and the output is cropped from the lattice.  The backward
+adds each tap's row of the column gradient back into its phase in a fixed
+loop order, so results are bit-reproducible on repeated runs.  Batch norm is
+training-mode only: ``layers.conv_bn`` folds eval mode into the conv.
 Bilinear upsampling is a pair of precomputed interpolation matrices applied
 as batched matmuls.
 """
@@ -33,6 +33,38 @@ def _as_tensor(x, name):
 # ---------------------------------------------------------------------------
 # convolution
 
+def _phases(x_shape, k, stride, padding, ah, aw):
+    """[(a, c, lattice index, input index)] per stride phase a tap reads: phase
+    (a, c) holds the padded input's rows a, a+s, ... and columns c, c+s, ...;
+    the indices pick its (C, B, ah, aw) lattice cells and their input pixels."""
+    def spans(r0, size, cells):  # lattice cell t holds input row r0 + s*t
+        t0, t1 = len(range(r0, 0, stride)), min(cells, len(range(r0, size, stride)))
+        return slice(t0, t1), slice(r0 + stride * t0, r0 + stride * t1, stride)
+
+    rows, cols = ([spans(a - padding, size, cells) for a in range(min(stride, k))]
+                  for size, cells in ((x_shape[2], ah), (x_shape[3], aw)))
+    return [(a, c, np.s_[:, :, ti, tj], np.s_[:, :, ri, rj])
+            for a, (ti, ri) in enumerate(rows) for c, (tj, rj) in enumerate(cols)]
+
+
+def _columns(x, k, stride, padding, ah, aw):
+    """(C*k*k, B*ah*aw) columns of a (B, C, H, W) array, rows in the weight's
+    (c, ki, kj) order: tap (ki, kj)'s row is the lattice of stride phase
+    (ki % s, kj % s), shifted by (ki // s) * aw + kj // s cells."""
+    b, c_in = x.shape[:2]
+    n = b * ah * aw
+    xt = x.transpose(1, 0, 2, 3)
+    if stride == k == 1 and not padding:  # the input is its own lattice
+        return xt.reshape(c_in, n)
+    cols = np.zeros((c_in, k, k, n), x.dtype)
+    for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
+        cols[:, a, c].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
+    for ki, kj in np.ndindex(k, k):
+        if off := (ki // stride) * aw + kj // stride:
+            cols[:, ki, kj, : n - off] = cols[:, ki % stride, kj % stride, off:]
+    return cols.reshape(c_in * k * k, n)
+
+
 def conv2d(x, weight, bias, stride=1, padding=0):
     """2-D convolution, NCHW input, OIHW weight, square kernel.
 
@@ -56,36 +88,36 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     if out_h < 1 or out_w < 1 or h + 2 * padding < k:
         raise ShapeError(f"conv2d kernel {k} does not fit input {h}x{w} with padding {padding}")
 
-    if padding:
-        xp = np.zeros((b, c_in, h + 2 * padding, w + 2 * padding), x.data.dtype)
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = x.data
-    # rows: the receptive field, columns: every output position.  The window
-    # view is strided over xp itself; the reshape is the only copy.
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
-    cols = windows.reshape(c_in * k * k, b * out_h * out_w)
+    # output (i, j) is lattice cell (i, j); the lattice adds the ceil(k/s) - 1
+    # cells the last taps reach, and its other cells are computed and cropped
+    ah, aw = out_h - 1 - (-k // stride), out_w - 1 - (-k // stride)
+    n = b * ah * aw
     wmat = weight.data.reshape(c_out, -1)
-    out = wmat @ cols
-    if not weight.requires_grad:
-        cols = None  # only the weight gradient reads the columns
+    out = wmat @ _columns(x.data, k, stride, padding, ah, aw)
     out += bias.data[:, None]
-    out = np.ascontiguousarray(out.reshape(c_out, b, out_h, out_w).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(out.reshape(c_out, b, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3))
 
     def backward_fn(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(c_out, -1)
-        gw = (g2 @ cols.T).reshape(weight.shape) if weight.requires_grad else None
-        gb = g2.sum(axis=1) if bias.requires_grad else None
+        gt = g.transpose(1, 0, 2, 3)
+        glat = np.zeros((c_out, b, ah, aw), g.dtype)  # cropped cells get no gradient
+        glat[:, :, :out_h, :out_w] = gt
+        glat = glat.reshape(c_out, n)
+        # the tape keeps no columns: the weight gradient rebuilds them
+        gw = ((glat @ _columns(x.data, k, stride, padding, ah, aw).T).reshape(weight.shape)
+              if weight.requires_grad else None)
+        gb = gt.reshape(c_out, -1).sum(axis=1) if bias.requires_grad else None
         gx = None
         if x.requires_grad:
-            dcols = (wmat.T @ g2).reshape(c_in, k, k, b, out_h, out_w).transpose(3, 0, 1, 2, 4, 5)
-            dxp = np.zeros(xp.shape, dtype=dcols.dtype)
-            for ki in range(k):
-                for kj in range(k):
-                    dxp[:, :, ki : ki + stride * out_h : stride,
-                        kj : kj + stride * out_w : stride] += dcols[:, :, ki, kj]
-            gx = dxp[:, :, padding : padding + h, padding : padding + w] if padding else dxp
+            # each tap's row added back into its phase's lattice in a fixed
+            # order, then each phase's cells copied to their pixels
+            dcols = (wmat.T @ glat).reshape(c_in, k, k, n)
+            lattices = np.zeros((stride, stride, c_in, n), dcols.dtype)
+            for ki, kj in np.ndindex(k, k):
+                off = (ki // stride) * aw + kj // stride
+                lattices[ki % stride, kj % stride, :, off:] += dcols[:, ki, kj, : n - off]
+            gx = np.zeros(x.shape, dcols.dtype)
+            for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
+                gx.transpose(1, 0, 2, 3)[pixels] = lattices[a, c].reshape(c_in, b, ah, aw)[cells]
         return gx, gw, gb
 
     return apply_op("conv2d", out, (x, weight, bias), backward_fn)

@@ -40,8 +40,8 @@ RUN_HASH = "54c87d710bb8981f"
 GOLDEN = {
     "SkylakeX": {
         "run": {
-            "attention.csv": "1a9a81004e03c289571e532d38270044",
-            "attention_report.csv": "915dc6bca02244b7c6fe87680de7d821",
+            "attention.csv": "2571b271cef388ad0b10e24efa1436eb",
+            "attention_report.csv": "530e53cda7ca42410d5dfac09dbf262f",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -54,50 +54,50 @@ GOLDEN = {
             "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
             "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
-            "oracle.ckpt": "705dc21e991a9ae80862b1caec8b5e57",
-            "report.csv": "5bfcf7330c6acae79e3dbde8f72073b0",
-            "seed0/apf.ckpt": "a7b529333b2391a10df875a3ebb1180d",
-            "seed0/spg_cool_dim.ckpt": "bf0df2824d2cf1a49f81a8a5cfa2d551",
-            "seed0/spg_green_bright.ckpt": "35ea9c8c0c77b5b96f3e13a77c1f206d",
-            "seed0/spg_high_contrast.ckpt": "cb97c6948668ff192aab270c5488d78d",
-            "seed0/spg_warm_hazy.ckpt": "45a2f2bdf47a6ff79ae1fb16c92d085d",
-            "seed1/apf.ckpt": "b381fca3d436f2b46798d8b9182a6629",
-            "seed1/spg_cool_dim.ckpt": "ce05e17c9533ff5cf6f0611157d44f1a",
-            "seed1/spg_green_bright.ckpt": "fa60a32a65701ce4de360c4d614b6f53",
-            "seed1/spg_high_contrast.ckpt": "89a9406311f397c960f9035fd076c6fa",
-            "seed1/spg_warm_hazy.ckpt": "7c28dbd089e8367ba5cc1a891e337009",
+            "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
+            "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
+            "seed0/apf.ckpt": "a7a04ed36ea3daf7b59ea66011a0ab47",
+            "seed0/spg_cool_dim.ckpt": "f9cedc4363903a9813189c82e71beada",
+            "seed0/spg_green_bright.ckpt": "e982812349f32841bec6c7eef6d1aa1d",
+            "seed0/spg_high_contrast.ckpt": "daa23503e8ff92985e6e70f275a145dc",
+            "seed0/spg_warm_hazy.ckpt": "ac85917c11d7a5d1673fdb4e93c53483",
+            "seed1/apf.ckpt": "698070e26fa1eaedf21dfc6e810b4175",
+            "seed1/spg_cool_dim.ckpt": "7ccedfb25337933b80ef6899fcdabf1f",
+            "seed1/spg_green_bright.ckpt": "6b630ab7847a834438c25afd1fe2a6fb",
+            "seed1/spg_high_contrast.ckpt": "bcba5da4f5047f2a0cd73c0cb73839d6",
+            "seed1/spg_warm_hazy.ckpt": "4ce1135731ac7520c27173a5701d20ca",
         },
         "fusion_tables": {
-            "ablate_fusion.csv": "7b5e6eea980390649fc4c8e797108baa",
-            "ablate_fusion.md": "4509024956814e3b91d2ab7ec1d054ed",
+            "ablate_fusion.csv": "98869da424ba21e4ef535e6dab745c4c",
+            "ablate_fusion.md": "0cf024518e520083f7566c5ec55621c2",
         },
         "fusion": {
-            "pn+softmax+tanh": 0.11601995027000148,
-            "pn+softmax": 0.11571896745694762,
-            "pn+tanh": 0.10066538628828747,
-            "pn": 0.11226972363936313,
-            "softmax+tanh": 0.1261755253205985,
-            "softmax": 0.1261755253205985,
-            "tanh": 0.10961306221079264,
-            "none": 0.1151991738212961,
+            "pn+softmax+tanh": 0.11387821344514118,
+            "pn+softmax": 0.11387821344514118,
+            "pn+tanh": 0.10604036315383356,
+            "pn": 0.1012717808222521,
+            "softmax+tanh": 0.12564004622256278,
+            "softmax": 0.12564004622256278,
+            "tanh": 0.11559417543653716,
+            "none": 0.10929245725856102,
         },
         "init": {
-            "zero": 0.11601995027000148,
-            "uniform": 0.0987809356053361,
+            "zero": 0.11387821344514118,
+            "uniform": 0.09623817403151129,
             "normal": 0.10618982472172062,
             "meta": 0.10664379258957665,
         },
         "generators": {
-            "border": 0.11165881365644756,
-            "a_border": 0.11601995027000148,
-            "full": 0.11568762413264869,
-            "a_full": 0.11262954439027556,
+            "border": 0.11200691056968676,
+            "a_border": 0.11387821344514118,
+            "full": 0.11621500277249232,
+            "a_full": 0.11219741331310865,
         },
     },
     "Haswell": {
         "run": {
-            "attention.csv": "582959d7c843ad3b2fb227aa0cb99d52",
-            "attention_report.csv": "94e286fdefcef0f455cb7fceca4589d2",
+            "attention.csv": "ccf99cbe54e69f99346bd3f605c14409",
+            "attention_report.csv": "ecf53f2012afd0dfbbe034facc028873",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
             "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
@@ -110,44 +110,44 @@ GOLDEN = {
             "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
             "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
-            "oracle.ckpt": "dc05ff28d2df09bd75ad7f98d2441dd7",
-            "report.csv": "f6158b7800f3327305c8973291758bdd",
-            "seed0/apf.ckpt": "011b348e1378427375eee439c5209452",
-            "seed0/spg_cool_dim.ckpt": "95a488e638891b54ddb30cf84cf4040d",
-            "seed0/spg_green_bright.ckpt": "59eb90393dd91e98434d5b8896309c95",
-            "seed0/spg_high_contrast.ckpt": "aba45f0924cd626bba22ccbb20167316",
-            "seed0/spg_warm_hazy.ckpt": "691f1ab42c4045fe662c0a3224325f48",
-            "seed1/apf.ckpt": "3df92c67dd6fd8fb0f7a240abb760744",
-            "seed1/spg_cool_dim.ckpt": "321648fdae14f310e94f57da2e5ecdca",
-            "seed1/spg_green_bright.ckpt": "914f6f6ca47c996a5f1033999ccb2855",
-            "seed1/spg_high_contrast.ckpt": "3e3c5ea443aa17c8957d8871bba061b6",
-            "seed1/spg_warm_hazy.ckpt": "f5deea300b447b8a10b5d90e59020bce",
+            "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
+            "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
+            "seed0/apf.ckpt": "a71508c00d633a728041c958c4c84851",
+            "seed0/spg_cool_dim.ckpt": "eb19c9942d84ab0674efadc9b599c7b2",
+            "seed0/spg_green_bright.ckpt": "658890e5b04839a4606cc65517fe5485",
+            "seed0/spg_high_contrast.ckpt": "4f29602d17775f2fbe0f764d92ef9b1e",
+            "seed0/spg_warm_hazy.ckpt": "48061844d401966687fe4badb86e25eb",
+            "seed1/apf.ckpt": "06fc098fff3755f59db13798863f7dea",
+            "seed1/spg_cool_dim.ckpt": "d7d2d14ec17da4cf0706c76506f2f38b",
+            "seed1/spg_green_bright.ckpt": "eaccc8d6b425ffef16ed0758bef384a6",
+            "seed1/spg_high_contrast.ckpt": "77588b73d3ecadb7e7e52f29067008fc",
+            "seed1/spg_warm_hazy.ckpt": "6e9d528432e7d8d53276b914a2f3e538",
         },
         "fusion_tables": {
-            "ablate_fusion.csv": "fce6236162a1bf30d154c0dad0c6a13b",
-            "ablate_fusion.md": "a6035026e104ad8fe126874a326130af",
+            "ablate_fusion.csv": "a9c0b62cd286e208ed7c39e78c159dd5",
+            "ablate_fusion.md": "a5a07816abb07c403f2d8fc1a5b25609",
         },
         "fusion": {
-            "pn+softmax+tanh": 0.11643885529847225,
-            "pn+softmax": 0.11643885529847225,
-            "pn+tanh": 0.10577768362224002,
-            "pn": 0.10846344308696015,
-            "softmax+tanh": 0.12599748630535018,
-            "softmax": 0.12599748630535018,
-            "tanh": 0.10530200931144328,
-            "none": 0.1129293737993873,
+            "pn+softmax+tanh": 0.12074827546899725,
+            "pn+softmax": 0.12048860681891961,
+            "pn+tanh": 0.105026093871812,
+            "pn": 0.10795537425786965,
+            "softmax+tanh": 0.12583135382273872,
+            "softmax": 0.12583135382273872,
+            "tanh": 0.10484532950564977,
+            "none": 0.11008397000623818,
         },
         "init": {
-            "zero": 0.11643885529847225,
-            "uniform": 0.0987809356053361,
-            "normal": 0.10632530313539187,
-            "meta": 0.10664379258957665,
+            "zero": 0.12074827546899725,
+            "uniform": 0.10967623160237136,
+            "normal": 0.10634265267061868,
+            "meta": 0.10598157180370335,
         },
         "generators": {
-            "border": 0.10780331126020956,
-            "a_border": 0.11643885529847225,
-            "full": 0.11555190194422284,
-            "a_full": 0.11230217714595524,
+            "border": 0.11072064282070468,
+            "a_border": 0.12074827546899725,
+            "full": 0.11725177179722635,
+            "a_full": 0.1110982893212625,
         },
     },
 }

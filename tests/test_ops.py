@@ -85,20 +85,48 @@ class TestConv2d:
         return tape, x
 
     @staticmethod
-    def _columns(tape):
-        """The column matrix the last conv2d on ``tape`` keeps for backward."""
-        return inspect.getclosurevars(tape._nodes[-1].backward_fn).nonlocals["cols"]
+    def _kept(tape):
+        """The arrays the last conv2d's backward closure keeps, by name,
+        nested closures included (its input tensors aside)."""
+        kept, todo, seen = {}, [tape._nodes[-1].backward_fn], set()
+        while todo:
+            fn = todo.pop()
+            seen.add(fn)
+            for name, value in inspect.getclosurevars(fn).nonlocals.items():
+                if isinstance(value, np.ndarray):
+                    kept[name] = value
+                elif inspect.isfunction(value) and value not in seen:
+                    todo.append(value)
+        return kept
 
     @pytest.mark.parametrize("k,stride,padding,size", [
         (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
         (3, 2, 0, 8),  # the last window stops one pixel short of the edge
+        (3, 2, 1, 8), (1, 1, 0, 5),  # with (5, 2, 2) and (3, 1, 1): every conv the configs build
+        (3, 3, 1, 10), (5, 3, 1, 9),  # stride 3; the last window stops short
+        (4, 2, 1, 9), (2, 1, 0, 6),  # even kernels
+        (2, 3, 0, 7), (1, 3, 0, 7),  # k < s: phases no tap reads
+        (3, 2, 2, 4), (1, 1, 1, 4),  # padding about the size of the input
     ])
     def test_matches_direct_loop_over_windows(self, rng, k, stride, padding, size):
         self._check_against_loop(rng, k, stride, padding, size, batch=2)
 
+    @pytest.mark.parametrize("k,stride,padding,size", [(5, 2, 2, 9), (3, 3, 1, 10), (1, 2, 0, 8)])
+    def test_single_image_matches_direct_loop(self, rng, k, stride, padding, size):
+        self._check_against_loop(rng, k, stride, padding, size, batch=1)
+
     def test_1x1_stride1_single_image_columns_are_a_view(self, rng):
-        tape, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1)
-        assert np.shares_memory(self._columns(tape), x.data)
+        _, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1)
+        assert np.shares_memory(ops._columns(x.data, 1, 1, 0, 5, 5), x.data)
+
+    def test_trainable_weight_keeps_no_columns(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 5, 5)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        with Tape() as tape:
+            ops.conv2d(x, w, b, stride=2, padding=2)
+        kept = self._kept(tape)  # the weight gradient rebuilds them from the input
+        assert set(kept) == {"wmat"} and np.shares_memory(kept["wmat"], w.data)
 
     def test_frozen_weight_returns_only_the_input_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
@@ -106,7 +134,8 @@ class TestConv2d:
         b = Tensor(np.zeros(4, np.float32))
         with Tape() as tape:
             out = ops.conv2d(x, w, b, stride=2, padding=1)
-        assert self._columns(tape) is None  # only the weight gradient reads them
+        kept = self._kept(tape)  # nothing beyond a view of the weight
+        assert set(kept) == {"wmat"} and np.shares_memory(kept["wmat"], w.data)
         gx, gw, gb = tape._nodes[-1].backward_fn(np.ones_like(out.data))
         assert gw is None and gb is None
         assert gx.shape == x.shape
@@ -479,12 +508,16 @@ class TestStructuralOps:
 def _gradcheck_registry(rng):
     """One entry per differentiable op: returns (loss builder, leaf arrays)."""
 
-    def conv_case():
-        x = rng.normal(size=(2, 2, 5, 5))
-        w = rng.normal(size=(3, 2, 3, 3))
-        b = rng.normal(size=(3,))
-        r = rng.normal(size=(2, 3, 3, 3))
-        return lambda x_, w_, b_: project(ops.conv2d(x_, w_, b_, 2, 1), r), [x, w, b]
+    def conv_case(k=3, stride=2, padding=1, size=5):
+        def make():
+            x = rng.normal(size=(2, 2, size, size))
+            w = rng.normal(size=(3, 2, k, k))
+            b = rng.normal(size=(3,))
+            out = (size + 2 * padding - k) // stride + 1
+            r = rng.normal(size=(2, 3, out, out))
+            return lambda x_, w_, b_: project(ops.conv2d(x_, w_, b_, stride, padding), r), [x, w, b]
+
+        return make
 
     def bn_case():
         x = rng.normal(size=(3, 2, 3, 3))
@@ -577,7 +610,9 @@ def _gradcheck_registry(rng):
         return lambda x_: project(reshape(x_, (3, 4)), r), [x]
 
     return {
-        "conv2d": conv_case,
+        "conv2d": conv_case(),
+        "conv2d_k5_s2_p2": conv_case(5, 2, 2, 7),
+        "conv2d_k3_s1_p1": conv_case(3, 1, 1, 5),
         "batch_norm2d": bn_case,
         "relu": act_case(ops.relu),
         "tanh": act_case(ops.tanh),
