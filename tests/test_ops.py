@@ -86,18 +86,10 @@ class TestConv2d:
 
     @staticmethod
     def _kept(tape):
-        """The arrays the last conv2d's backward closure keeps, by name,
-        nested closures included (its input tensors aside)."""
-        kept, todo, seen = {}, [tape._nodes[-1].backward_fn], set()
-        while todo:
-            fn = todo.pop()
-            seen.add(fn)
-            for name, value in inspect.getclosurevars(fn).nonlocals.items():
-                if isinstance(value, np.ndarray):
-                    kept[name] = value
-                elif inspect.isfunction(value) and value not in seen:
-                    todo.append(value)
-        return kept
+        """The arrays the last conv2d's backward closure keeps, by name (its
+        input tensors aside)."""
+        nonlocals = inspect.getclosurevars(tape._nodes[-1].backward_fn).nonlocals
+        return {name: v for name, v in nonlocals.items() if isinstance(v, np.ndarray)}
 
     @pytest.mark.parametrize("k,stride,padding,size", [
         (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
