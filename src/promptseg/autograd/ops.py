@@ -34,9 +34,8 @@ def _as_tensor(x, name):
 # convolution
 
 def _phases(x_shape, k, stride, padding, ah, aw):
-    """[(a, c, lattice index, input index)] per stride phase a tap reads: phase
-    (a, c) holds the padded input's rows a, a+s, ... and columns c, c+s, ...;
-    the indices pick its (C, B, ah, aw) lattice cells and their input pixels."""
+    """[(a, c, lattice cells, input pixels)] per stride phase a tap reads: phase (a, c)
+    is the padded input's rows a, a+s, ... and columns c, c+s, ... as a (C, B, ah, aw) lattice."""
     def spans(r0, size, cells):  # lattice cell t holds input row r0 + s*t
         t0, t1 = len(range(r0, 0, stride)), min(cells, len(range(r0, size, stride)))
         return slice(t0, t1), slice(r0 + stride * t0, r0 + stride * t1, stride)
@@ -48,20 +47,21 @@ def _phases(x_shape, k, stride, padding, ah, aw):
 
 
 def _columns(x, k, stride, padding, ah, aw):
-    """(C*k*k, B*ah*aw) columns of a (B, C, H, W) array, rows in the weight's
-    (c, ki, kj) order: tap (ki, kj)'s row is the lattice of stride phase
-    (ki % s, kj % s), shifted by (ki // s) * aw + kj // s cells."""
+    """(C*k*k, B*ah*aw) columns of a (B, C, H, W) array, rows in the weight's (c, ki, kj) order:
+    tap (ki, kj)'s row is the lattice of phase (ki % s, kj % s) shifted by (ki // s, kj // s)."""
     b, c_in = x.shape[:2]
     n = b * ah * aw
     xt = x.transpose(1, 0, 2, 3)
     if stride == k == 1 and not padding:  # the input is its own lattice
         return xt.reshape(c_in, n)
-    cols = np.zeros((c_in, k, k, n), x.dtype)
+    cols = np.empty((c_in, k, k, n), x.dtype)
+    cols[:, :stride, :stride] = 0  # the phases' cells that hold no input stay zero
     for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
         cols[:, a, c].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
     for ki, kj in np.ndindex(k, k):
         if off := (ki // stride) * aw + kj // stride:
             cols[:, ki, kj, : n - off] = cols[:, ki % stride, kj % stride, off:]
+            cols[:, ki, kj, n - off :] = 0
     return cols.reshape(c_in * k * k, n)
 
 
@@ -95,7 +95,7 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     wmat = weight.data.reshape(c_out, -1)
     out = wmat @ _columns(x.data, k, stride, padding, ah, aw)
     out += bias.data[:, None]
-    out = np.ascontiguousarray(out.reshape(c_out, b, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3))
+    out = out.reshape(c_out, b, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3).copy()
 
     def backward_fn(g):
         gt = g.transpose(1, 0, 2, 3)
