@@ -1,11 +1,13 @@
 """Differentiable network ops built on the tape in ``tensor``.
 
-Convolution is lowered to one BLAS matmul (im2col) on a stride-phase
-lattice: tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded
-input shifted by (ki // s, kj // s), so each row of the column matrix is one
-contiguous copy, and the output is cropped from the lattice.  The backward
-adds each tap's row of the column gradient back into its phase in a fixed
-loop order, so results are bit-reproducible on repeated runs.  Batch norm is
+Convolution is lowered to BLAS matmuls (im2col) on a stride-phase lattice:
+tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded input shifted
+by (ki // s, kj // s), so each row of the column matrix is one contiguous
+copy, and the output is cropped from the lattice.  The forward runs one
+matmul per block of whole images whose columns fit ``COLUMN_BUDGET`` bytes,
+so its peak memory does not grow with the batch.  The backward adds each
+tap's row of the column gradient back into its phase in a fixed loop order,
+so results are bit-reproducible on repeated runs.  Batch norm is
 training-mode only: ``layers.conv_bn`` folds eval mode into the conv.
 Bilinear upsampling is a pair of precomputed interpolation matrices applied
 as batched matmuls.
@@ -32,6 +34,9 @@ def _as_tensor(x, name):
 
 # ---------------------------------------------------------------------------
 # convolution
+
+COLUMN_BUDGET = 8 << 20  # bytes of forward columns per block of images
+
 
 def _phases(x_shape, k, stride, padding, ah, aw):
     """[(a, c, lattice cells, input pixels)] per stride phase a tap reads: phase (a, c)
@@ -69,6 +74,13 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     """2-D convolution, NCHW input, OIHW weight, square kernel.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1.
+
+    The forward runs in blocks of whole images, as many as fit their columns
+    into ``COLUMN_BUDGET`` bytes (one at least), each writing its crop into
+    the output.  The budget counts bytes because an image's columns grow with
+    its channels, kernel and lattice.  Only the forward is blocked: inference
+    batches grow with the request, while the batches a backward runs on (8
+    in training) stay under it, so the backward builds whole-batch columns.
     """
     _as_tensor(x, "x"), _as_tensor(weight, "weight"), _as_tensor(bias, "bias")
     if x.ndim != 4:
@@ -93,9 +105,12 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     ah, aw = out_h - 1 - (-k // stride), out_w - 1 - (-k // stride)
     n = b * ah * aw
     wmat = weight.data.reshape(c_out, -1)
-    out = wmat @ _columns(x.data, k, stride, padding, ah, aw)
-    out += bias.data[:, None]
-    out = out.reshape(c_out, b, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3).copy()
+    per = max(1, COLUMN_BUDGET // (wmat.shape[1] * ah * aw * x.data.itemsize))
+    out = np.empty((b, c_out, out_h, out_w), np.result_type(wmat, x.data))
+    for i in range(0, b, per):
+        lat = wmat @ _columns(x.data[i : i + per], k, stride, padding, ah, aw)
+        lat += bias.data[:, None]
+        out[i : i + per] = lat.reshape(c_out, -1, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3)
 
     def backward_fn(g):
         gt = g.transpose(1, 0, 2, 3)

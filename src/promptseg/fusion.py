@@ -173,12 +173,11 @@ def collect_prompts(generators, x, per_channel=True, lows=None):
     return np.stack(stack, axis=1)
 
 
-def attention_scores(heads, image_emb, prompt_emb):
+def attention_scores(heads, image_emb, prompt_emb, n):
     """Cross-attention row per sample: the query from the (B, D) image
     embeddings, one key per row of the (B * n, D) prompt embeddings."""
-    b = image_emb.shape[0]
     query = heads.wx(image_emb)
-    keys = reshape(heads.wp(prompt_emb), (b, prompt_emb.shape[0] // b, heads.embed_dim))
+    keys = reshape(heads.wp(prompt_emb), (image_emb.shape[0], n, heads.embed_dim))
     return ops.bilinear_scores(query, keys)
 
 
@@ -201,7 +200,7 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
     frozen = FrozenBatch() if frozen is None else frozen
     prompts = collect_prompts(generators, x, per_channel, frozen.lows)
     scores = attention_scores(heads, frozen.image_embedding(enc, x),
-                              frozen.prompt_embedding(enc, prompts, per_channel))
+                              frozen.prompt_embedding(enc, prompts, per_channel), prompts.shape[1])
     weights = fusion_weights(scores, use_softmax, use_tanh)
     fused = ops.weighted_sum(weights, prompts)  # P_fused = sum_i w[:, i] * P_i
     return attach_prompt(x, fused), weights

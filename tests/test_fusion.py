@@ -65,7 +65,7 @@ def encoded_scores(enc, heads, x, prompts):
     """Attention scores of images ``x`` and a prompt stack, both encoded afresh."""
     b, n = prompts.shape[:2]
     flat = prompts.reshape((b * n,) + prompts.shape[2:])
-    return attention_scores(heads, enc.encode(x), enc.encode(flat))
+    return attention_scores(heads, enc.encode(x), enc.encode(flat), n)
 
 
 def clone_state(obj):
@@ -354,6 +354,12 @@ class TestFusionForward:
         assert np.all((mask >= 0) & (mask < 4))
         assert w.shape == (2, 3)
         assert np.all((w > 0) & (w <= TANH1 + 1e-7))
+
+    def test_infer_on_an_empty_batch(self):
+        _, handle, enc, gens, heads, x = toy_setup(n=3)
+        mask, w = infer(x[:0], gens, enc, heads, handle, return_weights=True)
+        assert mask.shape == (0, 16, 16) and mask.dtype == np.uint8
+        assert w.shape == (0, 3)
 
 
 class TestEndToEndGradient:

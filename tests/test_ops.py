@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -46,6 +47,17 @@ def bn_stats(c):
     return np.zeros(c, current_dtype()), np.ones(c, current_dtype())
 
 
+WINDOW_CASES = [
+    (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
+    (3, 2, 0, 8),  # the last window stops one pixel short of the edge
+    (3, 2, 1, 8), (1, 1, 0, 5),  # with (5, 2, 2) and (3, 1, 1): every conv the configs build
+    (3, 3, 1, 10), (5, 3, 1, 9),  # stride 3; the last window stops short
+    (4, 2, 1, 9), (2, 1, 0, 6),  # even kernels
+    (2, 3, 0, 7), (1, 3, 0, 7),  # k < s: phases no tap reads
+    (3, 2, 2, 4), (1, 1, 1, 4),  # padding about the size of the input
+]
+
+
 class TestConv2d:
     def test_scalar_kernel_doubles_input(self):
         x = Tensor(np.ones((1, 1, 3, 3), np.float32))
@@ -91,17 +103,28 @@ class TestConv2d:
         nonlocals = inspect.getclosurevars(tape._nodes[-1].backward_fn).nonlocals
         return {name: v for name, v in nonlocals.items() if isinstance(v, np.ndarray)}
 
-    @pytest.mark.parametrize("k,stride,padding,size", [
-        (1, 2, 0, 8), (3, 1, 1, 7), (5, 2, 2, 9),
-        (3, 2, 0, 8),  # the last window stops one pixel short of the edge
-        (3, 2, 1, 8), (1, 1, 0, 5),  # with (5, 2, 2) and (3, 1, 1): every conv the configs build
-        (3, 3, 1, 10), (5, 3, 1, 9),  # stride 3; the last window stops short
-        (4, 2, 1, 9), (2, 1, 0, 6),  # even kernels
-        (2, 3, 0, 7), (1, 3, 0, 7),  # k < s: phases no tap reads
-        (3, 2, 2, 4), (1, 1, 1, 4),  # padding about the size of the input
-    ])
+    @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
     def test_matches_direct_loop_over_windows(self, rng, k, stride, padding, size):
         self._check_against_loop(rng, k, stride, padding, size, batch=2)
+
+    @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
+    def test_one_image_blocks_match_direct_loop(self, rng, monkeypatch, k, stride, padding, size):
+        monkeypatch.setattr(ops, "COLUMN_BUDGET", 1)  # every image is its own block
+        self._check_against_loop(rng, k, stride, padding, size, batch=3)
+
+    def test_forward_peak_stays_within_the_column_budget(self, rng):
+        # the whole batch's columns would be 33 MB: 64 * 16*5*5 * 18*18 floats
+        x = Tensor(rng.normal(size=(64, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.normal(size=(32, 16, 5, 5)).astype(np.float32))
+        b = Tensor(np.zeros(32, np.float32))
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ops.conv2d(x, w, b, stride=2, padding=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ops.COLUMN_BUDGET + x.data.nbytes + out.data.nbytes
 
     @pytest.mark.parametrize("k,stride,padding,size", [(5, 2, 2, 9), (3, 3, 1, 10), (1, 2, 0, 8)])
     def test_single_image_matches_direct_loop(self, rng, k, stride, padding, size):

@@ -11,7 +11,10 @@ the median of ``--repeats`` runs after one warm-up:
               ``input_grad``)
   fwd+dx+dw   forward and every gradient, trainable weight (training)
 
-It prints one JSON object: the per-shape medians in ms and their sums.
+Each pass also runs once more, untimed, under ``tracemalloc`` for its
+traced peak in MB (a separate run, so the tracing does not touch the
+timings).  It prints one JSON object: the per-shape medians in ms with their
+sums, and the per-shape peaks with their maximum.
 Run it from the root of a source checkout:
 
     PYTHONPATH=src python3 tools/conv_bench.py [--repeats 30] [--batch 8]
@@ -20,6 +23,7 @@ Run it from the root of a source checkout:
 import argparse
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -66,6 +70,16 @@ def median_ms(fn, repeats):
     return 1e3 * float(np.median(times))
 
 
+def traced_peak_mb(fn):
+    """The peak of the memory that one run of ``fn`` allocates, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def passes(x_shape, w_shape, stride, padding, rng):
     x0 = rng.normal(size=x_shape).astype(np.float32)
     w0 = (rng.normal(size=w_shape) * 0.1).astype(np.float32)
@@ -92,15 +106,17 @@ def main(argv=None):
     parser.add_argument("--batch", type=int, default=8)
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
-    rows, totals = [], {}
+    rows, totals, peaks = [], {}, {}
     for x_shape, w_shape, stride, padding in default_shapes(args.batch):
         row = {"x": list(x_shape), "weight": list(w_shape), "stride": stride, "padding": padding}
         for name, fn in passes(x_shape, w_shape, stride, padding, rng).items():
             row[name + "_ms"] = round(median_ms(fn, args.repeats), 3)
+            row[name + "_peak_mb"] = round(traced_peak_mb(fn), 3)
             totals[name + "_ms"] = round(totals.get(name + "_ms", 0.0) + row[name + "_ms"], 3)
+            peaks[name + "_peak_mb"] = max(peaks.get(name + "_peak_mb", 0.0), row[name + "_peak_mb"])
         rows.append(row)
     print(json.dumps({"batch": args.batch, "repeats": args.repeats, "shapes": len(rows),
-                      "total": totals, "per_shape": rows}, indent=1))
+                      "total": totals, "max_peak": peaks, "per_shape": rows}, indent=1))
 
 
 if __name__ == "__main__":
