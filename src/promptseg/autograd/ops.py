@@ -16,14 +16,9 @@ as batched matmuls.
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .tensor import (
-    DegenerateBatchError,
-    ShapeError,
-    Tensor,
-    apply_op,
-    guard_finite,
-)
+from .tensor import DegenerateBatchError, ShapeError, Tensor, apply_op
 
 
 def _as_tensor(x, name):
@@ -60,6 +55,17 @@ def _columns(x, k, stride, padding, ah, aw):
     if stride == k == 1 and not padding:  # the input is its own lattice
         return xt.reshape(c_in, n)
     cols = np.empty((c_in, k, k, n), x.dtype)
+    if -(-k // stride) >= 3:  # 3+ shifts per axis: one strided copy per phase beats one per tap
+        for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
+            # taps (a + s*i, c + s*j) read the phase's zero-tailed lattice from cell i*aw + j on
+            p, q = len(range(a, k, stride)), len(range(c, k, stride))
+            lattice = np.zeros((c_in, n + (p - 1) * aw + q - 1), x.dtype)
+            lattice[:, :n].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
+            s0, s1 = lattice.strides
+            cols[:, a::stride, c::stride] = as_strided(
+                lattice, (c_in, p, q, n), (s0, aw * s1, s1, s1), writeable=False)
+            del lattice  # one phase's lattice at a time
+        return cols.reshape(c_in * k * k, n)
     cols[:, :stride, :stride] = 0  # the phases' cells that hold no input stay zero
     for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
         cols[:, a, c].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
@@ -105,12 +111,16 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     ah, aw = out_h - 1 - (-k // stride), out_w - 1 - (-k // stride)
     n = b * ah * aw
     wmat = weight.data.reshape(c_out, -1)
-    per = max(1, COLUMN_BUDGET // (wmat.shape[1] * ah * aw * x.data.itemsize))
-    out = np.empty((b, c_out, out_h, out_w), np.result_type(wmat, x.data))
-    for i in range(0, b, per):
-        lat = wmat @ _columns(x.data[i : i + per], k, stride, padding, ah, aw)
-        lat += bias.data[:, None]
-        out[i : i + per] = lat.reshape(c_out, -1, ah, aw)[..., :out_h, :out_w].transpose(1, 0, 2, 3)
+    # an image's columns and, where _columns builds them, its phase lattices, one at a time
+    per = max(1, COLUMN_BUDGET // ((wmat.shape[1] + c_in) * ah * aw * x.data.itemsize))
+    out = None
+    for i in range(0, max(b, 1), per):  # an empty batch runs one empty block
+        block = x.data[i : i + per]
+        lat = (wmat @ _columns(block, k, stride, padding, ah, aw)).reshape(c_out, len(block), ah, aw)
+        lat += bias.data[:, None, None, None]
+        if out is None:  # allocated once the first block's columns are freed
+            out = np.empty((b, c_out, out_h, out_w), lat.dtype)
+        out[i : i + per] = lat[..., :out_h, :out_w].transpose(1, 0, 2, 3)
 
     def backward_fn(g):
         gt = g.transpose(1, 0, 2, 3)
@@ -292,14 +302,11 @@ def bilinear_upsample(x, out_h, out_w):
 # ---------------------------------------------------------------------------
 # normalization and losses
 
-def l2_normalize(x, axes, eps=1e-8):
-    """Plain array ``x`` scaled to unit L2 norm over ``axes``: (2, 3) for each
-    (b, c) plane of (B, C, H, W), (1, 2, 3) for each sample.  Prompts are
-    normalized as constants, so nothing here is recorded on a tape."""
-    norms = np.sqrt((x * x).sum(axis=axes, keepdims=True))
-    out = x / np.maximum(norms, eps)
-    guard_finite(out, "l2_normalize")
-    return out
+def l2_norms(x, axes, eps=1e-8):
+    """L2 norms (at least ``eps``, kept dims) of plain array ``x`` over ``axes``:
+    (2, 3) for each (b, c) plane of (B, C, H, W), (1, 2, 3) for each sample,
+    whatever the other planes.  Prompts are normalized as constants: no tape."""
+    return np.maximum(np.sqrt((x * x).sum(axis=axes, keepdims=True)), eps)
 
 
 def cross_entropy(logits, target):
@@ -321,13 +328,14 @@ def cross_entropy(logits, target):
 
     m = x3.max(axis=1, keepdims=True)
     z = x3 - m
-    lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
-    picked = np.take_along_axis(x3, t2, axis=1)[:, 0]
-    loss = np.asarray((lse - picked).sum() / n)
+    log_s = np.log(np.exp(z).sum(axis=1))  # per-pixel normalizer, kept for the backward
+    # flat index of each pixel's target logit in (b, k, h*w)
+    at = (np.arange(b)[:, None] * k + t2[:, 0]) * (h * w) + np.arange(h * w)
+    loss = np.asarray((log_s + m[:, 0] - np.take(x3, at)).sum() / n)
 
     def backward_fn(g):
-        p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
-        np.put_along_axis(p, t2, np.take_along_axis(p, t2, axis=1) - 1.0, axis=1)
+        p = np.exp(z - log_s[:, None])
+        p.reshape(-1)[at] -= 1.0
         p *= g.reshape(()) / n
         return (p.reshape(logits.shape),)
 

@@ -7,17 +7,13 @@ and the resulting attention row is squashed through tanh(softmax(.)) into
 fusion weights.  Only the two heads ever train; encoder, generators, and
 the segmentation oracle stay byte-identical through the whole phase.
 
-So for a given batch the frozen half of the pass (image embeddings,
-modulator outputs, prompt embeddings) is a pure function of the batch's
-bytes.  Training and evaluation keep it in a memo keyed by those bytes: the
-arms of an ablation draw the same batches and are evaluated on the same
-domains, so the arms after the first reuse what the first computed, the
-sealed oracle's baseline mask of an evaluated batch included.  Keying by the
-whole batch, not by sample, keeps reuse exact: on some BLAS kernels a
-sample's results depend on the batch it sits in.
+So a sample's frozen half of the pass never changes.  Training and
+evaluation keep it in a table, one row per sample (``FrozenTable``): a batch
+computes the rows it is first to draw as one group, and later steps and arms
+gather them.  A row keeps its group's bits (on some BLAS kernels a GEMM row
+depends on the others); the arms of a seed draw the same batches, so their
+order does not matter.
 """
-
-import hashlib
 
 import numpy as np
 
@@ -34,8 +30,9 @@ from .autograd.layers import (
     tensor_arrays,
 )
 from .autograd.optim import AdamW, CosineWarmRestarts
-from .autograd.tensor import ShapeError, reshape
+from .autograd.tensor import ShapeError, guard_finite, reshape
 from .checkpoint import load_checkpoint, loader, pack_u64, save_checkpoint, unpack_u64
+from .datasets import stack_images
 from .oracle import fingerprint_tensors
 from .prompts import attach_prompt
 from .seeding import stream
@@ -54,7 +51,7 @@ class SharedEncoder(Module):
         self.kernel = kernel
         self.stage = conv_bn_stages(self.widths, kernel, rng)
         freeze(self.tensors())
-        self.memo = None  # the FrozenMemo last filled (frozen_memo)
+        self.tables = None  # (key, tables) of frozen_tables
 
     @classmethod
     def from_seg_model(cls, model):
@@ -92,93 +89,96 @@ class FusionHeads(Module):
         self.wp = Linear(feature_dim, embed_dim, rng)
 
 
-class FrozenBatch:
-    """The frozen half of one batch's fusion pass, each part computed on first use.
+class FrozenTable:
+    """The frozen rows of a list of samples, which it holds.  A row fills by
+    section, each on first use: "base" holds the image embedding and each
+    generator's modulator output (None for a fixed variant), a ``per_channel``
+    setting the prompt embeddings and norms, "mask" the oracle's uint8
+    baseline, the only part at the input's resolution."""
 
-    ``lows`` holds every generator's low-resolution modulator output
-    (``StylePromptGenerator.modulate``), ``image_emb`` the (B, D) image
-    embeddings and ``prompt_emb`` the (B * n, D) prompt embeddings per
-    ``per_channel`` setting; an evaluated batch also keeps ``mask``, the sealed
-    oracle's uint8 (B, H, W) baseline.  Only that has the input's resolution.
-    """
+    def __init__(self, samples):
+        self.samples, self.sections = samples, {}  # section -> (filled rows, parts)
 
-    def __init__(self):
-        self.lows = []
-        self.image_emb = None
-        self.prompt_emb = {}
-        self.mask = None
+    def rows(self, section, idx, compute):
+        """The parts of ``section`` at rows ``idx``; ``compute(group)`` first makes
+        those of the rows it lacks, as one group in order of first draw."""
+        filled, parts = self.sections.setdefault(section, (np.zeros(len(self.samples), bool), []))
+        if group := [i for i in dict.fromkeys(idx.tolist()) if not filled[i]]:
+            for j, a in enumerate(compute(np.array(group))):
+                if j == len(parts):
+                    parts.append(a if a is None else np.empty(filled.shape + a.shape[1:], a.dtype))
+                if a is not None:
+                    parts[j][group] = a
+            filled[group] = True
+        return [part if part is None else part[idx] for part in parts]
 
-    def baseline_mask(self, oracle, x):
-        if self.mask is None:
-            self.mask = oracle.predict_mask(x)
-        return self.mask
+    def gather(self, idx, generators, enc, per_channel):
+        """(image embeddings, modulator outputs, prompt embeddings, norms) of rows ``idx``."""
+        def base(group):
+            return _base_rows(stack_images(self.samples, group), generators, enc)
 
-    def image_embedding(self, enc, x):
-        if self.image_emb is None:
-            self.image_emb = enc.encode(x)
-        return self.image_emb
+        def prompt(group):
+            lows = self.rows("base", group, base)[1:]
+            return _prompt_rows(generators, lows, len(group), enc, per_channel)[1:]
 
-    def prompt_embedding(self, enc, prompts, per_channel):
-        if per_channel not in self.prompt_emb:
-            b, n = prompts.shape[:2]
-            flat = prompts.reshape((b * n,) + prompts.shape[2:])
-            self.prompt_emb[per_channel] = enc.encode(flat)
-        return self.prompt_emb[per_channel]
-
-
-class FrozenMemo:
-    """One ``FrozenBatch`` per distinct batch, for the frozen weights in ``key``."""
-
-    def __init__(self, key):
-        self.key = key
-        self.batches = {}
-
-    def batch(self, x):
-        digest = hashlib.blake2b(x.tobytes(), digest_size=16).digest()
-        return self.batches.setdefault((x.shape, digest), FrozenBatch())
+        image_emb, *lows = self.rows("base", idx, base)
+        return (image_emb, lows, *self.rows(per_channel, idx, prompt))
 
 
-def frozen_memo(enc, generators, oracle):
-    """The memo that ``enc`` holds for ``generators`` and ``oracle``.
-
-    Kept on the encoder, it lives as long as the encoder does.  It holds one
-    set of frozen weights, named by the fingerprints of the encoder, of every
-    generator and of the oracle: other weights replace it with an empty memo.
-    """
+def frozen_tables(enc, generators, oracle):
+    """The function from a list of samples to its ``FrozenTable``, found by
+    the identity of every sample.  The tables hang off the encoder and hold
+    one set of frozen weights, named by the fingerprints of the encoder, of
+    every generator and of the oracle: other weights replace them with none."""
     key = (enc.fingerprint(), tuple(fingerprint_tensors(g.tensors()) for g in generators),
            oracle.fingerprint)
-    if enc.memo is None or enc.memo.key != key:
-        enc.memo = FrozenMemo(key)
-    return enc.memo
+    if enc.tables is None or enc.tables[0] != key:
+        enc.tables = key, {}
+    tables = enc.tables[1]
+    return lambda samples: tables.setdefault(tuple(map(id, samples)), FrozenTable(samples))
 
 
-def collect_prompts(generators, x, per_channel=True, lows=None):
-    """Generate and L2-normalize every style prompt; a plain (B, n, C, H, W) stack.
+def _base_rows(x, generators, enc):
+    """[image embeddings, each generator's modulator output] of images ``x``."""
+    with no_grad():
+        lows = [gen.modulate(x) for gen in generators]
+        return [enc.encode(x).data] + [low if low is None else low.data for low in lows]
 
-    Returned as raw data on purpose: downstream gradients flow into the
-    fusion weights, never back into the generators.  ``lows`` is the
-    batch's list of modulator outputs (``FrozenBatch.lows``): filled when
-    empty, reused when not.
-    """
+
+def _prompt_rows(generators, lows, batch, enc, per_channel):
+    """A batch's prompt stack, its (B, n, D) embeddings and its norms."""
+    prompts, norms = collect_prompts(generators, lows, batch, per_channel)
+    with no_grad():
+        emb = enc.encode(prompts.reshape((-1,) + prompts.shape[2:])).data
+    return prompts, emb.reshape(prompts.shape[:2] + emb.shape[1:]), norms
+
+
+def collect_prompts(generators, lows, batch, per_channel=True, norms=None):
+    """A batch's prompts from its modulator outputs ``lows`` (None for a fixed
+    variant), each divided by its L2 norm into a plain (B, n, C, H, W) stack,
+    and the (B, n, C or 1, 1, 1) norms, per channel or per sample, or else
+    ``norms``, stored by an earlier call on the same rows (so the same bits)."""
     if not generators:
         raise ValueError("no generators given")
-    x = np.asarray(x, np.float32)
-    axes = (2, 3) if per_channel else (1, 2, 3)
-    lows = [] if lows is None else lows
+    fresh, found = norms is None, []
     with no_grad():
-        if not lows:
-            lows.extend(gen.modulate(x) for gen in generators)
-        stack = [ops.l2_normalize(gen.prompt(low, x.shape[0]).data, axes)
-                 for gen, low in zip(generators, lows)]
-    return np.stack(stack, axis=1)
+        for i, (gen, low) in enumerate(zip(generators, lows)):
+            p = gen.prompt(low if low is None else Tensor(low), batch).data
+            stack = np.empty((batch, len(generators)) + p.shape[1:], p.dtype) if i == 0 else stack
+            found.append(ops.l2_norms(p, (2, 3) if per_channel else (1, 2, 3)) if fresh
+                         else norms[:, i])
+            np.divide(p, found[-1], out=stack[:, i])
+    if fresh:
+        guard_finite(stack, "collect_prompts")
+    return stack, np.stack(found, axis=1)
 
 
-def attention_scores(heads, image_emb, prompt_emb, n):
+def attention_scores(heads, image_emb, prompt_emb):
     """Cross-attention row per sample: the query from the (B, D) image
-    embeddings, one key per row of the (B * n, D) prompt embeddings."""
-    query = heads.wx(image_emb)
-    keys = reshape(heads.wp(prompt_emb), (image_emb.shape[0], n, heads.embed_dim))
-    return ops.bilinear_scores(query, keys)
+    embeddings, one key per prompt of the (B, n, D) prompt embeddings."""
+    keys = heads.wp(reshape(prompt_emb, (-1, prompt_emb.shape[2])))
+    keys = reshape(keys, prompt_emb.shape[:2] + (heads.embed_dim,))
+    return ops.bilinear_scores(heads.wx(image_emb), keys)
 
 
 def fusion_weights(scores, use_softmax=True, use_tanh=True):
@@ -188,32 +188,33 @@ def fusion_weights(scores, use_softmax=True, use_tanh=True):
 
 
 def fusion_forward(x, generators, enc, heads, per_channel=True,
-                   use_softmax=True, use_tanh=True, frozen=None):
+                   use_softmax=True, use_tanh=True, rows=None):
     """The full fusion pass; training and inference share this exact path.
 
-    ``frozen`` is the batch's entry in a ``FrozenMemo``: the frozen results
-    it holds are reused, the ones it lacks are computed into it.  Without
-    one the frozen half is computed afresh.  Returns (prompted input,
+    ``rows`` are the batch's frozen rows (``FrozenTable.gather``); without
+    them the frozen half is computed afresh.  Returns (prompted input,
     fusion weights).
     """
     x = np.asarray(x, np.float32)
-    frozen = FrozenBatch() if frozen is None else frozen
-    prompts = collect_prompts(generators, x, per_channel, frozen.lows)
-    scores = attention_scores(heads, frozen.image_embedding(enc, x),
-                              frozen.prompt_embedding(enc, prompts, per_channel), prompts.shape[1])
+    if rows is None:
+        image_emb, *lows = _base_rows(x, generators, enc)
+        prompts, prompt_emb, _ = _prompt_rows(generators, lows, len(x), enc, per_channel)
+    else:
+        image_emb, lows, prompt_emb, norms = rows
+        prompts, _ = collect_prompts(generators, lows, len(x), per_channel, norms)
+    scores = attention_scores(heads, Tensor(image_emb), Tensor(prompt_emb))
     weights = fusion_weights(scores, use_softmax, use_tanh)
     fused = ops.weighted_sum(weights, prompts)  # P_fused = sum_i w[:, i] * P_i
     return attach_prompt(x, fused), weights
 
 
 def infer(x, generators, enc, heads, oracle, per_channel=True,
-          use_softmax=True, use_tanh=True, return_weights=False, frozen=None):
-    """Fused-prompt prediction: argmax class mask for each input.
-
-    Without ``frozen`` (a ``FrozenMemo`` entry) no memo is read or filled."""
+          use_softmax=True, use_tanh=True, return_weights=False, rows=None):
+    """Fused-prompt prediction: argmax class mask for each input.  Without
+    ``rows``, the inputs' frozen rows, no table is read or filled."""
     with no_grad():
         prompted, weights = fusion_forward(
-            x, generators, enc, heads, per_channel, use_softmax, use_tanh, frozen
+            x, generators, enc, heads, per_channel, use_softmax, use_tanh, rows
         )
     mask = oracle.predict_mask(prompted.data)
     if return_weights:
@@ -232,18 +233,17 @@ def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
     ``apf`` is the config section: budget, optimizer and schedule settings
     plus the three fusion flags.  Everything else is frozen: prompts enter
     as constants, the encoder records nothing on the tape, and the oracle
-    only hands back input gradients.  The frozen half of each step comes
-    from the encoder's memo (``frozen_memo``), so a later call on the same
-    frozen weights and batches skips it.  Returns the per-iteration loss
-    curve.
+    only hands back input gradients; each step gathers the frozen half from
+    the samples' table (``frozen_tables``).  Returns the loss curve.
     """
     opt = AdamW(parameters(heads.tensors()), betas=apf.betas)
-    memo = frozen_memo(enc, generators, oracle)
+    table = frozen_tables(enc, generators, oracle)(samples)
 
-    def step(xb, yb):
+    def step(idx, xb, yb):
+        rows = table.gather(idx, generators, enc, apf.per_channel)
         with Tape() as tape:
             prompted, _ = fusion_forward(xb, generators, enc, heads, apf.per_channel,
-                                         apf.use_softmax, apf.use_tanh, memo.batch(xb))
+                                         apf.use_softmax, apf.use_tanh, rows)
         loss, grad_x = oracle.input_grad(prompted.data, yb)
         tape.backward(prompted, seed=grad_x)
         return loss

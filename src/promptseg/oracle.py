@@ -64,7 +64,7 @@ def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3,
     model = SegModel(samples[0].class_count, stream(seed, "oracle-init"), widths, kernel)
     opt = AdamW(parameters(model.tensors()))
 
-    def step(xb, yb):
+    def step(_, xb, yb):
         with Tape() as tape:
             loss = ops.cross_entropy(model.forward(Tensor(xb), training=True), yb)
         tape.backward(loss)

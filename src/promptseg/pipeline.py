@@ -20,12 +20,12 @@ import numpy as np
 
 from .checkpoint import atomic_open
 from .config import ExperimentConfig, config_hash, save_config
-from .datasets import DomainSpec, load_domain, make_domain, save_domain
+from .datasets import DomainSpec, load_domain, make_domain, save_domain, stack_images, stack_masks
 from .errors import StageError
 from .fusion import (
     FusionHeads,
     SharedEncoder,
-    frozen_memo,
+    frozen_tables,
     infer,
     load_heads,
     save_heads,
@@ -276,21 +276,21 @@ def eval_domains(cfg) -> tuple:
 @_stage("eval")
 def stage_eval(cfg, domains, gens, enc, heads, oracle, seed, names=None) -> tuple:
     """Baseline and fused mIoU plus attention statistics per val domain; the
-    frozen results, the baseline mask too, come from the encoder's memo."""
+    frozen rows, baseline mask too, come from the domain's table, as one group."""
     a = cfg.apf
     gen_list = list(gens.values())
-    memo = frozen_memo(enc, gen_list, oracle)
+    table_of = frozen_tables(enc, gen_list, oracle)
     rows, attention = [], []
     for name in (eval_domains(cfg) if names is None else names):
         samples = domains[name]
-        xs = np.stack([x.image for x in samples])
-        ys = np.stack([x.mask for x in samples])
-        frozen = memo.batch(xs)
-        base_iou, base_mean = miou(frozen.baseline_mask(oracle, xs), ys, CLASS_COUNT)
+        table, idx = table_of(samples), np.arange(len(samples))
+        xs, ys = stack_images(samples), stack_masks(samples)
+        base_iou, base_mean = miou(table.rows("mask", idx, lambda group: [
+            oracle.predict_mask(xs[group])])[0], ys, CLASS_COUNT)
         pred, weights = infer(
             xs, gen_list, enc, heads, oracle, per_channel=a.per_channel,
             use_softmax=a.use_softmax, use_tanh=a.use_tanh, return_weights=True,
-            frozen=frozen,
+            rows=table.gather(idx, gen_list, enc, a.per_channel),
         )
         fused_iou, fused_mean = miou(pred, ys, CLASS_COUNT)
         row = {"domain": name, "seed": seed,

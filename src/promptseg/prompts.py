@@ -273,7 +273,7 @@ def train_spg(gen, samples, oracle, spg, seed=0):
     """
     opt = SgdMomentum(parameters(gen.tensors()), spg.momentum)
 
-    def step(xb, yb):
+    def step(_, xb, yb):
         with Tape() as tape:
             prompted = attach_prompt(xb, gen.generate(xb, training=True))
         loss, grad_x = oracle.input_grad(prompted.data, yb)

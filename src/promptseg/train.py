@@ -1,9 +1,9 @@
 """The one training loop behind oracle pretraining, SPG and APF.
 
 Each stage differs only in what a step computes, so each passes a ``step``
-closure that records its forward pass, leaves gradients on the optimizer's
-parameters and returns the batch loss.  Batch order, learning-rate schedule,
-optimizer update and logging live here once.
+closure that takes a batch's sample indices, images and masks, records its
+forward pass, leaves gradients on the optimizer's parameters and returns the
+batch loss.  Batch order, schedule, update and logging live here once.
 """
 
 import logging
@@ -20,7 +20,7 @@ def fit(samples, step, opt, schedule, picker, iters, batch, label):
     losses = []
     for it in range(iters):
         idx = picker.integers(0, len(samples), size=batch)
-        losses.append(step(stack_images(samples, idx), stack_masks(samples, idx)))
+        losses.append(step(idx, stack_images(samples, idx), stack_masks(samples, idx)))
         opt.step(schedule.lr_at(it))
         opt.zero_grad()
         if it % max(1, iters // 5) == 0:

@@ -8,16 +8,16 @@ import pytest
 from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
 from promptseg.autograd import ops
 from promptseg.autograd.layers import tensor_arrays
-from promptseg.autograd.tensor import ShapeError
+from promptseg.autograd.tensor import ShapeError, reshape
 from promptseg.errors import FormatError
 from promptseg.config import ApfConfig, ExperimentConfig
 from promptseg.fusion import (
-    FrozenBatch,
     FusionHeads,
     SharedEncoder,
     _apf_schedule,
     attention_scores,
     collect_prompts,
+    frozen_tables,
     fusion_forward,
     fusion_weights,
     infer,
@@ -61,11 +61,18 @@ def toy_setup(n=3, size=16, variant="border", seed=0):
     return model, handle, enc, gens, heads, x
 
 
+def prompt_stack(gens, x, per_channel=True):
+    """``collect_prompts``' stack for images ``x``, the modulators run afresh."""
+    with no_grad():
+        lows = [None if low is None else low.data for low in (g.modulate(x) for g in gens)]
+    return collect_prompts(gens, lows, len(x), per_channel)[0]
+
+
 def encoded_scores(enc, heads, x, prompts):
     """Attention scores of images ``x`` and a prompt stack, both encoded afresh."""
     b, n = prompts.shape[:2]
     flat = prompts.reshape((b * n,) + prompts.shape[2:])
-    return attention_scores(heads, enc.encode(x), enc.encode(flat), n)
+    return attention_scores(heads, enc.encode(x), reshape(enc.encode(flat), (b, n, -1)))
 
 
 def clone_state(obj):
@@ -141,19 +148,19 @@ class TestSharedEncoder:
 class TestCollectPrompts:
     def test_stack_shape_and_plainness(self):
         _, _, _, gens, _, x = toy_setup(n=3)
-        stack = collect_prompts(gens, x)
+        stack = prompt_stack(gens, x)
         assert type(stack) is np.ndarray
         assert stack.shape == (2, 3, 3, 16, 16)
 
     def test_channel_norms_are_unit(self):
         _, _, _, gens, _, x = toy_setup(n=4, variant="a_border")
-        stack = collect_prompts(gens, x, per_channel=True)
+        stack = prompt_stack(gens, x, per_channel=True)
         norms = np.linalg.norm(stack.reshape(2, 4, 3, -1), axis=3)
         assert np.all(np.abs(norms - 1.0) < 1e-5)
 
     def test_whole_tensor_norms_are_unit(self):
         _, _, _, gens, _, x = toy_setup(n=2)
-        stack = collect_prompts(gens, x, per_channel=False)
+        stack = prompt_stack(gens, x, per_channel=False)
         norms = np.linalg.norm(stack.reshape(2, 2, -1), axis=2)
         assert np.all(np.abs(norms - 1.0) < 1e-5)
         chan = np.linalg.norm(stack.reshape(2, 2, 3, -1), axis=3)
@@ -164,19 +171,19 @@ class TestCollectPrompts:
         _, _, _, _, _, x = toy_setup()
         gen = StylePromptGenerator("z", "border", height=16, width=16, pad=3,
                                   init="zero")
-        stack = collect_prompts([gen], x)
+        stack = prompt_stack([gen], x)
         assert np.all(stack == 0.0)
 
     def test_empty_generator_list_rejected(self):
         _, _, _, _, _, x = toy_setup()
         with pytest.raises(ValueError):
-            collect_prompts([], x)
+            collect_prompts([], [], len(x))
 
 
 class TestAttentionScores:
     def test_score_shape(self):
         _, _, enc, gens, heads, x = toy_setup(n=3)
-        prompts = collect_prompts(gens, x)
+        prompts = prompt_stack(gens, x)
         with no_grad():
             scores = encoded_scores(enc, heads, x, prompts)
         assert scores.shape == (2, 3)
@@ -185,14 +192,14 @@ class TestAttentionScores:
         _, _, enc, gens, heads, x = toy_setup(n=3)
         heads.wx.weight.data[...] = 0.0
         heads.wx.bias.data[...] = 0.0
-        prompts = collect_prompts(gens, x)
+        prompts = prompt_stack(gens, x)
         with no_grad():
             scores = encoded_scores(enc, heads, x, prompts)
         assert np.all(scores.data == 0.0)
 
     def test_duplicate_generators_give_equal_columns(self):
         _, _, enc, gens, heads, x = toy_setup(n=2)
-        prompts = collect_prompts([gens[0], gens[0], gens[1]], x)
+        prompts = prompt_stack([gens[0], gens[0], gens[1]], x)
         # the duplicated prompts are bit-equal; their encodings need not be:
         # the GEMM does not promise that a row's result is independent of its
         # position in the batch, so the columns agree to float32 rounding
@@ -206,7 +213,7 @@ class TestAttentionScores:
             _, _, enc, gens, heads, x = toy_setup(n=2, size=8)
             gens = [StylePromptGenerator(f"s{i}", "border", height=8, width=8,
                                          pad=2, seed=i) for i in range(2)]
-            prompts = collect_prompts(gens, x[:, :, :8, :8])
+            prompts = prompt_stack(gens, x[:, :, :8, :8])
             xs = x[:, :, :8, :8]
 
             def loss_value():
@@ -308,25 +315,43 @@ class TestFusePrompts:
 class TestFusionForward:
     def test_matches_step_by_step_composition(self):
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
-        frozen = FrozenBatch()
         with no_grad():
-            prompted, weights = fusion_forward(x, gens, enc, heads, frozen=frozen)
-            # the stack fusion_forward fused, rebuilt from the batch's
-            # modulator outputs, against one generated step by step
-            prompts = collect_prompts(gens, x, lows=frozen.lows)
-            manual_prompts = collect_prompts(gens, x)
+            prompted, weights = fusion_forward(x, gens, enc, heads)
+            manual_prompts = prompt_stack(gens, x)
             scores = encoded_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
             manual = x + ops.weighted_sum(manual_w, manual_prompts).data
-        assert np.array_equal(prompts, manual_prompts)
         assert np.array_equal(weights.data, manual_w.data)
         assert np.array_equal(prompted.data, manual)
+
+    @pytest.mark.parametrize("per_channel", [True, False])
+    def test_table_rows_give_the_fresh_pass(self, per_channel):
+        # a pool whose rows are computed as one group, then gathered in
+        # another order: the pass equals one computed afresh on that order
+        _, handle, enc, gens, heads, _ = toy_setup(n=3, variant="a_border")
+        gens[1] = StylePromptGenerator("s1", "a_full", height=16, width=16, depth=8, seed=1)
+        dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=43, height=16, width=16),
+                                     count=4))
+        table = frozen_tables(enc, gens, handle)(dom)
+        table.gather(np.arange(4), gens, enc, per_channel)
+        idx = np.array([2, 0, 3, 1])
+        rows = table.gather(idx, gens, enc, per_channel)
+        x = np.stack([dom[i].image for i in idx])
+        with no_grad():
+            got = fusion_forward(x, gens, enc, heads, per_channel, rows=rows)
+            want = fusion_forward(x, gens, enc, heads, per_channel)
+            _, lows, _, stored = rows
+            stack, norms = collect_prompts(gens, lows, 4, per_channel)
+        assert np.array_equal(norms, stored)  # a plane's norm is its own
+        assert np.array_equal(stack, collect_prompts(gens, lows, 4, per_channel, stored)[0])
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-6)
 
     def test_single_generator_reduces_to_tanh_one_attachment(self):
         model, handle, enc, gens, heads, x = toy_setup(n=1)
         got = infer(x, gens[:1], enc, heads, handle)
         with no_grad():
-            p = collect_prompts(gens[:1], x)[:, 0]
+            p = prompt_stack(gens[:1], x)[:, 0]
         w1 = np.tanh(np.asarray(1.0, np.float32))
         manual = handle.predict_mask(x + w1 * p)
         assert np.array_equal(got, manual)
@@ -509,23 +534,36 @@ def train_arm(world, enc, gens, arm, iters=5):
     return clone_state(heads)
 
 
-def memo_arrays(memo):
-    """Every array the memo holds, over all its batches."""
-    parts = [t for b in memo.batches.values()
-             for t in b.lows + [b.image_emb] + list(b.prompt_emb.values())]
-    return [t.data for t in parts if t is not None]
+def the_table(enc):
+    """The one table the encoder holds."""
+    (table,) = enc.tables[1].values()
+    return table
+
+
+def table_parts(table):
+    """{section: (filled rows, [(per-row shape, dtype) or None per part])}."""
+    return {name: (filled.copy(), [None if a is None else (a.shape[1:], a.dtype) for a in parts])
+            for name, (filled, parts) in table.sections.items()}
+
+
+def table_arrays(enc):
+    """Every array the encoder's tables hold."""
+    return [a for table in enc.tables[1].values() for _, parts in table.sections.values()
+            for a in parts if a is not None]
 
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Counts of encoder and modulator calls, by name."""
-    counts = {"encode": 0, "low_res": 0}
+    """Calls of the encoder and the modulators by name, and the rows encoded."""
+    counts = {"encode": 0, "low_res": 0, "rows": 0}
 
     def counting(owner, name):
         real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "encode":
+                counts["rows"] += len(args[1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -536,6 +574,8 @@ def call_counts(monkeypatch):
 
 
 class TestFrozenMemo:
+    """The tables of frozen rows that fusion training fills."""
+
     def test_arm_heads_do_not_depend_on_earlier_arms(self, memo_world):
         model = memo_world[0]
         gens = memo_gens()
@@ -547,14 +587,26 @@ class TestFrozenMemo:
             for arm, state in zip(FUSION_ARMS, alone):
                 assert states_equal(shared[arm], state), arm
 
+    def test_each_drawn_row_is_encoded_once(self, memo_world, call_counts):
+        enc = SharedEncoder.from_seg_model(memo_world[0])
+        gens = memo_gens()
+        train_arm(memo_world, enc, gens, (True, True, True), iters=2)
+        picker = stream(3, "apf-batches")  # train_apf's draws
+        drawn = {int(i) for _ in range(2) for i in picker.integers(0, 12, size=4)}
+        assert len(drawn) < 12  # never the whole pool
+        # one image row and one prompt row per generator, per distinct sample
+        assert call_counts["rows"] == (1 + len(gens)) * len(drawn)
+        filled, _ = table_parts(the_table(enc))["base"]
+        assert set(np.flatnonzero(filled)) == drawn
+
     def test_second_arm_skips_the_frozen_path(self, memo_world, call_counts):
         enc = SharedEncoder.from_seg_model(memo_world[0])
         train_arm(memo_world, enc, memo_gens(), (True, True, True))
         assert call_counts["encode"] > 0 and call_counts["low_res"] > 0
         call_counts.update(encode=0, low_res=0)
-        # equal weights in new generator objects: the memo is keyed by content
+        # equal weights in new generator objects: the tables are keyed by content
         train_arm(memo_world, enc, memo_gens(), (True, False, True))
-        assert call_counts == {"encode": 0, "low_res": 0}
+        assert call_counts["encode"] == call_counts["low_res"] == 0
 
     def test_changed_weights_invalidate_the_memo(self, memo_world, call_counts):
         enc = SharedEncoder.from_seg_model(memo_world[0])
@@ -565,12 +617,14 @@ class TestFrozenMemo:
             weight.data[0, 0, 0, 0] = 0.5
             call_counts.update(encode=0, low_res=0)
             train_arm(memo_world, enc, gens, arm, iters=1)
-            assert call_counts == {"encode": 2, "low_res": 2}
-            assert len(enc.memo.batches) == 1
-        # a different generator set starts its own memo too
+            # fresh rows: images and prompts encoded, both modulators run
+            assert call_counts["encode"] == call_counts["low_res"] == 2
+            filled, _ = table_parts(the_table(enc))["base"]
+            assert filled.sum() == len(set(stream(3, "apf-batches").integers(0, 12, size=4)))
+        # a different generator set starts its own tables too
         call_counts.update(encode=0, low_res=0)
         train_arm(memo_world, enc, gens[:2], arm, iters=1)
-        assert call_counts == {"encode": 2, "low_res": 2}
+        assert call_counts["encode"] == call_counts["low_res"] == 2
 
     def test_memo_holds_nothing_at_input_resolution(self, memo_world):
         model, handle, dom = memo_world
@@ -579,20 +633,21 @@ class TestFrozenMemo:
         heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
         x = np.stack([s.image for s in dom])
         infer(x, gens, enc, heads, handle)
-        assert enc.memo is None
+        assert enc.tables is None
         for arm in FUSION_ARMS[:2] + FUSION_ARMS[4:6]:
             train_arm(memo_world, enc, gens, arm)
-        entries = len(enc.memo.batches)
-        arrays = memo_arrays(enc.memo)
-        # per batch: 2 modulator outputs, image and 2 prompt embeddings
-        assert len(arrays) == 5 * entries
-        assert all(32 not in a.shape for a in arrays)
+        parts = table_parts(the_table(enc))
+        # the image embedding and 2 modulator outputs (``border`` has none),
+        # then the prompt embeddings and norms per ``per_channel`` setting
+        assert {name: len([p for p in held if p]) for name, (_, held) in parts.items()} == {
+            "base": 3, True: 2, False: 2}
+        assert all(32 not in a.shape[1:] for a in table_arrays(enc))
         infer(x, gens, enc, heads, handle)
-        assert len(enc.memo.batches) == entries
+        assert repr(table_parts(the_table(enc))) == repr(parts)
 
     def test_memo_size_at_the_default_config(self):
-        # the largest memo the default world can fill: a_full maps and both
-        # prompt normalizations, scaled from two batches to the full budget
+        # the largest table the default pool can fill: a_full maps and both
+        # prompt normalizations, scaled from the rows drawn to the 320 samples
         cfg = ExperimentConfig()
         size = cfg.data.size
         model = SegModel(6, stream(0, "memo-size"), widths=cfg.oracle.widths,
@@ -607,8 +662,9 @@ class TestFrozenMemo:
             apf = dataclasses.replace(cfg.apf, iters=2, per_channel=per_channel)
             heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=apf.embed_dim)
             train_apf(heads, dom, gens, enc, OracleHandle(model), apf)
-        per_batch = sum(a.nbytes for a in memo_arrays(enc.memo)) / len(enc.memo.batches)
-        assert per_batch * cfg.apf.iters < 25e6
+        per_row = sum(a.nbytes for a in table_arrays(enc)) / len(dom)
+        pool = 4 * cfg.data.styled_train + cfg.data.styled_train
+        assert per_row * pool < 2e6
 
 
 def eval_gens():
@@ -618,42 +674,31 @@ def eval_gens():
     return {f"s{i}": g for i, g in enumerate(gens)}
 
 
-def eval_arm(world, enc, gens, arm, seed=0):
-    """``stage_eval`` of one fusion arm on the pool, with fresh heads."""
+def eval_arm(world, enc, gens, arm, seed=0, domains=None):
+    """``stage_eval`` of one fusion arm with fresh heads, on the pool or on ``domains``."""
     _, handle, dom = world
+    domains = {"toy": dom} if domains is None else domains
     cfg = ExperimentConfig(apf=ApfConfig(per_channel=arm[0], use_softmax=arm[1],
                                          use_tanh=arm[2]))
     heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=seed)
-    return stage_eval(cfg, {"toy": dom}, gens, enc, heads, handle, 0, ("toy",))
-
-
-def entry_held(entry):
-    """(part, object) for everything a memo entry holds, the mask last."""
-    parts = [(f"low{i}", t) for i, t in enumerate(entry.lows)]
-    parts += [("image", entry.image_emb)]
-    parts += [(f"prompt{k}", t) for k, t in sorted(entry.prompt_emb.items())]
-    return parts + [("mask", entry.mask)]
-
-
-def entry_parts(entry):
-    """(part, per-sample shape, dtype) of every array a memo entry holds."""
-    arrays = [(name, t.data if isinstance(t, Tensor) else t)
-              for name, t in entry_held(entry)]
-    return [(name, None if a is None else (a.shape[1:], a.dtype)) for name, a in arrays]
+    return stage_eval(cfg, domains, gens, enc, heads, handle, 0, tuple(domains))
 
 
 class TestEvalMemo:
+    """Evaluation reads and fills the same tables."""
+
     def test_second_arm_runs_only_its_heads(self, memo_world, call_counts):
-        handle = memo_world[1]
+        handle, dom = memo_world[1:]
+        domains = {"toy": dom, "toy_head": dom[:5]}
         enc = SharedEncoder.from_seg_model(memo_world[0])
-        eval_arm(memo_world, enc, eval_gens(), (True, True, True))
+        eval_arm(memo_world, enc, eval_gens(), (True, True, True), domains=domains)
         assert call_counts["encode"] > 0 and call_counts["low_res"] > 0
         call_counts.update(encode=0, low_res=0)
         before = handle.queries["predict"]["calls"]
-        eval_arm(memo_world, enc, eval_gens(), (True, False, True), seed=1)
-        assert call_counts == {"encode": 0, "low_res": 0}
-        # the baseline comes from the memo: only the fused prediction runs
-        assert handle.queries["predict"]["calls"] == before + 1
+        eval_arm(memo_world, enc, eval_gens(), (True, False, True), seed=1, domains=domains)
+        assert call_counts["encode"] == call_counts["low_res"] == 0
+        # the baselines come from the tables: only the fused predictions run
+        assert handle.queries["predict"]["calls"] == before + len(domains)
 
     def test_reused_results_equal_fresh_ones(self, memo_world):
         model = memo_world[0]
@@ -666,20 +711,38 @@ class TestEvalMemo:
             # repr is exact for floats and equal for NaN
             assert repr(shared) == repr(fresh), arm
 
+    def test_a_second_world_gets_its_own_rows(self, memo_world, call_counts):
+        # same domain name, same frozen weights, other samples
+        model = memo_world[0]
+        other = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=44, height=32, width=32),
+                                       count=12))
+        enc = SharedEncoder.from_seg_model(model)
+        eval_arm(memo_world, enc, eval_gens(), (True, True, True))
+        call_counts.update(encode=0, low_res=0)
+        shared = eval_arm(memo_world, enc, eval_gens(), (True, True, True),
+                          domains={"toy": other})
+        assert call_counts["encode"] > 0 and call_counts["low_res"] > 0
+        fresh = eval_arm(memo_world, SharedEncoder.from_seg_model(model), eval_gens(),
+                         (True, True, True), domains={"toy": other})
+        assert repr(shared) == repr(fresh)
+        assert len(enc.tables[1]) == 2
+
     def test_infer_without_an_entry_leaves_the_memo_alone(self, memo_world):
         model, handle, dom = memo_world
         enc = SharedEncoder.from_seg_model(model)
         gens = eval_gens()
         eval_arm(memo_world, enc, gens, (True, True, True))
-        memo = enc.memo
-        (entry,) = memo.batches.values()
-        held = [id(t) for _, t in entry_held(entry)]
+        tables = enc.tables
+        table = the_table(enc)
+        held = [id(a) for _, parts in table.sections.values() for a in parts]
+        parts = repr(table_parts(table))
         heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
         x = np.stack([s.image for s in dom])
         for batch in (x, x[:4]):
             infer(batch, list(gens.values()), enc, heads, handle, per_channel=False)
-        assert enc.memo is memo and list(memo.batches.values()) == [entry]
-        assert [id(t) for _, t in entry_held(entry)] == held
+        assert enc.tables is tables and the_table(enc) is table
+        assert [id(a) for _, parts in table.sections.values() for a in parts] == held
+        assert repr(table_parts(table)) == parts
 
     def test_eval_entry_adds_the_baseline_mask(self, memo_world):
         model, _, dom = memo_world
@@ -687,10 +750,12 @@ class TestEvalMemo:
         gens = eval_gens()
         arm = (True, True, True)
         train_arm(memo_world, enc, list(gens.values()), arm, iters=1)
-        (trained,) = enc.memo.batches.values()
+        trained = table_parts(the_table(enc))
+        assert set(trained) == {"base", True} and not trained["base"][0].all()
         eval_arm(memo_world, enc, gens, arm)
-        evaluated = [b for b in enc.memo.batches.values() if b is not trained]
-        assert len(evaluated) == 1 and trained.mask is None
-        entry = evaluated[0]
-        assert entry_parts(entry)[:-1] == entry_parts(trained)[:-1]
-        assert entry.mask.dtype == np.uint8 and entry.mask.shape == (len(dom), 32, 32)
+        evaluated = table_parts(the_table(enc))
+        # the pool's table again: every row now, and one uint8 (H, W) mask each
+        assert set(evaluated) == {"base", True, "mask"}
+        assert all(filled.all() for filled, _ in evaluated.values())
+        assert [evaluated[s][1] for s in ("base", True)] == [trained[s][1] for s in ("base", True)]
+        assert evaluated["mask"][1] == [((32, 32), np.dtype(np.uint8))]

@@ -61,7 +61,7 @@ GOLDEN = {
             "seed0/spg_green_bright.ckpt": "e982812349f32841bec6c7eef6d1aa1d",
             "seed0/spg_high_contrast.ckpt": "daa23503e8ff92985e6e70f275a145dc",
             "seed0/spg_warm_hazy.ckpt": "ac85917c11d7a5d1673fdb4e93c53483",
-            "seed1/apf.ckpt": "698070e26fa1eaedf21dfc6e810b4175",
+            "seed1/apf.ckpt": "5f7da0696151cf1a4389d5616b884e42",
             "seed1/spg_cool_dim.ckpt": "7ccedfb25337933b80ef6899fcdabf1f",
             "seed1/spg_green_bright.ckpt": "6b630ab7847a834438c25afd1fe2a6fb",
             "seed1/spg_high_contrast.ckpt": "bcba5da4f5047f2a0cd73c0cb73839d6",
@@ -96,7 +96,7 @@ GOLDEN = {
     },
     "Haswell": {
         "run": {
-            "attention.csv": "ccf99cbe54e69f99346bd3f605c14409",
+            "attention.csv": "48e0d352e089ced6f83890edceb5f122",
             "attention_report.csv": "ecf53f2012afd0dfbbe034facc028873",
             "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
             "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
@@ -112,12 +112,12 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
-            "seed0/apf.ckpt": "a71508c00d633a728041c958c4c84851",
+            "seed0/apf.ckpt": "be50f4e781308d98e626b6fcd54699f2",
             "seed0/spg_cool_dim.ckpt": "eb19c9942d84ab0674efadc9b599c7b2",
             "seed0/spg_green_bright.ckpt": "658890e5b04839a4606cc65517fe5485",
             "seed0/spg_high_contrast.ckpt": "4f29602d17775f2fbe0f764d92ef9b1e",
             "seed0/spg_warm_hazy.ckpt": "48061844d401966687fe4badb86e25eb",
-            "seed1/apf.ckpt": "06fc098fff3755f59db13798863f7dea",
+            "seed1/apf.ckpt": "7373e9b56d9f5c822bb3ff65673ed5c6",
             "seed1/spg_cool_dim.ckpt": "d7d2d14ec17da4cf0706c76506f2f38b",
             "seed1/spg_green_bright.ckpt": "eaccc8d6b425ffef16ed0758bef384a6",
             "seed1/spg_high_contrast.ckpt": "77588b73d3ecadb7e7e52f29067008fc",

@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import tracemalloc
 import zlib
@@ -129,6 +130,47 @@ class TestConv2d:
     @pytest.mark.parametrize("k,stride,padding,size", [(5, 2, 2, 9), (3, 3, 1, 10), (1, 2, 0, 8)])
     def test_single_image_matches_direct_loop(self, rng, k, stride, padding, size):
         self._check_against_loop(rng, k, stride, padding, size, batch=1)
+
+    @staticmethod
+    def _looped_columns(x, k, stride, padding, ah, aw):
+        """The columns built tap by tap: each phase's lattice copied into its
+        tap's row, every other tap's row a shifted copy of it, tail zeroed."""
+        b, c_in = x.shape[:2]
+        n = b * ah * aw
+        cols = np.zeros((c_in, k, k, n), x.dtype)
+        for a, c, cells, pixels in ops._phases(x.shape, k, stride, padding, ah, aw):
+            cols[:, a, c].reshape(c_in, b, ah, aw)[cells] = x.transpose(1, 0, 2, 3)[pixels]
+        for ki, kj in np.ndindex(k, k):
+            if off := (ki // stride) * aw + kj // stride:
+                cols[:, ki, kj, : n - off] = cols[:, ki % stride, kj % stride, off:]
+        return cols.reshape(c_in * k * k, n)
+
+    @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
+    def test_columns_bit_equal_to_tap_by_tap(self, rng, k, stride, padding, size):
+        # (5, 2, 2) and (3, 1, 1) copy each phase's taps at once, the rest tap by tap
+        x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
+        out = (size + 2 * padding - k) // stride + 1
+        ah = out - 1 - (-k // stride)
+        got = ops._columns(x, k, stride, padding, ah, ah)
+        assert got.tobytes() == self._looped_columns(x, k, stride, padding, ah, ah).tobytes()
+
+    def test_output_is_allocated_after_the_columns_are_freed(self, rng):
+        # one block at batch 8 (the encoder's second stage): the peak holds the
+        # columns and the GEMM result, then the GEMM result and the output,
+        # never all three
+        x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
+        w = Tensor(rng.normal(size=(32, 16, 5, 5)).astype(np.float32))
+        b = Tensor(np.zeros(32, np.float32))
+        lattice_cells = 8 * 18 * 18
+        columns, gemm = 16 * 25 * lattice_cells * 4, 32 * lattice_cells * 4
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = ops.conv2d(x, w, b, stride=2, padding=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert columns + gemm <= peak < columns + gemm + out.data.nbytes // 2
 
     def test_1x1_stride1_single_image_columns_are_a_view(self, rng):
         _, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1)
@@ -445,30 +487,39 @@ class TestNormalize:
     def test_three_four_five(self):
         plane = np.zeros((1, 1, 2, 2), np.float32)
         plane[0, 0] = [[3.0, 4.0], [0.0, 0.0]]
-        out = ops.l2_normalize(plane, (2, 3))
+        out = plane / ops.l2_norms(plane, (2, 3))
         np.testing.assert_allclose(out[0, 0], [[0.6, 0.8], [0.0, 0.0]], rtol=1e-6)
 
     def test_zero_plane_stays_zero(self):
-        out = ops.l2_normalize(np.zeros((2, 3, 4, 4), np.float32), (2, 3))
+        x = np.zeros((2, 3, 4, 4), np.float32)
+        out = x / ops.l2_norms(x, (2, 3))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_unit_norms_on_random_input(self, rng):
         x = rng.normal(size=(3, 4, 6, 6)).astype(np.float32) * 10
-        out = ops.l2_normalize(x, (2, 3))
+        out = x / ops.l2_norms(x, (2, 3))
         norms = np.sqrt((out * out).sum(axis=(2, 3)))
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_idempotent(self, rng):
         x = rng.normal(size=(2, 3, 5, 5)).astype(np.float32)
-        once = ops.l2_normalize(x, (2, 3))
-        twice = ops.l2_normalize(once, (2, 3))
+        once = x / ops.l2_norms(x, (2, 3))
+        twice = once / ops.l2_norms(once, (2, 3))
         assert np.max(np.abs(once - twice)) < 1e-6
 
     def test_whole_tensor_variant(self, rng):
         x = rng.normal(size=(2, 3, 4, 4)).astype(np.float32) * 3
-        out = ops.l2_normalize(x, (1, 2, 3))
+        out = x / ops.l2_norms(x, (1, 2, 3))
         norms = np.sqrt((out * out).sum(axis=(1, 2, 3)))
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
+
+    @pytest.mark.parametrize("axes", [(2, 3), (1, 2, 3)])
+    def test_a_planes_norm_does_not_depend_on_its_batch(self, rng, axes):
+        # stored norms stand in for a batch's own: each sample alone is bit-equal
+        x = rng.normal(size=(5, 3, 64, 64)).astype(np.float32)
+        whole = ops.l2_norms(x, axes)
+        for i in range(len(x)):
+            assert whole[i : i + 1].tobytes() == ops.l2_norms(x[i : i + 1], axes).tobytes()
 
 
 class TestCrossEntropy:
@@ -493,6 +544,36 @@ class TestCrossEntropy:
         logits0 = rng.normal(size=(2, 4, 3, 3))
         target = rng.integers(0, 4, size=(2, 3, 3))
         check_gradients(lambda t: ops.cross_entropy(t, target), [logits0])
+
+    @staticmethod
+    def _formula(logits, target, g):
+        """The loss and gradient as computed before the normalizer was kept:
+        exp and its sum again in the backward, the target through
+        take_along_axis and put_along_axis."""
+        b, k, h, w = logits.shape
+        x3, t2, n = logits.reshape(b, k, h * w), target.reshape(b, 1, h * w), b * h * w
+        m = x3.max(axis=1, keepdims=True)
+        z = x3 - m
+        lse = np.log(np.exp(z).sum(axis=1)) + m[:, 0]
+        loss = (lse - np.take_along_axis(x3, t2, axis=1)[:, 0]).sum() / n
+        p = np.exp(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))
+        np.put_along_axis(p, t2, np.take_along_axis(p, t2, axis=1) - 1.0, axis=1)
+        p *= g / n
+        return np.asarray(loss), p.reshape(logits.shape)
+
+    @pytest.mark.parametrize("shadow", [False, True])
+    def test_bit_equal_to_the_formula(self, rng, shadow):
+        logits = (rng.normal(size=(8, 6, 16, 16)) * 4).astype(current_dtype())
+        target = rng.integers(0, 6, size=(8, 16, 16))
+        with shadow_precision() if shadow else contextlib.nullcontext():
+            x = Tensor(logits, requires_grad=True)
+            with Tape() as tape:
+                loss = ops.cross_entropy(x, target)
+            tape.backward(loss)
+            want_loss, want_grad = self._formula(x.data, target, np.ones((), x.data.dtype))
+        assert x.data.dtype == (np.float64 if shadow else np.float32)
+        assert loss.data.tobytes() == want_loss.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
 
 
 class TestStructuralOps:
