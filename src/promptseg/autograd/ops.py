@@ -2,15 +2,15 @@
 
 Convolution is lowered to BLAS matmuls (im2col) on a stride-phase lattice:
 tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded input shifted
-by (ki // s, kj // s), so each row of the column matrix is one contiguous
-copy, and the output is cropped from the lattice.  The forward runs one
-matmul per block of whole images whose columns fit ``COLUMN_BUDGET`` bytes,
-so its peak memory does not grow with the batch.  The backward adds each
-tap's row of the column gradient back into its phase in a fixed loop order,
-so results are bit-reproducible on repeated runs.  Batch norm is
-training-mode only: ``layers.conv_bn`` folds eval mode into the conv.
-Bilinear upsampling is a pair of precomputed interpolation matrices applied
-as batched matmuls.
+by (ki // s, kj // s), so a row of the column matrix is a contiguous copy (a
+phase's rows one strided copy) and the output is cropped from the lattice.
+The forward runs one matmul per block of whole images whose columns fit
+``COLUMN_BUDGET`` bytes, so its peak memory does not grow with the batch.
+The backward adds each tap's row of the column gradient back into its phase
+in a fixed loop order, so results are bit-reproducible on repeated runs.
+Batch norm is training-mode only: ``layers.conv_bn`` folds eval mode into
+the conv.  Bilinear upsampling is a pair of precomputed interpolation
+matrices applied as batched matmuls.
 """
 
 from functools import lru_cache
@@ -30,7 +30,7 @@ def _as_tensor(x, name):
 # ---------------------------------------------------------------------------
 # convolution
 
-COLUMN_BUDGET = 8 << 20  # bytes of forward columns per block of images
+COLUMN_BUDGET = 8 << 20  # bytes of forward columns (and lattice) per block of images
 
 
 def _phases(x_shape, k, stride, padding, ah, aw):

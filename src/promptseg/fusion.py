@@ -170,7 +170,7 @@ def collect_prompts(generators, lows, batch, per_channel=True, norms=None):
             np.divide(p, found[-1], out=stack[:, i])
     if fresh:
         guard_finite(stack, "collect_prompts")
-    return stack, np.stack(found, axis=1)
+    return stack, np.stack(found, axis=1) if fresh else norms
 
 
 def attention_scores(heads, image_emb, prompt_emb):
