@@ -1,4 +1,4 @@
-"""Checkpoint container: a named f32 tensor table with a CRC trailer.
+"""The one binary container: a named f32 tensor table with a CRC trailer.
 
 Layout (little-endian): magic "SAGE", version u32, kind tag (4 ascii bytes),
 then repeated records of name length u32, name bytes, rank u32, dims u32 each,
@@ -7,6 +7,7 @@ until exactly the CRC remains, so the count is implicit.
 """
 
 import functools
+import math
 import os
 import struct
 import zlib
@@ -63,22 +64,21 @@ def save_checkpoint(path, kind: str, tensors: dict) -> None:
     if len(kind_b) != 4:
         raise ValueError(f"kind must be exactly 4 ascii bytes, got {kind!r}")
     seen = set()
-    parts = [MAGIC, struct.pack("<I", VERSION), kind_b]
+    parts = [MAGIC + struct.pack("<I", VERSION) + kind_b]
     for name, arr in tensors.items():
         if name in seen:
             raise ValueError(f"duplicate tensor name {name!r}")
         seen.add(name)
         name_b = name.encode("utf-8")
         a = np.ascontiguousarray(arr, dtype="<f4")
-        parts.append(struct.pack("<I", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<I", a.ndim))
-        parts.append(struct.pack(f"<{a.ndim}I", *a.shape) if a.ndim else b"")
-        parts.append(a.tobytes())
-    blob = b"".join(parts)
+        header = struct.pack(f"<I{len(name_b)}sI{a.ndim}I", len(name_b), name_b, a.ndim, *a.shape)
+        parts += [header, a]
     with atomic_open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+        crc = 0
+        for part in parts:
+            f.write(part)
+            crc = zlib.crc32(part, crc)
+        f.write(struct.pack("<I", crc))
 
 
 @loader
@@ -118,9 +118,7 @@ def load_checkpoint(path, expect_kind: str | None = None) -> tuple[str, dict]:
             raise FormatError(f"{path}: bad tensor rank for {name!r}")
         dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
         off += 4 * rank
-        count = 1
-        for d in dims:
-            count *= d
+        count = math.prod(dims)
         if off + 4 * count > end:
             raise FormatError(f"{path}: truncated payload for {name!r}")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(dims).copy()

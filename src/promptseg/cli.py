@@ -77,10 +77,10 @@ def build_parser():
     ev = sub.add_parser("eval", help="evaluate a trained run")
     ev.add_argument("--domain", help="single validation domain")
 
-    inf = sub.add_parser("infer", help="predict masks for a dataset file")
-    inf.add_argument("--input", required=True, help="dataset payload to read")
+    inf = sub.add_parser("infer", help="predict masks for a domain file")
+    inf.add_argument("--input", required=True, help="domain file (.dom) to read")
     inf.add_argument("--out", dest="out_file", required=True,
-                     help="dataset payload to write (predicted masks)")
+                     help="domain file to write (predicted masks)")
     inf.add_argument("--color", metavar="DIR",
                      help="also write palette-colored masks as PPM images")
 

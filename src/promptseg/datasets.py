@@ -1,29 +1,27 @@
-"""Domain assembly and the on-disk dataset format.
+"""Domain assembly and persistence.
 
 A domain is a list of rendered samples, optionally pushed through a jittered
 style.  Content is a pure function of the DomainSpec, so two builds of the
 same spec hash identically.
 
-File layout (little-endian): magic "SGWD", version u32, count u32, then per
-sample H, W, K as u32 followed by the f32 image payload (3*H*W) and the u8
-mask payload (H*W).
+On disk a domain is a "DOMN" table in the checkpoint container, the one binary
+container: ``images`` (N, 3, H, W), ``masks`` (N, H, W) and ``class_counts``
+(N,), all f32, which holds the small integer labels and counts exactly.
 """
 
 import hashlib
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_open, loader
+from .checkpoint import load_checkpoint, loader, save_checkpoint
 from .errors import FormatError
 from .scenes import Sample, SceneSpec, render_scene
 from .seeding import mix_seed
 from .styles import StyleJitter, StyleParams, apply_style, jittered
 
-MAGIC = b"SGWD"
-VERSION = 1
+KIND = "DOMN"
 
 
 @dataclass(frozen=True)
@@ -66,65 +64,37 @@ def domain_digest(samples) -> str:
 
 
 def save_domain(path, samples):
-    parts = [MAGIC, struct.pack("<II", VERSION, len(samples))]
-    for s in samples:
-        _, h, w = s.image.shape
-        if s.mask.shape != (h, w):
-            raise ValueError("mask shape does not match image")
-        parts.append(struct.pack("<III", h, w, s.class_count))
-        parts.append(np.ascontiguousarray(s.image, dtype="<f4").tobytes())
-        parts.append(np.ascontiguousarray(s.mask, dtype=np.uint8).tobytes())
-    blob = b"".join(parts)
-    with atomic_open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF))
+    images = stack_images(samples)
+    masks = np.stack([s.mask for s in samples], dtype=np.float32)
+    counts = np.array([s.class_count for s in samples], dtype=np.float32)
+    save_checkpoint(path, KIND, {"images": images, "masks": masks, "class_counts": counts})
 
 
 @loader
 def load_domain(path) -> list[Sample]:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise FormatError(f"{path}: not a dataset file")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
-        raise FormatError(f"{path}: CRC mismatch")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported dataset version {version}")
-    samples = []
-    off = 12
-    end = len(blob) - 4
-    for _ in range(count):
-        if off + 12 > end:
-            raise FormatError(f"{path}: truncated sample header")
-        h, w, k = struct.unpack_from("<III", blob, off)
-        off += 12
-        img_bytes = 3 * h * w * 4
-        if off + img_bytes + h * w > end:
-            raise FormatError(f"{path}: truncated sample payload")
-        image = np.frombuffer(blob, dtype="<f4", count=3 * h * w, offset=off)
-        image = image.reshape(3, h, w).copy()
-        off += img_bytes
-        if not np.isfinite(image).all():
-            raise FormatError(f"{path}: non-finite pixel values")
-        mask = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=off)
-        mask = mask.reshape(h, w).copy()
-        off += h * w
-        if mask.size and mask.max() >= k:
-            raise FormatError(f"{path}: mask value exceeds class count {k}")
-        samples.append(Sample(image=image, mask=mask, class_count=int(k)))
-    if off != end:
-        raise FormatError(f"{path}: trailing bytes after last sample")
-    return samples
+    _, t = load_checkpoint(path, KIND)
+    images, masks, counts = t["images"], t["masks"], t["class_counts"]
+    n, _, h, w = images.shape  # ValueError, hence FormatError, unless 4-D
+    if (images.shape[1], masks.shape, counts.shape) != (3, (n, h, w), (n,)):
+        raise FormatError(f"{path}: images, masks and class counts do not pair up")
+    if not np.isfinite(images).all():
+        raise FormatError(f"{path}: non-finite pixel values")
+    # range and integrality before the cast, which warns on NaN or a negative value
+    k = counts.reshape(n, 1, 1)
+    if not (((k >= 1) & (k <= 256) & (np.floor(k) == k)).all()
+            and ((masks >= 0) & (masks < k) & (np.floor(masks) == masks)).all()):
+        raise FormatError(f"{path}: mask values must be integers in [0, class count), "
+                          "class counts integers in [1, 256]")
+    masks = masks.astype(np.uint8)
+    return [Sample(image, mask, int(c)) for image, mask, c in zip(images, masks, counts)]
 
 
 def stack_images(samples, indices=None) -> np.ndarray:
     """Batch (B, 3, H, W) f32 view of selected samples."""
     sel = samples if indices is None else [samples[i] for i in indices]
-    return np.stack([s.image for s in sel]).astype(np.float32)
+    return np.stack([s.image for s in sel], dtype=np.float32)
 
 
 def stack_masks(samples, indices=None) -> np.ndarray:
     sel = samples if indices is None else [samples[i] for i in indices]
-    return np.stack([s.mask for s in sel]).astype(np.int64)
+    return np.stack([s.mask for s in sel], dtype=np.int64)

@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,18 @@ def check_gradients(make_loss, leaf_arrays, tol=1e-3, eps=1e-4, max_coords=None,
         worst = max(errs)
         assert worst < tol, f"gradient mismatch: rel err {worst:.3e} >= {tol}"
         return worst
+
+
+def sgwd_v1(samples) -> bytes:
+    """``samples`` in the retired SGWD v1 domain layout: magic, version and
+    count, then per sample H, W, K as u32, the f32 image and the u8 mask,
+    then a CRC32 of everything before it."""
+    parts = [b"SGWD", struct.pack("<II", 1, len(samples))]
+    for s in samples:
+        parts += [struct.pack("<III", *s.mask.shape, s.class_count),
+                  s.image.astype("<f4").tobytes(), s.mask.astype(np.uint8).tobytes()]
+    body = b"".join(parts)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import tiny_experiment
+from conftest import sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
 from promptseg.cli import main
@@ -102,6 +102,17 @@ class TestStagedCommands:
         assert main(["--config", cfg_path, "infer", "--input", src,
                      "--out", str(tmp_path / "pred.dom")]) == 1
         assert "non-finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "pred.dom")
+
+    def test_infer_of_an_old_domain_file_is_an_error(self, staged, tmp_path, capsys):
+        # a domain saved before domains became checkpoint tables
+        cfg, cfg_path, run_dir = staged
+        src = tmp_path / "old.dom"
+        src.write_bytes(sgwd_v1(load_domain(os.path.join(run_dir, "data", "base_val.dom"))))
+        assert main(["--config", cfg_path, "infer", "--input", str(src),
+                     "--out", str(tmp_path / "pred.dom")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(src) in err
         assert not os.path.exists(tmp_path / "pred.dom")
 
     def test_infer_color_ppm_output(self, staged, tmp_path):

@@ -6,11 +6,14 @@ the miniature experiment against values recorded from an earlier commit: a
 refactor that keeps the contract leaves every number here unchanged.
 
 The values were recorded under CPython 3.11 with numpy 2.4.6 and its bundled
-scipy-openblas 0.3.31; the BLAS thread count does not matter.  The float32
-GEMMs round differently on each OpenBLAS kernel, so there is one table per
-kernel ("core"), which the library picks at run time from the CPU or from
-``OPENBLAS_CORETYPE``.  The SkylakeX (AVX-512) table was recorded natively,
-the Haswell (AVX2) one with ``OPENBLAS_CORETYPE=Haswell`` on the same host.
+scipy-openblas 0.3.31.  At this module's tiny shapes the BLAS thread count
+does not matter; at the default config's shapes it does (one thread and two
+write different SPG and APF checkpoints), so nothing here pins those.  The
+float32 GEMMs round differently on each OpenBLAS kernel, so there is one
+table per kernel ("core"), which the library picks at run time from the CPU
+or from ``OPENBLAS_CORETYPE``.  The SkylakeX (AVX-512) table was recorded
+natively, the Haswell (AVX2) one with ``OPENBLAS_CORETYPE=Haswell`` on the
+same host.
 A core with no table fails here with its name: record the values on the
 parent commit with that core before judging a change against them.
 
@@ -42,18 +45,18 @@ GOLDEN = {
         "run": {
             "attention.csv": "2571b271cef388ad0b10e24efa1436eb",
             "attention_report.csv": "530e53cda7ca42410d5dfac09dbf262f",
-            "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
-            "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
-            "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
-            "data/cool_dim_val.dom": "e770dfa3d730aadcfe176b126f074768",
-            "data/dusk_val.dom": "6ce82a3f23a033766d4d5b339d98df36",
-            "data/green_bright_train.dom": "0cf49ab7447d7942ec542749a4d00b93",
-            "data/green_bright_val.dom": "f368f7d5e58d6a828f0255f2cda0be68",
-            "data/high_contrast_train.dom": "65e406a49927ae2aaebe4f5724f5c22b",
-            "data/high_contrast_val.dom": "6a7aad3a9da9d9dc05d8a498a538a1da",
-            "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
-            "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
-            "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
+            "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
+            "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
+            "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
+            "data/cool_dim_val.dom": "c7f5d5152fd1502704aa7429390e2429",
+            "data/dusk_val.dom": "2dace8e1f99100749d75e11c3b42ee33",
+            "data/green_bright_train.dom": "16e2cc16bc9a5a96631a389523f27ebd",
+            "data/green_bright_val.dom": "8e062c9ecec1540084c5f350edddd630",
+            "data/high_contrast_train.dom": "7202d1f758d8afd673466fe1e3a35799",
+            "data/high_contrast_val.dom": "5331a034cbb930a4d058f6a4d451c02c",
+            "data/snow_glare_val.dom": "1188968fc8c96c784431ab8f46718c80",
+            "data/warm_hazy_train.dom": "60b64da21bc67d07e340a9d29f828468",
+            "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
             "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
             "seed0/apf.ckpt": "a7a04ed36ea3daf7b59ea66011a0ab47",
@@ -98,18 +101,18 @@ GOLDEN = {
         "run": {
             "attention.csv": "48e0d352e089ced6f83890edceb5f122",
             "attention_report.csv": "ecf53f2012afd0dfbbe034facc028873",
-            "data/base_train.dom": "0e0e942de547e34d390e75028794284f",
-            "data/base_val.dom": "c70ff75c1c8c4c53836edf5d4b6544f9",
-            "data/cool_dim_train.dom": "9d04c9685b7011762ee382721cc89a3a",
-            "data/cool_dim_val.dom": "e770dfa3d730aadcfe176b126f074768",
-            "data/dusk_val.dom": "6ce82a3f23a033766d4d5b339d98df36",
-            "data/green_bright_train.dom": "0cf49ab7447d7942ec542749a4d00b93",
-            "data/green_bright_val.dom": "f368f7d5e58d6a828f0255f2cda0be68",
-            "data/high_contrast_train.dom": "65e406a49927ae2aaebe4f5724f5c22b",
-            "data/high_contrast_val.dom": "6a7aad3a9da9d9dc05d8a498a538a1da",
-            "data/snow_glare_val.dom": "0b31b34c92a3aff30a2ada834c045d1f",
-            "data/warm_hazy_train.dom": "36df879d6f3c29aba2791526bcd96dec",
-            "data/warm_hazy_val.dom": "426551271dc382a507efd67d2d4aaffc",
+            "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
+            "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
+            "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
+            "data/cool_dim_val.dom": "c7f5d5152fd1502704aa7429390e2429",
+            "data/dusk_val.dom": "2dace8e1f99100749d75e11c3b42ee33",
+            "data/green_bright_train.dom": "16e2cc16bc9a5a96631a389523f27ebd",
+            "data/green_bright_val.dom": "8e062c9ecec1540084c5f350edddd630",
+            "data/high_contrast_train.dom": "7202d1f758d8afd673466fe1e3a35799",
+            "data/high_contrast_val.dom": "5331a034cbb930a4d058f6a4d451c02c",
+            "data/snow_glare_val.dom": "1188968fc8c96c784431ab8f46718c80",
+            "data/warm_hazy_train.dom": "60b64da21bc67d07e340a9d29f828468",
+            "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
             "seed0/apf.ckpt": "be50f4e781308d98e626b6fcd54699f2",

@@ -6,7 +6,10 @@ Every loader reads a small valid file, then damaged copies of it:
 - one flipped bit at each of about 1,000 evenly spaced bytes (the bit
   position cycles with the offset);
 - structural edits written with a fresh, valid CRC: a record dropped, a
-  record's last dimension grown by one, and a non-ASCII tag.
+  record's last dimension grown by one, and a non-ASCII tag;
+- for domains, values the container holds but a domain cannot, also with a
+  fresh CRC: a NaN pixel, a mask label out of range or not an integer,
+  arrays whose sample counts differ, and a checkpoint of another kind.
 
 The CRC catches every truncation and bit flip; the structural edits get past
 it, so the loaders' own checks must catch them.
@@ -76,10 +79,9 @@ CHECKPOINT_LOADERS = {
     "load_oracle": (load_oracle, save_oracle_file),
     "load_generator": (load_generator, save_generator_file),
     "load_heads": (load_heads, save_heads_file),
+    "load_domain": (load_domain, save_domain_file),
 }
-LOADERS = dict(CHECKPOINT_LOADERS,
-               load_checkpoint=(load_checkpoint, save_generator_file),
-               load_domain=(load_domain, save_domain_file))
+LOADERS = dict(CHECKPOINT_LOADERS, load_checkpoint=(load_checkpoint, save_generator_file))
 
 
 def assert_rejected(load, path, cases):
@@ -97,14 +99,12 @@ def assert_rejected(load, path, cases):
 
 
 def valid_file(tmp_path, name):
-    """(loader, path, bytes of the valid file at path, (kind, records) or None)."""
+    """(loader, path, bytes of the valid file at path, (kind, records))."""
     load, save = LOADERS[name]
     path = tmp_path / "artifact"
     save(path)
     load(path)  # the undamaged file loads
     blob = path.read_bytes()
-    if name == "load_domain":
-        return load, path, blob, None
     kind, arrays = load_checkpoint(path)
     kind = kind.encode()
     assert encode(kind, arrays.items())[0] == blob  # the test encoder matches
@@ -113,15 +113,7 @@ def valid_file(tmp_path, name):
 
 def record_starts(blob, parsed):
     """Offsets where the file's header fields and records begin."""
-    if parsed is not None:
-        return [0, 4, 8] + encode(parsed[0], parsed[1].items())[1] + [len(blob) - 4]
-    (count,) = struct.unpack_from("<I", blob, 8)
-    starts, off = [0, 4, 8, 12], 12
-    for _ in range(count):
-        h, w, _ = struct.unpack_from("<III", blob, off)
-        off += 12 + 3 * h * w * 4 + h * w
-        starts.append(off)
-    return starts
+    return [0, 4, 8] + encode(parsed[0], parsed[1].items())[1] + [len(blob) - 4]
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
@@ -165,11 +157,7 @@ def test_changed_dimension(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(LOADERS))
 def test_non_ascii_tag(tmp_path, name):
-    load, path, blob, parsed = valid_file(tmp_path, name)
-    if parsed is None:
-        assert_rejected(load, path, [("non-ASCII magic", with_crc(b"S\xc3\xa9D" + blob[4:-4]))])
-        return
-    kind, arrays = parsed
+    load, path, _, (kind, arrays) = valid_file(tmp_path, name)
     records = list(arrays.items())
     cases = [("non-ASCII kind", encode(b"S\xc3\xa9D", records)[0]),
              ("non-UTF-8 record name", encode(kind, records + [(b"\xff\xfe", np.zeros(1))])[0])]
@@ -181,19 +169,31 @@ def test_non_ascii_tag(tmp_path, name):
     assert_rejected(load, path, cases)
 
 
-def test_domain_structural_edits(tmp_path):
-    load, path, blob, parsed = valid_file(tmp_path, "load_domain")
-    first, second = record_starts(blob, parsed)[3:5]
-    body = blob[:-4]
-    (h,) = struct.unpack_from("<I", body, first)
+def test_domain_value_edits(tmp_path):
+    load, path, _, (kind, arrays) = valid_file(tmp_path, "load_domain")
+    images, masks, counts = arrays["images"], arrays["masks"], arrays["class_counts"]
+
+    def edited(name, at, value):
+        arr = arrays[name].copy()
+        arr[at] = value
+        return encode(kind, {**arrays, name: arr}.items())[0]
+
+    save_oracle_file(tmp_path / "oracle.ckpt")
     cases = [
-        ("drop the first sample", with_crc(body[:first] + body[second:])),
-        ("count one higher", with_crc(body[:8] + struct.pack("<I", 4) + body[12:])),
-        ("height one higher",
-         with_crc(body[:first] + struct.pack("<I", h + 1) + body[first + 4:])),
-        ("class count zero",
-         with_crc(body[:first + 8] + struct.pack("<I", 0) + body[first + 12:])),
-        ("a NaN pixel",
-         with_crc(body[:first + 12] + struct.pack("<f", np.nan) + body[first + 16:])),
+        ("a NaN pixel", edited("images", (1, 2, 3, 4), np.nan)),
+        ("a mask label equal to its class count", edited("masks", (1, 2, 3), counts[1])),
+        ("a negative mask label", edited("masks", (1, 2, 3), -1.0)),
+        ("a NaN mask label", edited("masks", (1, 2, 3), np.nan)),
+        ("a fractional mask label", edited("masks", (1, 2, 3), 0.5)),
+        ("class count zero", edited("class_counts", 1, 0.0)),
+        ("a fractional class count", edited("class_counts", 1, counts[1] + 0.5)),
+        ("a NaN class count", edited("class_counts", 1, np.nan)),
+        ("one mask fewer than images",
+         encode(kind, {**arrays, "masks": masks[:-1]}.items())[0]),
+        ("one class count fewer than images",
+         encode(kind, {**arrays, "class_counts": counts[:-1]}.items())[0]),
+        ("images without their channel axis",
+         encode(kind, {**arrays, "images": images[:, 0]}.items())[0]),
+        ("an ORCL checkpoint", (tmp_path / "oracle.ckpt").read_bytes()),
     ]
     assert_rejected(load, path, cases)

@@ -1,4 +1,5 @@
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -148,14 +149,22 @@ class TestAtomicWrites:
         before = path.read_bytes()
 
         class FailingCrc:
-            # the payload is already in the file when the trailer is computed
-            @staticmethod
-            def crc32(data):
-                raise OSError("disk full")
+            # the CRC runs along the writes: its fifth call, on the second
+            # record's payload, fails with the first record already written
+            calls = 0
+
+            @classmethod
+            def crc32(cls, data, value=0):
+                cls.calls += 1
+                if cls.calls == 5:
+                    raise OSError("disk full")
+                return zlib.crc32(data, value)
 
         monkeypatch.setattr(checkpoint, "zlib", FailingCrc)
         with pytest.raises(OSError):
-            save_checkpoint(path, "ORCL", {"w": rng.normal(size=(64, 64)).astype(np.float32)})
+            save_checkpoint(path, "ORCL", {"w": rng.normal(size=(64, 64)).astype(np.float32),
+                                           "b": rng.normal(size=64).astype(np.float32)})
+        assert FailingCrc.calls == 5
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["oracle.ckpt"]
 

@@ -8,16 +8,17 @@ quality, so budgets are a handful of iterations.
 import dataclasses
 import json
 import os
+import re
 import shutil
 
 import numpy as np
 import pytest
-from conftest import tiny_experiment
+from conftest import sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
 from promptseg.cli import ablation_tables
 from promptseg.config import SpgConfig, config_hash, load_config
-from promptseg.datasets import domain_digest
+from promptseg.datasets import domain_digest, make_domain
 from promptseg.errors import StageError
 from promptseg.fusion import SharedEncoder
 from promptseg.pipeline import (
@@ -328,6 +329,15 @@ class TestStageErrors:
         monkeypatch.setattr(pipeline, "stage_apf", drifting)
         with pytest.raises(StageError, match=f"'train-apf' changed the .*{frozen}"):
             run_pipeline(tiny_config(out_dir=""))
+
+    def test_old_domain_file_is_named(self, tmp_path):
+        # a run directory from before domains became checkpoint tables
+        cfg = tiny_config(out_dir=str(tmp_path))
+        path = tmp_path / "data" / "base_val.dom"
+        path.parent.mkdir()
+        path.write_bytes(sgwd_v1(make_domain(domain_specs(cfg)["base_val"])))
+        with pytest.raises(StageError, match=re.escape(str(path))):
+            pipeline.stage_data(cfg, str(tmp_path))
 
     def test_bad_config_fails_before_any_stage(self, monkeypatch):
         # pad cannot fit the 16px canvas: rejected before data is generated

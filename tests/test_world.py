@@ -1,7 +1,10 @@
+import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from conftest import sgwd_v1
 
 from promptseg.datasets import (
     DomainSpec,
@@ -189,7 +192,7 @@ class TestMakeDomain:
 class TestDatasetIo:
     def test_round_trip_bit_identical(self, tmp_path):
         samples = make_domain(TestMakeDomain.styled)
-        path = tmp_path / "d.sgwd"
+        path = tmp_path / "d.dom"
         save_domain(path, samples)
         back = load_domain(path)
         assert len(back) == len(samples)
@@ -200,7 +203,7 @@ class TestDatasetIo:
 
     def test_truncated_file_raises_format_error(self, tmp_path):
         samples = make_domain(TestMakeDomain.base)
-        path = tmp_path / "d.sgwd"
+        path = tmp_path / "d.dom"
         save_domain(path, samples)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
@@ -208,7 +211,7 @@ class TestDatasetIo:
             load_domain(path)
 
     def test_bad_magic_raises(self, tmp_path):
-        path = tmp_path / "junk.sgwd"
+        path = tmp_path / "junk.dom"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(FormatError):
             load_domain(path)
@@ -216,19 +219,28 @@ class TestDatasetIo:
     def test_file_size_matches_arithmetic(self, tmp_path):
         spec = DomainSpec(name="x", scene=SceneSpec(seed=3, height=16, width=16), count=100)
         samples = make_domain(spec)
-        path = tmp_path / "d.sgwd"
+        path = tmp_path / "d.dom"
         save_domain(path, samples)
-        h = w = 16
-        raw = 12 + 100 * (12 + 3 * h * w * 4 + h * w) + 4  # + CRC trailer
-        actual = path.stat().st_size
-        assert abs(actual - raw) / raw < 0.05
-        assert actual == raw  # the format has no padding at all
+        n, h, w = 100, 16, 16
+        records = {"images": (n, 3, h, w), "masks": (n, h, w), "class_counts": (n,)}
+        # magic, version, kind; per record its name length, name, rank, dims
+        # and f32 payload; the CRC trailer
+        raw = 12 + sum(4 + len(name) + 4 + 4 * len(dims) + 4 * math.prod(dims)
+                       for name, dims in records.items()) + 4
+        assert path.stat().st_size == raw  # the format has no padding at all
+
+    def test_old_sgwd_file_names_the_path(self, tmp_path):
+        # domains saved before the checkpoint table fail to load, naming the file
+        path = tmp_path / "old.dom"
+        path.write_bytes(sgwd_v1(make_domain(TestMakeDomain.base)))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_domain(path)
 
     def test_payload_bit_flip_rejected(self, tmp_path):
         # structural checks alone would not catch a flipped image byte;
         # the CRC trailer must
         samples = make_domain(TestMakeDomain.base)
-        path = tmp_path / "d.sgwd"
+        path = tmp_path / "d.dom"
         save_domain(path, samples)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
