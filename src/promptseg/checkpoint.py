@@ -4,6 +4,10 @@ Layout (little-endian): magic "SAGE", version u32, kind tag (4 ascii bytes),
 then repeated records of name length u32, name bytes, rank u32, dims u32 each,
 f32 payload, and finally CRC32 over everything before it.  Records are read
 until exactly the CRC remains, so the count is implicit.
+
+A module's file holds its ``tensors()`` table and nothing that describes it:
+the config is the one description of a model, so a stage builds the module
+from it and ``load_module`` fills it, refusing records that are not its own.
 """
 
 import functools
@@ -15,6 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .autograd.layers import load_tensor_arrays
 from .errors import FormatError, KindMismatchError
 
 MAGIC = b"SAGE"
@@ -83,52 +88,67 @@ def save_checkpoint(path, kind: str, tensors: dict) -> None:
 
 @loader
 def load_checkpoint(path, expect_kind: str | None = None) -> tuple[str, dict]:
-    """Read (kind, name->f32 array).  Validates magic, CRC, and optional kind."""
+    """Read (kind, name->f32 array).  Validates magic, CRC, and optional kind.
+    Each payload goes straight into its own array under a running CRC, so a
+    load holds the file once, and returns nothing before the CRC holds."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < 16:
-        raise FormatError(f"{path}: too short to be a checkpoint")
-    if blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(blob[:-4]) & 0xFFFFFFFF != stored_crc:
+        end = os.fstat(f.fileno()).st_size - 4  # where the CRC starts
+        head = f.read(12)
+        if end < 12:
+            raise FormatError(f"{path}: too short to be a checkpoint")
+        if head[:4] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        crc, off, tensors = zlib.crc32(head), 12, {}
+
+        def read(n, what):
+            nonlocal crc, off
+            if off + n > end:
+                raise FormatError(f"{path}: truncated {what}")
+            b = f.read(n)
+            crc, off = zlib.crc32(b, crc), off + n
+            return b
+
+        while off < end:
+            (name_len,) = struct.unpack("<I", read(4, "record header"))
+            name = read(name_len, "tensor name").decode("utf-8")
+            (rank,) = struct.unpack("<I", read(4, "tensor rank"))
+            if rank > 8:
+                raise FormatError(f"{path}: bad tensor rank for {name!r}")
+            dims = struct.unpack(f"<{rank}I", read(4 * rank, "tensor dims"))
+            if off + 4 * math.prod(dims) > end:
+                raise FormatError(f"{path}: truncated payload for {name!r}")
+            arr = np.empty(dims, "<f4")
+            payload = arr.reshape(-1).view(np.uint8)
+            if f.readinto(payload) != payload.size:
+                raise FormatError(f"{path}: file changed while loading")
+            crc, off = zlib.crc32(payload, crc), off + payload.size
+            if name in tensors:
+                raise FormatError(f"{path}: duplicate tensor name {name!r}")
+            tensors[name] = arr
+        (stored_crc,) = struct.unpack("<I", f.read(4))
+    if crc != stored_crc:
         raise FormatError(f"{path}: CRC mismatch")
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version,) = struct.unpack_from("<I", head, 4)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    kind = blob[8:12].decode("ascii")
+    kind = head[8:12].decode("ascii")
     if expect_kind is not None and kind != expect_kind:
         raise KindMismatchError(f"{path}: kind {kind!r}, expected {expect_kind!r}")
-
-    tensors = {}
-    off = 12
-    end = len(blob) - 4
-    while off < end:
-        if off + 4 > end:
-            raise FormatError(f"{path}: truncated record header")
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + name_len + 4 > end:
-            raise FormatError(f"{path}: truncated tensor name")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if rank > 8 or off + 4 * rank > end:
-            raise FormatError(f"{path}: bad tensor rank for {name!r}")
-        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        count = math.prod(dims)
-        if off + 4 * count > end:
-            raise FormatError(f"{path}: truncated payload for {name!r}")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=off).reshape(dims).copy()
-        off += 4 * count
-        if name in tensors:
-            raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        tensors[name] = arr
-    if off != end:
-        raise FormatError(f"{path}: trailing bytes inside tensor table")
     return kind, tensors
+
+
+@loader
+def load_module(path, kind: str, module, extra=()) -> dict:
+    """Fill ``module`` from a ``kind`` checkpoint whose records are exactly its
+    ``tensors()`` and the names in ``extra``, every shape checked; returns them all."""
+    _, arrays = load_checkpoint(path, kind)
+    table = module.tensors()
+    names, want = set(arrays), set(table) | set(extra)
+    if names != want:
+        raise FormatError(f"{path}: not the configured {kind} module: extra records "
+                          f"{sorted(names - want)}, missing {sorted(want - names)}")
+    load_tensor_arrays(table, arrays)
+    return arrays
 
 
 def pack_u64(value: int) -> np.ndarray:
@@ -137,16 +157,8 @@ def pack_u64(value: int) -> np.ndarray:
 
 
 def unpack_u64(arr: np.ndarray) -> int:
-    b = bytes(np.asarray(arr).astype(np.uint8).tolist())
-    if len(b) != 8:
+    """The u64 of ``pack_u64``; anything but 8 integers in [0, 255] is a ValueError."""
+    a = np.asarray(arr)
+    if a.shape != (8,) or not np.isin(a, np.arange(256)).all():
         raise ValueError("expected 8 byte values")
-    return int.from_bytes(b, "little")
-
-
-def pack_tag(text: str) -> np.ndarray:
-    """A short ascii tag as byte-valued floats, so labels ride along with tensors."""
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).astype(np.float32)
-
-
-def unpack_tag(arr: np.ndarray) -> str:
-    return bytes(np.asarray(arr).astype(np.uint8).tolist()).decode("ascii")
+    return int.from_bytes(a.astype(np.uint8).tobytes(), "little")

@@ -31,7 +31,7 @@ from .autograd.layers import (
 )
 from .autograd.optim import AdamW, CosineWarmRestarts
 from .autograd.tensor import ShapeError, guard_finite, reshape
-from .checkpoint import load_checkpoint, loader, pack_u64, save_checkpoint, unpack_u64
+from .checkpoint import load_module, loader, pack_u64, save_checkpoint, unpack_u64
 from .datasets import stack_images
 from .oracle import fingerprint_tensors
 from .prompts import attach_prompt
@@ -83,7 +83,6 @@ class FusionHeads(Module):
 
     def __init__(self, feature_dim=64, embed_dim=32, seed=0):
         rng = stream(seed, "apf-heads")
-        self.feature_dim = feature_dim
         self.embed_dim = embed_dim
         self.wx = Linear(feature_dim, embed_dim, rng)
         self.wp = Linear(feature_dim, embed_dim, rng)
@@ -254,16 +253,13 @@ def train_apf(heads, samples, generators, enc, oracle, apf, seed=0):
 
 def save_heads(path, heads, encoder_fingerprint):
     arrays = tensor_arrays(heads.tensors())
-    arrays["meta.embed_dim"] = np.array([heads.embed_dim], np.float32)
     arrays["meta.encoder_fp"] = pack_u64(encoder_fingerprint)
     save_checkpoint(path, "APFH", arrays)
 
 
 @loader
-def load_heads(path):
-    """Returns (heads, fingerprint of the encoder they were trained against)."""
-    _, arrays = load_checkpoint(path, expect_kind="APFH")
-    (embed_dim,) = (int(v) for v in arrays["meta.embed_dim"])
-    heads = FusionHeads(arrays["wx.weight"].shape[0], embed_dim)
-    load_tensor_arrays(heads.tensors(), arrays)
-    return heads, unpack_u64(arrays["meta.encoder_fp"])
+def load_heads(path, heads):
+    """Fill ``heads``, built from the config, from a heads checkpoint; returns
+    the fingerprint of the encoder they were trained against."""
+    arrays = load_module(path, "APFH", heads, ("meta.encoder_fp",))
+    return unpack_u64(arrays["meta.encoder_fp"])

@@ -20,13 +20,12 @@ from .autograd.layers import (
     Module,
     conv_bn_stages,
     freeze,
-    load_tensor_arrays,
     parameters,
     run_stages,
     tensor_arrays,
 )
 from .autograd.optim import AdamW, MultiStepLr
-from .checkpoint import load_checkpoint, loader, save_checkpoint
+from .checkpoint import load_module, save_checkpoint
 from .seeding import stream
 from .train import fit
 
@@ -151,23 +150,6 @@ def save_oracle(path, model: SegModel):
     save_checkpoint(path, "ORCL", tensor_arrays(model.tensors()))
 
 
-@loader
-def load_oracle(path) -> SegModel:
-    _, arrays = load_checkpoint(path, expect_kind="ORCL")
-    widths, kernel, k = _infer_arch(arrays)
-    model = SegModel(k, stream(0, "load"), widths, kernel)
-    if set(arrays) != set(model.tensors()):
-        raise ValueError(f"records do not match a {len(widths)}-stage model")
-    load_tensor_arrays(model.tensors(), arrays)
-    return model
-
-
-def _infer_arch(arrays):
-    widths = []
-    i = 0
-    while f"stage{i}.conv.weight" in arrays:
-        widths.append(arrays[f"stage{i}.conv.weight"].shape[0])
-        i += 1
-    kernel = arrays["stage0.conv.weight"].shape[2]
-    k = arrays["head.weight"].shape[0]
-    return tuple(widths), kernel, k
+def load_oracle(path, model: SegModel):
+    """Fill ``model``, built from the config, from an oracle checkpoint."""
+    load_module(path, "ORCL", model)

@@ -32,7 +32,7 @@ from .fusion import (
     train_apf,
 )
 from .metrics import miou
-from .oracle import OracleHandle, load_oracle, pretrain_oracle, save_oracle
+from .oracle import OracleHandle, SegModel, load_oracle, pretrain_oracle, save_oracle
 from .prompts import (
     INIT_STRATEGIES,
     VARIANTS,
@@ -43,6 +43,7 @@ from .prompts import (
     train_spg,
 )
 from .scenes import SceneSpec
+from .seeding import stream
 from .styles import TARGET_STYLES, style_presets
 
 log = logging.getLogger(__name__)
@@ -198,10 +199,11 @@ def stage_data(cfg, run_dir=None) -> dict:
 def stage_oracle(cfg, domains, run_dir=None):
     """Pretrain the frozen segmentation model on clean base scenes."""
     path = None if run_dir is None else os.path.join(run_dir, "oracle.ckpt")
-    if path is not None and os.path.exists(path):
-        model = load_oracle(path)
-        return model, OracleHandle(model), []
     o = cfg.oracle
+    if path is not None and os.path.exists(path):
+        model = SegModel(CLASS_COUNT, stream(o.seed, "oracle-init"), o.widths, o.kernel)
+        load_oracle(path, model)
+        return model, OracleHandle(model), []
     model, losses = pretrain_oracle(
         domains["base_train"], iters=o.iters, seed=o.seed,
         batch_size=o.batch, lr=o.lr, widths=o.widths, kernel=o.kernel,
@@ -222,24 +224,25 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
     names = STYLE_NAMES if only is None else (only,)
     paths = {} if seed_dir is None else {
         name: os.path.join(seed_dir, f"spg_{name}.ckpt") for name in names}
-    if paths and all(os.path.exists(p) for p in paths.values()):
-        return {name: load_generator(p) for name, p in paths.items()}
     s = cfg.spg
-    d = cfg.data
     gens = {
         name: StylePromptGenerator(
-            name, s.variant, height=d.size, width=d.size,
+            name, s.variant, height=cfg.data.size, width=cfg.data.size,
             pad=s.pad, depth=s.depth, init=s.init, seed=seed,
         )
         for name in STYLE_NAMES
     }
-    subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
-    if s.init == "meta":
-        meta_pretrain(gens, subsets, oracle, s, seed=seed)
-    for name in names:
-        train_spg(gens[name], subsets[name], oracle, s, seed=seed)
-        if paths:
-            save_generator(paths[name], gens[name])
+    if paths and all(os.path.exists(p) for p in paths.values()):
+        for name, p in paths.items():
+            load_generator(p, gens[name])
+    else:
+        subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
+        if s.init == "meta":
+            meta_pretrain(gens, subsets, oracle, s, seed=seed)
+        for name in names:
+            train_spg(gens[name], subsets[name], oracle, s, seed=seed)
+            if paths:
+                save_generator(paths[name], gens[name])
     return gens if only is None else {only: gens[only]}
 
 
@@ -247,21 +250,19 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
 def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
     """Train the fusion heads; everything else stays frozen."""
     path = None if seed_dir is None else os.path.join(seed_dir, "apf.ckpt")
+    a = cfg.apf
+    heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=a.embed_dim, seed=seed)
     if path is not None and os.path.exists(path):
-        heads, enc_fp = load_heads(path)
-        if enc_fp != enc.fingerprint():
+        if load_heads(path, heads) != enc.fingerprint():
             raise StageError(f"{path}: fusion heads were trained against a "
                              "different encoder (fingerprint mismatch)")
         return heads
-    a = cfg.apf
     source = list(domains["base_train"])
     if a.mix_styled:
         # stylized twins of the source join the pool, one style's worth of
         # base originals kept so the clean domain stays represented
         source = [x for s in STYLE_NAMES for x in domains[f"{s}_train"]]
         source += list(domains["base_train"])[: cfg.data.styled_train]
-    heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=a.embed_dim,
-                        seed=seed)
     train_apf(heads, source, list(gens.values()), enc, oracle, a, seed=seed)
     if path is not None:
         save_heads(path, heads, enc.fingerprint())

@@ -24,13 +24,12 @@ from .autograd.layers import (
     Conv2d,
     Module,
     conv_bn,
-    load_tensor_arrays,
     parameters,
     tensor_arrays,
 )
 from .autograd.optim import MultiStepLr, SgdMomentum
 from .autograd.tensor import ShapeError, add, apply_op, broadcast_to_batch, mul, reshape
-from .checkpoint import load_checkpoint, loader, pack_tag, save_checkpoint, unpack_tag
+from .checkpoint import load_module, save_checkpoint
 from .seeding import mix_seed, stream
 from .train import fit
 
@@ -199,13 +198,9 @@ class StylePromptGenerator(Module):
         if init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {init!r}")
         self.style = style
-        self.variant = variant
         self.channels = channels
         self.height = height
         self.width = width
-        self.pad = pad
-        self.depth = depth
-        self.init = init
         rng = stream(seed, "spg", style, variant)
         if variant in ("border", "a_border"):
             self.template = BorderTemplate(channels, height, width, pad, init, rng)
@@ -298,25 +293,9 @@ def meta_pretrain(generators, style_subsets, oracle, spg, seed=0):
 
 
 def save_generator(path, gen):
-    arrays = tensor_arrays(gen.tensors())
-    arrays["meta.variant"] = pack_tag(gen.variant)
-    arrays["meta.init"] = pack_tag(gen.init)
-    arrays["meta.style"] = pack_tag(gen.style)
-    arrays["meta.dims"] = np.array(
-        [gen.channels, gen.height, gen.width, gen.pad, gen.depth], np.float32
-    )
-    save_checkpoint(path, "SPGN", arrays)
+    save_checkpoint(path, "SPGN", tensor_arrays(gen.tensors()))
 
 
-@loader
-def load_generator(path):
-    _, arrays = load_checkpoint(path, expect_kind="SPGN")
-    channels, height, width, pad, depth = (int(v) for v in arrays["meta.dims"])
-    gen = StylePromptGenerator(
-        unpack_tag(arrays["meta.style"]),
-        unpack_tag(arrays["meta.variant"]),
-        channels, height, width, pad, depth,
-        init=unpack_tag(arrays["meta.init"]),
-    )
-    load_tensor_arrays(gen.tensors(), arrays)
-    return gen
+def load_generator(path, gen):
+    """Fill ``gen``, built from the config, from a generator checkpoint."""
+    load_module(path, "SPGN", gen)

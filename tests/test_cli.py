@@ -14,6 +14,7 @@ import pytest
 from conftest import sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
+from promptseg.checkpoint import load_checkpoint, save_checkpoint
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
 from promptseg.datasets import domain_digest, load_domain, save_domain
@@ -184,6 +185,25 @@ class TestDamagedArtifacts:
         assert err.startswith("error:") and path in err
         with open(path, "rb") as f:
             assert f.read() == blob
+
+
+    def test_generator_in_the_old_layout_fails_eval(self, staged, tmp_path, capsys):
+        # a generator saved before checkpoints held weights only also
+        # described itself in meta.* records: eval refuses it, naming the file
+        cfg, _, run_dir = staged
+        runs = tmp_path / "runs"
+        shutil.copytree(cfg.out_dir, runs)
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, dataclasses.replace(cfg, out_dir=str(runs)))
+        path = os.path.join(str(runs), os.path.basename(run_dir), "seed0",
+                            f"spg_{STYLE_NAMES[0]}.ckpt")
+        _, arrays = load_checkpoint(path)
+        arrays["meta.dims"] = np.array([3, cfg.data.size, cfg.data.size,
+                                        cfg.spg.pad, cfg.spg.depth], np.float32)
+        save_checkpoint(path, "SPGN", arrays)
+        assert main(["--config", cfg_path, "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
 
 
 class TestStagedData:

@@ -492,8 +492,9 @@ class TestHeadsPersistence:
         _, _, enc, _, heads, _ = toy_setup(n=2)
         path = tmp_path / "heads.ckpt"
         save_heads(path, heads, enc.fingerprint())
-        loaded, fp = load_heads(path)
-        assert fp == enc.fingerprint()
+        loaded = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=1)
+        assert not states_equal(clone_state(heads), clone_state(loaded))
+        assert load_heads(path, loaded) == enc.fingerprint()
         assert states_equal(clone_state(heads), clone_state(loaded))
 
     def test_wrong_kind_rejected(self, tmp_path):
@@ -501,7 +502,7 @@ class TestHeadsPersistence:
         path = tmp_path / "gen.ckpt"
         save_generator(path, gen)
         with pytest.raises(FormatError):
-            load_heads(path)
+            load_heads(path, FusionHeads(feature_dim=4, embed_dim=8))
 
 
 FUSION_ARMS = [(pc, sm, th) for pc in (True, False) for sm in (True, False)

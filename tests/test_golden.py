@@ -59,16 +59,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
             "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
-            "seed0/apf.ckpt": "a7a04ed36ea3daf7b59ea66011a0ab47",
-            "seed0/spg_cool_dim.ckpt": "f9cedc4363903a9813189c82e71beada",
-            "seed0/spg_green_bright.ckpt": "e982812349f32841bec6c7eef6d1aa1d",
-            "seed0/spg_high_contrast.ckpt": "daa23503e8ff92985e6e70f275a145dc",
-            "seed0/spg_warm_hazy.ckpt": "ac85917c11d7a5d1673fdb4e93c53483",
-            "seed1/apf.ckpt": "5f7da0696151cf1a4389d5616b884e42",
-            "seed1/spg_cool_dim.ckpt": "7ccedfb25337933b80ef6899fcdabf1f",
-            "seed1/spg_green_bright.ckpt": "6b630ab7847a834438c25afd1fe2a6fb",
-            "seed1/spg_high_contrast.ckpt": "bcba5da4f5047f2a0cd73c0cb73839d6",
-            "seed1/spg_warm_hazy.ckpt": "4ce1135731ac7520c27173a5701d20ca",
+            "seed0/apf.ckpt": "1b3e52f3f88ab95eb4d071cdeea0bcaa",
+            "seed0/spg_cool_dim.ckpt": "dd6695de993500797cdf8049593337ec",
+            "seed0/spg_green_bright.ckpt": "cd5cbe8edc06ccca7918f81c9298cb0f",
+            "seed0/spg_high_contrast.ckpt": "c4043e462f665ebb4c66afc251b586de",
+            "seed0/spg_warm_hazy.ckpt": "209e8b7b6769e660f428ef848817d8c8",
+            "seed1/apf.ckpt": "030c56cacdb1ba598532345ae6f0ff62",
+            "seed1/spg_cool_dim.ckpt": "759afa23d6941c9dd27a9224428d8bd8",
+            "seed1/spg_green_bright.ckpt": "9dac73968ebe02ca12c3a1b3da623dbd",
+            "seed1/spg_high_contrast.ckpt": "0cad5ec1a44de9766fba949453767fa7",
+            "seed1/spg_warm_hazy.ckpt": "702b7c316edebdb67989df9243ea8987",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "98869da424ba21e4ef535e6dab745c4c",
@@ -115,16 +115,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
-            "seed0/apf.ckpt": "be50f4e781308d98e626b6fcd54699f2",
-            "seed0/spg_cool_dim.ckpt": "eb19c9942d84ab0674efadc9b599c7b2",
-            "seed0/spg_green_bright.ckpt": "658890e5b04839a4606cc65517fe5485",
-            "seed0/spg_high_contrast.ckpt": "4f29602d17775f2fbe0f764d92ef9b1e",
-            "seed0/spg_warm_hazy.ckpt": "48061844d401966687fe4badb86e25eb",
-            "seed1/apf.ckpt": "7373e9b56d9f5c822bb3ff65673ed5c6",
-            "seed1/spg_cool_dim.ckpt": "d7d2d14ec17da4cf0706c76506f2f38b",
-            "seed1/spg_green_bright.ckpt": "eaccc8d6b425ffef16ed0758bef384a6",
-            "seed1/spg_high_contrast.ckpt": "77588b73d3ecadb7e7e52f29067008fc",
-            "seed1/spg_warm_hazy.ckpt": "6e9d528432e7d8d53276b914a2f3e538",
+            "seed0/apf.ckpt": "973f1dc2673775a63dad40505d60c285",
+            "seed0/spg_cool_dim.ckpt": "d4d4b944a3298b0627fe6be92cc6995c",
+            "seed0/spg_green_bright.ckpt": "2c39e8fc38aec5f19afe091df54799de",
+            "seed0/spg_high_contrast.ckpt": "db99f2b58798806fa7362251c565c30e",
+            "seed0/spg_warm_hazy.ckpt": "b67a5997429f4b50d38da9a8d1fb97eb",
+            "seed1/apf.ckpt": "d510daa9882f6f7615e3f66ab5b2be37",
+            "seed1/spg_cool_dim.ckpt": "af56c712e7ec9027bbb51609282f5045",
+            "seed1/spg_green_bright.ckpt": "a29f4016e25bf1cbcaf035809df3f817",
+            "seed1/spg_high_contrast.ckpt": "e1f99f252f5c0af05a449b10fae622e1",
+            "seed1/spg_warm_hazy.ckpt": "68324e11e87a5dc4520b68fcf7994ce8",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "a9c0b62cd286e208ed7c39e78c159dd5",

@@ -6,10 +6,15 @@ Every loader reads a small valid file, then damaged copies of it:
 - one flipped bit at each of about 1,000 evenly spaced bytes (the bit
   position cycles with the offset);
 - structural edits written with a fresh, valid CRC: a record dropped, a
-  record's last dimension grown by one, and a non-ASCII tag;
-- for domains, values the container holds but a domain cannot, also with a
-  fresh CRC: a NaN pixel, a mask label out of range or not an integer,
-  arrays whose sample counts differ, and a checkpoint of another kind.
+  record's last dimension grown by one, and a non-ASCII kind or record name;
+- values the container holds but the artifact cannot, also with a fresh
+  CRC: for domains a NaN pixel, a mask label out of range or not an integer,
+  arrays whose sample counts differ, and a checkpoint of another kind; for
+  fusion heads an encoder fingerprint byte that is NaN, negative, above 255
+  or fractional.
+
+The module loaders fill modules built as a config builds them, so a file
+whose records are not exactly the module's table is refused.
 
 The CRC catches every truncation and bit flip; the structural edits get past
 it, so the loaders' own checks must catch them.
@@ -29,10 +34,6 @@ from promptseg.oracle import SegModel, load_oracle, save_oracle
 from promptseg.prompts import StylePromptGenerator, load_generator, save_generator
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
-
-# a longer or shorter tag is still a valid tag; the non-ASCII edit covers these
-TAGS = ("meta.style", "meta.variant", "meta.init")
-
 
 def with_crc(body):
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
@@ -58,27 +59,40 @@ def grown(arr):
     return np.concatenate([arr, np.zeros(arr.shape[:-1] + (1,), arr.dtype)], axis=-1)
 
 
+def oracle(seed=0):
+    return SegModel(6, stream(seed, "fuzz"), widths=(4, 4, 4), kernel=3)
+
+
+def generator(seed=0):
+    return StylePromptGenerator("s", "a_border", height=16, width=16, pad=2, depth=2,
+                                seed=seed)
+
+
+def heads(seed=0):
+    return FusionHeads(feature_dim=4, embed_dim=2, seed=seed)
+
+
 def save_oracle_file(path):
-    save_oracle(path, SegModel(6, stream(0, "fuzz"), widths=(4, 4, 4), kernel=3))
+    save_oracle(path, oracle())
 
 
 def save_generator_file(path):
-    save_generator(path, StylePromptGenerator("s", "a_border", height=16, width=16,
-                                              pad=2, depth=2))
+    save_generator(path, generator())
 
 
 def save_heads_file(path):
-    save_heads(path, FusionHeads(feature_dim=4, embed_dim=2), 0x1234)
+    save_heads(path, heads(), 0x1234)
 
 
 def save_domain_file(path):
     save_domain(path, make_domain(DomainSpec("d", SceneSpec(seed=1, height=16, width=16), 3)))
 
 
+# each module loader fills a fresh module of the saved architecture
 CHECKPOINT_LOADERS = {
-    "load_oracle": (load_oracle, save_oracle_file),
-    "load_generator": (load_generator, save_generator_file),
-    "load_heads": (load_heads, save_heads_file),
+    "load_oracle": (lambda path: load_oracle(path, oracle(1)), save_oracle_file),
+    "load_generator": (lambda path: load_generator(path, generator(1)), save_generator_file),
+    "load_heads": (lambda path: load_heads(path, heads(1)), save_heads_file),
     "load_domain": (load_domain, save_domain_file),
 }
 LOADERS = dict(CHECKPOINT_LOADERS, load_checkpoint=(load_checkpoint, save_generator_file))
@@ -151,7 +165,7 @@ def test_changed_dimension(tmp_path, name):
     load, path, _, (kind, arrays) = valid_file(tmp_path, name)
     cases = [(f"grow {n}", encode(kind, [(m, grown(a) if m == n else a)
                                          for m, a in arrays.items()])[0])
-             for n in arrays if n not in TAGS]
+             for n in arrays]
     assert_rejected(load, path, cases)
 
 
@@ -161,11 +175,18 @@ def test_non_ascii_tag(tmp_path, name):
     records = list(arrays.items())
     cases = [("non-ASCII kind", encode(b"S\xc3\xa9D", records)[0]),
              ("non-UTF-8 record name", encode(kind, records + [(b"\xff\xfe", np.zeros(1))])[0])]
-    if name in CHECKPOINT_LOADERS:
-        accent = np.frombuffer("é".encode(), np.uint8).astype(np.float32)
-        cases += [(f"non-ASCII {n}", encode(kind, [(m, accent if m == n else a)
-                                                   for m, a in records])[0])
-                  for n in TAGS if n in arrays]
+    assert_rejected(load, path, cases)
+
+
+def test_encoder_fingerprint_value_edits(tmp_path):
+    load, path, _, (kind, arrays) = valid_file(tmp_path, "load_heads")
+
+    def edited(value):
+        fp = arrays["meta.encoder_fp"].copy()
+        fp[3] = value
+        return encode(kind, {**arrays, "meta.encoder_fp": fp}.items())[0]
+
+    cases = [(f"a fingerprint byte of {v}", edited(v)) for v in (np.nan, -1.0, 256.0, 0.5)]
     assert_rejected(load, path, cases)
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -138,6 +139,47 @@ class TestCheckpointIo:
     def test_u64_fingerprint_pack_round_trip(self):
         for value in (0, 1, 2**63 + 12345, 2**64 - 1):
             assert unpack_u64(pack_u64(value)) == value
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0, 256.0, 0.5])
+    def test_u64_rejects_a_value_that_is_not_a_byte(self, value):
+        packed = pack_u64(12345)
+        packed[2] = value
+        with pytest.raises(ValueError):
+            unpack_u64(packed)
+
+    def test_u64_rejects_another_count(self):
+        for packed in (pack_u64(1)[:7], np.zeros(9, np.float32), np.zeros((2, 4), np.float32)):
+            with pytest.raises(ValueError):
+                unpack_u64(packed)
+
+    def test_zero_size_record_round_trips(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "ORCL", {"empty": np.zeros((0, 3), np.float32),
+                                       "w": np.arange(3, dtype=np.float32)})
+        _, back = load_checkpoint(path)
+        assert back["empty"].shape == (0, 3)
+        assert back["w"].tolist() == [0.0, 1.0, 2.0]
+
+    def test_loaded_arrays_own_aligned_writable_memory(self, tmp_path, rng):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, "ORCL", self._tensors(rng))
+        for arr in load_checkpoint(path)[1].values():
+            assert arr.flags.owndata and arr.flags.aligned and arr.flags.writeable
+
+    def test_load_holds_the_file_once(self, tmp_path, rng):
+        # every payload is read into its own array: the peak stays near the
+        # file size, where reading the file whole and copying out held it twice
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(path, "ORCL", {f"t{i}": rng.normal(size=(16, 16, 32, 32))
+                                       for i in range(4)})
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * size
 
 
 class TestAtomicWrites:

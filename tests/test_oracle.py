@@ -177,7 +177,10 @@ class TestPersistence:
         model, handle, _, val, _ = trained
         path = tmp_path / "oracle.ckpt"
         save_oracle(path, model)
-        back = load_oracle(path)
+        # a model built as the config builds it, from another draw of weights
+        back = SegModel(model.class_count, stream(1, "shell"), model.widths, model.kernel)
+        assert OracleHandle(back).fingerprint != handle.fingerprint
+        load_oracle(path, back)
         assert OracleHandle(back).fingerprint == handle.fingerprint
         x = stack_images(val[:2])
         assert OracleHandle(back).predict(x).tobytes() == handle.predict(x).tobytes()
@@ -186,7 +189,22 @@ class TestPersistence:
         from promptseg.checkpoint import save_checkpoint
         from promptseg.errors import KindMismatchError
 
+        model = trained[0]
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, "SPGN", {"a": np.zeros(3, np.float32)})
         with pytest.raises(KindMismatchError):
-            load_oracle(path)
+            load_oracle(path, SegModel(model.class_count, stream(1, "shell"),
+                                       model.widths, model.kernel))
+
+    def test_rejects_another_architecture(self, tmp_path, trained):
+        # the config builds the model: a file of other widths is refused, not
+        # taken as a description of the model to build
+        from promptseg.errors import FormatError
+
+        model = trained[0]
+        path = tmp_path / "oracle.ckpt"
+        save_oracle(path, model)
+        narrow = SegModel(model.class_count, stream(1, "shell"),
+                          tuple(w // 2 for w in model.widths), model.kernel)
+        with pytest.raises(FormatError, match="oracle.ckpt"):
+            load_oracle(path, narrow)

@@ -231,7 +231,7 @@ class TestEvaluateRun:
         loads = []
         load_oracle = pipeline.load_oracle
         monkeypatch.setattr(pipeline, "load_oracle",
-                            lambda path: loads.append(path) or load_oracle(path))
+                            lambda path, model: loads.append(path) or load_oracle(path, model))
         results = pipeline.evaluate_run(cfg, run_dir)
         assert loads == [os.path.join(run_dir, "oracle.ckpt")]
         assert results.seal_checks == 1 + 3 * len(cfg.seeds)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
 from promptseg.autograd.tensor import ShapeError
 from promptseg.config import ExperimentConfig, SpgConfig
 from promptseg.datasets import DomainSpec, make_domain, stack_images, stack_masks
-from promptseg.errors import KindMismatchError
+from promptseg.errors import FormatError, KindMismatchError
 from promptseg.oracle import OracleHandle, SegModel
 from promptseg.prompts import (
     BorderTemplate,
@@ -371,9 +373,9 @@ class TestPersistence:
         gen = StylePromptGenerator("warm_hazy", "a_border", init="meta", seed=6)
         path = tmp_path / "gen.ckpt"
         save_generator(path, gen)
-        back = load_generator(path)
-        assert (back.style, back.variant, back.init) == ("warm_hazy", "a_border", "meta")
-        assert (back.pad, back.depth) == (gen.pad, gen.depth)
+        # a generator built as the config builds it, with another seed's weights
+        back = StylePromptGenerator("warm_hazy", "a_border", init="meta", seed=7)
+        load_generator(path, back)
         orig = tensor_arrays(gen.tensors())
         for name, arr in tensor_arrays(back.tensors()).items():
             np.testing.assert_array_equal(arr, orig[name])
@@ -387,4 +389,27 @@ class TestPersistence:
         path = tmp_path / "not_a_generator.ckpt"
         save_checkpoint(path, "ORCL", {"a": np.zeros(2, np.float32)})
         with pytest.raises(KindMismatchError):
-            load_generator(path)
+            load_generator(path, StylePromptGenerator("s", "border"))
+
+    def test_file_that_describes_itself_rejected(self, tmp_path):
+        # the layout before the config became the one description of a
+        # generator: its tensors plus meta.* records, under a valid CRC
+        from promptseg.checkpoint import save_checkpoint
+
+        gen = StylePromptGenerator("warm_hazy", "a_border")
+        tags = {"meta.variant": "a_border", "meta.init": "normal", "meta.style": "warm_hazy"}
+        arrays = tensor_arrays(gen.tensors())
+        arrays |= {k: np.frombuffer(v.encode(), np.uint8).astype(np.float32)
+                   for k, v in tags.items()}
+        arrays["meta.dims"] = np.array([3, 64, 64, 6, 8], np.float32)
+        path = tmp_path / "spg_warm_hazy.ckpt"
+        save_checkpoint(path, "SPGN", arrays)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: not the configured SPGN "
+                                                        "module: extra records") + ".*meta.dims"):
+            load_generator(path, StylePromptGenerator("warm_hazy", "a_border"))
+
+    def test_other_variant_rejected(self, tmp_path):
+        path = tmp_path / "gen.ckpt"
+        save_generator(path, StylePromptGenerator("s", "a_border"))
+        with pytest.raises(FormatError):
+            load_generator(path, StylePromptGenerator("s", "a_full"))
