@@ -1,13 +1,18 @@
 """Differentiable network ops built on the tape in ``tensor``.
 
-Convolution is lowered to BLAS matmuls (im2col) on a stride-phase lattice:
-tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded input shifted
-by (ki // s, kj // s), so a row of the column matrix is a contiguous copy (a
-phase's rows one strided copy) and the output is cropped from the lattice.
-The forward runs one matmul per block of whole images whose columns fit
-``COLUMN_BUDGET`` bytes, so its peak memory does not grow with the batch.
-The backward adds each tap's row of the column gradient back into its phase
-in a fixed loop order, so results are bit-reproducible on repeated runs.
+Convolution is lowered to BLAS matmuls (im2col) in one of two column layouts,
+chosen from the input's channel count (``conv2d`` states the rule).
+Pixel-major columns hold one row per output pixel, one strided copy of the
+zero-padded channels-last input, so the GEMM covers exactly the output cells.
+Lattice columns, which narrow (RGB) inputs keep, work on the stride-phase
+lattice: tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded input
+shifted by (ki // s, kj // s), so a row of the column matrix is a contiguous
+copy (a phase's rows one strided copy) and the output is cropped from the
+lattice.  The forward runs one matmul per block of whole images whose columns
+fit ``COLUMN_BUDGET`` bytes, so its peak memory does not grow with the batch.
+The input gradient runs on the lattice in both layouts: it adds each tap's row
+of the column gradient back into its phase in a fixed loop order, so results
+are bit-reproducible on repeated runs.
 Batch norm is training-mode only: ``layers.conv_bn`` folds eval mode into
 the conv.  Bilinear upsampling is a pair of precomputed interpolation
 matrices applied as batched matmuls.
@@ -30,7 +35,8 @@ def _as_tensor(x, name):
 # ---------------------------------------------------------------------------
 # convolution
 
-COLUMN_BUDGET = 8 << 20  # bytes of forward columns (and lattice) per block of images
+COLUMN_BUDGET = 8 << 20  # bytes of forward columns (and lattice or padded copy) per block of images
+PIXEL_MAJOR_CHANNELS = 16  # inputs at least this wide take pixel-major columns (kernels above 1)
 
 
 def _phases(x_shape, k, stride, padding, ah, aw):
@@ -76,13 +82,33 @@ def _columns(x, k, stride, padding, ah, aw):
     return cols.reshape(c_in * k * k, n)
 
 
+def _pixel_columns(x, k, stride, padding, oh, ow):
+    """(B*oh*ow, k*k*C) columns of a (B, C, H, W) array, one row per output pixel,
+    columns in (ki, kj, c) order: one copy of a strided view of the padded input."""
+    b, c_in, h, w = x.shape
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c_in), x.dtype)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    s0, s1, s2, s3 = xp.strides
+    windows = as_strided(xp, (b, oh, ow, k, k, c_in),
+                         (s0, stride * s1, stride * s2, s1, s2, s3), writeable=False)
+    return windows.reshape(b * oh * ow, k * k * c_in)
+
+
 def conv2d(x, weight, bias, stride=1, padding=0):
     """2-D convolution, NCHW input, OIHW weight, square kernel.
 
     Output spatial size is floor((H + 2*padding - k) / stride) + 1.
 
+    Inputs of at least ``PIXEL_MAJOR_CHANNELS`` channels under k > 1 take
+    pixel-major columns (``_pixel_columns``); the rest keep the lattice
+    (``_columns``), which computes (OH + ceil(k/s) - 1) x (OW + ceil(k/s) - 1)
+    cells per image, yet on 3-channel inputs its long row copies measured
+    faster than pixel-major runs of k*C floats.  The weight gradient rebuilds
+    the forward's columns; the input gradient runs on the lattice.
+
     The forward runs in blocks of whole images, as many as fit their columns
-    into ``COLUMN_BUDGET`` bytes (one at least), each writing its crop into
+    (and the lattice or padded copy they are built from) into
+    ``COLUMN_BUDGET`` bytes, one at least, each writing its output cells into
     the output.  The budget counts bytes because an image's columns grow with
     its channels, kernel and lattice.  Only the forward is blocked: inference
     batches grow with the request, while the batches a backward runs on (8
@@ -111,16 +137,27 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     ah, aw = out_h - 1 - (-k // stride), out_w - 1 - (-k // stride)
     n = b * ah * aw
     wmat = weight.data.reshape(c_out, -1)
-    # an image's columns and, where _columns builds them, its phase lattices, one at a time
-    per = max(1, COLUMN_BUDGET // ((wmat.shape[1] + c_in) * ah * aw * x.data.itemsize))
+    pixel = c_in >= PIXEL_MAJOR_CHANNELS and k > 1
+    if pixel:  # an image's columns and its padded copy
+        wpix = weight.data.transpose(2, 3, 1, 0).reshape(-1, c_out)
+        image = wpix.shape[0] * out_h * out_w + c_in * (h + 2 * padding) * (w + 2 * padding)
+    else:  # an image's columns and, where _columns builds them, its phase lattices, one at a time
+        image = (wmat.shape[1] + c_in) * ah * aw
+    per = max(1, COLUMN_BUDGET // (image * x.data.itemsize))
     out = None
     for i in range(0, max(b, 1), per):  # an empty batch runs one empty block
         block = x.data[i : i + per]
-        lat = (wmat @ _columns(block, k, stride, padding, ah, aw)).reshape(c_out, len(block), ah, aw)
-        lat += bias.data[:, None, None, None]
+        if pixel:
+            res = _pixel_columns(block, k, stride, padding, out_h, out_w) @ wpix
+            res += bias.data
+            res = res.reshape(len(block), out_h, out_w, c_out).transpose(0, 3, 1, 2)
+        else:
+            res = (wmat @ _columns(block, k, stride, padding, ah, aw)).reshape(c_out, len(block), ah, aw)
+            res += bias.data[:, None, None, None]
+            res = res[..., :out_h, :out_w].transpose(1, 0, 2, 3)
         if out is None:  # allocated once the first block's columns are freed
-            out = np.empty((b, c_out, out_h, out_w), lat.dtype)
-        out[i : i + per] = lat[..., :out_h, :out_w].transpose(1, 0, 2, 3)
+            out = np.empty((b, c_out, out_h, out_w), res.dtype)
+        out[i : i + per] = res
 
     def backward_fn(g):
         gt = g.transpose(1, 0, 2, 3)
@@ -128,8 +165,12 @@ def conv2d(x, weight, bias, stride=1, padding=0):
         glat[:, :, :out_h, :out_w] = gt
         glat = glat.reshape(c_out, n)
         # the tape keeps no columns: the weight gradient rebuilds them
-        gw = ((glat @ _columns(x.data, k, stride, padding, ah, aw).T).reshape(weight.shape)
-              if weight.requires_grad else None)
+        gw = None
+        if weight.requires_grad and pixel:
+            gw = (gt.reshape(c_out, -1) @ _pixel_columns(x.data, k, stride, padding, out_h, out_w)
+                  ).reshape(c_out, k, k, c_in).transpose(0, 3, 1, 2)
+        elif weight.requires_grad:
+            gw = (glat @ _columns(x.data, k, stride, padding, ah, aw).T).reshape(weight.shape)
         gb = gt.reshape(c_out, -1).sum(axis=1) if bias.requires_grad else None
         gx = None
         if x.requires_grad:

@@ -7,8 +7,10 @@ and saves, only what is missing.  Every emitted number is a pure function of
 (config, seed); wall-clock time goes to a side file outside that contract.
 """
 
+import ctypes
 import dataclasses
 import functools
+import glob
 import itertools
 import json
 import logging
@@ -391,6 +393,19 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
     return Results(cells, oracle.fingerprint, seal_checks, oracle.queries, queries, seconds)
 
 
+def blas_info():
+    """The kernel ("core") and thread count of numpy's bundled OpenBLAS, both
+    None where it cannot be asked: the float32 GEMMs round per kernel."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        core, threads = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+        core.argtypes, core.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return {"core": core().decode(), "threads": threads()}
+    return {"core": None, "threads": None}
+
+
 def run_pipeline(cfg: ExperimentConfig) -> Results:
     """The full experiment: every stage, every seed, reports on disk.
 
@@ -412,7 +427,8 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
                 "oracle_queries": results.oracle_queries,
                 "stage_queries": results.stage_queries,
                 "stage_seconds": {name: round(sec, 3)
-                                  for name, sec in results.stage_seconds.items()}}
+                                  for name, sec in results.stage_seconds.items()},
+                "blas": blas_info()}
         with atomic_open(os.path.join(run_dir, "report_meta.json")) as f:
             json.dump(meta, f, indent=2, sort_keys=True)
             f.write("\n")

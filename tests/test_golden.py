@@ -23,18 +23,15 @@ the formatting the CLI applies falls under the contract too.  Left out:
 the wall clock.
 """
 
-import ctypes
-import glob
 import hashlib
 import os
 
-import numpy as np
 import pytest
 from conftest import tiny_experiment
 
 from promptseg.cli import main
 from promptseg.config import config_hash, save_config
-from promptseg.pipeline import ablate, run_dir_for
+from promptseg.pipeline import ablate, blas_info, run_dir_for
 
 RUN_HASH = "54c87d710bb8981f"
 
@@ -43,8 +40,8 @@ RUN_HASH = "54c87d710bb8981f"
 GOLDEN = {
     "SkylakeX": {
         "run": {
-            "attention.csv": "2571b271cef388ad0b10e24efa1436eb",
-            "attention_report.csv": "530e53cda7ca42410d5dfac09dbf262f",
+            "attention.csv": "7b36638452008153e1c35286b37bc5ca",
+            "attention_report.csv": "ee3f3a98c195f20e24aa8a7f84cc57fc",
             "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
             "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
             "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
@@ -59,16 +56,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
             "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
-            "seed0/apf.ckpt": "1b3e52f3f88ab95eb4d071cdeea0bcaa",
-            "seed0/spg_cool_dim.ckpt": "dd6695de993500797cdf8049593337ec",
-            "seed0/spg_green_bright.ckpt": "cd5cbe8edc06ccca7918f81c9298cb0f",
-            "seed0/spg_high_contrast.ckpt": "c4043e462f665ebb4c66afc251b586de",
-            "seed0/spg_warm_hazy.ckpt": "209e8b7b6769e660f428ef848817d8c8",
-            "seed1/apf.ckpt": "030c56cacdb1ba598532345ae6f0ff62",
-            "seed1/spg_cool_dim.ckpt": "759afa23d6941c9dd27a9224428d8bd8",
-            "seed1/spg_green_bright.ckpt": "9dac73968ebe02ca12c3a1b3da623dbd",
-            "seed1/spg_high_contrast.ckpt": "0cad5ec1a44de9766fba949453767fa7",
-            "seed1/spg_warm_hazy.ckpt": "702b7c316edebdb67989df9243ea8987",
+            "seed0/apf.ckpt": "eec82fe720582f46d1fb9623460cfba8",
+            "seed0/spg_cool_dim.ckpt": "0d185d0dd4493134df2d163624b754cc",
+            "seed0/spg_green_bright.ckpt": "99ce30499628f47e2c740501d0c7ccf6",
+            "seed0/spg_high_contrast.ckpt": "c253f8ea32b712b1425f726c431f70c8",
+            "seed0/spg_warm_hazy.ckpt": "ef125507cb3c94c38e181483dc122bae",
+            "seed1/apf.ckpt": "7fdb3bdc77ac9a68bdcf1c170db85913",
+            "seed1/spg_cool_dim.ckpt": "d035f15327eed51155ca1e6423dc0f6e",
+            "seed1/spg_green_bright.ckpt": "379911e2e517a6ce15aca495012aafc5",
+            "seed1/spg_high_contrast.ckpt": "537faa520cd6fb705c5d6599aadf2d5a",
+            "seed1/spg_warm_hazy.ckpt": "73795b9bfb596b4ef1909f0855b45f12",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "98869da424ba21e4ef535e6dab745c4c",
@@ -99,8 +96,8 @@ GOLDEN = {
     },
     "Haswell": {
         "run": {
-            "attention.csv": "48e0d352e089ced6f83890edceb5f122",
-            "attention_report.csv": "ecf53f2012afd0dfbbe034facc028873",
+            "attention.csv": "05c5f3fc4ad2fc0e2cab2b76ff9536bf",
+            "attention_report.csv": "c1e14598eee34d2955fa7b1da4d7d7e9",
             "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
             "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
             "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
@@ -115,16 +112,16 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
-            "seed0/apf.ckpt": "973f1dc2673775a63dad40505d60c285",
-            "seed0/spg_cool_dim.ckpt": "d4d4b944a3298b0627fe6be92cc6995c",
-            "seed0/spg_green_bright.ckpt": "2c39e8fc38aec5f19afe091df54799de",
-            "seed0/spg_high_contrast.ckpt": "db99f2b58798806fa7362251c565c30e",
-            "seed0/spg_warm_hazy.ckpt": "b67a5997429f4b50d38da9a8d1fb97eb",
-            "seed1/apf.ckpt": "d510daa9882f6f7615e3f66ab5b2be37",
-            "seed1/spg_cool_dim.ckpt": "af56c712e7ec9027bbb51609282f5045",
-            "seed1/spg_green_bright.ckpt": "a29f4016e25bf1cbcaf035809df3f817",
-            "seed1/spg_high_contrast.ckpt": "e1f99f252f5c0af05a449b10fae622e1",
-            "seed1/spg_warm_hazy.ckpt": "68324e11e87a5dc4520b68fcf7994ce8",
+            "seed0/apf.ckpt": "9dd9e1e6a0ec7272f69dd6c26888b330",
+            "seed0/spg_cool_dim.ckpt": "174da4113559e992ef91610b04f3e16a",
+            "seed0/spg_green_bright.ckpt": "5b93ac443c3068a1aca2c7eab16c368c",
+            "seed0/spg_high_contrast.ckpt": "5b2c33e763a01c64ab772f18b09a4813",
+            "seed0/spg_warm_hazy.ckpt": "ef9a7ca29434f3fc1dca8e5c9d79efc1",
+            "seed1/apf.ckpt": "086c5c7be7c365e6854d443c72be2628",
+            "seed1/spg_cool_dim.ckpt": "6bb554372e18c7cddb8470c2f0f6e438",
+            "seed1/spg_green_bright.ckpt": "e35617653ef4bf5a3c2bd48a428136f7",
+            "seed1/spg_high_contrast.ckpt": "94baeb27db4492f79731aab3768f1b66",
+            "seed1/spg_warm_hazy.ckpt": "74804092b80104a7399f0401a6f57152",
         },
         "fusion_tables": {
             "ablate_fusion.csv": "a9c0b62cd286e208ed7c39e78c159dd5",
@@ -156,18 +153,8 @@ GOLDEN = {
 }
 
 
-def openblas_core():
-    """The kernel name numpy's bundled OpenBLAS picked, or None if not found."""
-    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libdir, "libscipy_openblas*")):
-        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return None
-
-
 def golden(table):
-    core = openblas_core()
+    core = blas_info()["core"]
     if core not in GOLDEN:
         pytest.fail(f"no golden values recorded for OpenBLAS core {core!r}; "
                     f"tables exist for {sorted(GOLDEN)}")

@@ -57,6 +57,8 @@ WINDOW_CASES = [
     (2, 3, 0, 7), (1, 3, 0, 7),  # k < s: phases no tap reads
     (3, 2, 2, 4), (1, 1, 1, 4),  # padding about the size of the input
 ]
+# input channels on either side of ops.PIXEL_MAJOR_CHANNELS: lattice and pixel-major columns
+WIDTHS = [3, 16]
 
 
 class TestConv2d:
@@ -68,11 +70,11 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data, np.full((1, 1, 3, 3), 2.0, np.float32))
 
     @staticmethod
-    def _check_against_loop(rng, k, stride, padding, size, batch):
+    def _check_against_loop(rng, k, stride, padding, size, batch, c_in):
         """conv2d's output and gradients against a float64 loop over windows;
         returns the tape and the input tensor."""
-        x0 = rng.normal(size=(batch, 3, size, size))
-        w0 = rng.normal(size=(4, 3, k, k))
+        x0 = rng.normal(size=(batch, c_in, size, size))
+        w0 = rng.normal(size=(4, c_in, k, k))
         b0 = rng.normal(size=(4,))
         x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
         with Tape() as tape:
@@ -106,12 +108,14 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
     def test_matches_direct_loop_over_windows(self, rng, k, stride, padding, size):
-        self._check_against_loop(rng, k, stride, padding, size, batch=2)
+        for c_in in WIDTHS:
+            self._check_against_loop(rng, k, stride, padding, size, batch=2, c_in=c_in)
 
     @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
     def test_one_image_blocks_match_direct_loop(self, rng, monkeypatch, k, stride, padding, size):
         monkeypatch.setattr(ops, "COLUMN_BUDGET", 1)  # every image is its own block
-        self._check_against_loop(rng, k, stride, padding, size, batch=3)
+        for c_in in WIDTHS:
+            self._check_against_loop(rng, k, stride, padding, size, batch=3, c_in=c_in)
 
     def test_forward_peak_stays_within_the_column_budget(self, rng):
         # the whole batch's columns would be 33 MB: 64 * 16*5*5 * 18*18 floats
@@ -129,7 +133,7 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k,stride,padding,size", [(5, 2, 2, 9), (3, 3, 1, 10), (1, 2, 0, 8)])
     def test_single_image_matches_direct_loop(self, rng, k, stride, padding, size):
-        self._check_against_loop(rng, k, stride, padding, size, batch=1)
+        self._check_against_loop(rng, k, stride, padding, size, batch=1, c_in=3)
 
     @staticmethod
     def _looped_columns(x, k, stride, padding, ah, aw):
@@ -154,36 +158,82 @@ class TestConv2d:
         got = ops._columns(x, k, stride, padding, ah, ah)
         assert got.tobytes() == self._looped_columns(x, k, stride, padding, ah, ah).tobytes()
 
-    def test_output_is_allocated_after_the_columns_are_freed(self, rng):
-        # one block at batch 8 (the encoder's second stage): the peak holds the
-        # columns and the GEMM result, then the GEMM result and the output,
-        # never all three
-        x = Tensor(rng.normal(size=(8, 16, 32, 32)).astype(np.float32))
-        w = Tensor(rng.normal(size=(32, 16, 5, 5)).astype(np.float32))
-        b = Tensor(np.zeros(32, np.float32))
-        lattice_cells = 8 * 18 * 18
-        columns, gemm = 16 * 25 * lattice_cells * 4, 32 * lattice_cells * 4
+    @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
+    def test_pixel_columns_bit_equal_to_window_by_window(self, rng, k, stride, padding, size):
+        x = rng.normal(size=(2, 16, size, size)).astype(np.float32)
+        out = (size + 2 * padding - k) // stride + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        ref = np.stack([xp[i, :, r * stride : r * stride + k, c * stride : c * stride + k]
+                        .transpose(1, 2, 0).reshape(-1)
+                        for i, r, c in np.ndindex(2, out, out)])
+        got = ops._pixel_columns(x, k, stride, padding, out, out)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("c_in,k,layout", [
+        (16, 5, "pixel"), (16, 3, "pixel"), (15, 3, "lattice"), (3, 5, "lattice"),
+        (16, 1, "lattice"),
+    ])
+    def test_layout_follows_the_input_width(self, rng, monkeypatch, c_in, k, layout):
+        calls = []
+        for name in ("_columns", "_pixel_columns"):
+            def spy(*args, _name=name, _real=getattr(ops, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(ops, name, spy)
+        x = Tensor(rng.normal(size=(2, c_in, 8, 8)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, c_in, k, k)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        with Tape() as tape:
+            out = ops.conv2d(x, w, b, stride=2, padding=k // 2)
+            tape.backward(out, np.ones(out.shape, np.float32))
+        # the forward and the weight gradient build the same layout; the input
+        # gradient builds no columns
+        assert calls == 2 * ["_pixel_columns" if layout == "pixel" else "_columns"]
+
+    @staticmethod
+    def _forward_peak(rng, x_shape, w_shape):
+        """The traced peak of one 5x5 stride-2 forward, and its output."""
+        x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+        w = Tensor(rng.normal(size=w_shape).astype(np.float32))
+        b = Tensor(np.zeros(w_shape[0], np.float32))
         tracemalloc.start()
         try:
             with no_grad():
                 out = ops.conv2d(x, w, b, stride=2, padding=2)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1], out
         finally:
             tracemalloc.stop()
+
+    def test_output_is_allocated_after_the_columns_are_freed(self, rng):
+        # one block at batch 8 (the oracle's first stage): the peak holds the
+        # columns and the GEMM result, then the GEMM result and the output,
+        # never all three
+        peak, out = self._forward_peak(rng, (8, 3, 64, 64), (16, 3, 5, 5))
+        lattice_cells = 8 * 34 * 34
+        columns, gemm = 3 * 25 * lattice_cells * 4, 16 * lattice_cells * 4
         assert columns + gemm <= peak < columns + gemm + out.data.nbytes // 2
 
+    def test_pixel_major_output_is_allocated_after_the_columns_are_freed(self, rng):
+        # one block at batch 8 (the encoder's second stage): the peak holds the
+        # padded copy and the columns over exactly the output cells, then the
+        # GEMM result and the output, never the output with the columns
+        peak, out = self._forward_peak(rng, (8, 16, 32, 32), (32, 16, 5, 5))
+        columns, padded = 8 * 16 * 16 * 25 * 16 * 4, 8 * 36 * 36 * 16 * 4
+        assert columns + padded <= peak < columns + padded + out.data.nbytes // 2
+
     def test_1x1_stride1_single_image_columns_are_a_view(self, rng):
-        _, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1)
+        _, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1, c_in=3)
         assert np.shares_memory(ops._columns(x.data, 1, 1, 0, 5, 5), x.data)
 
     def test_trainable_weight_keeps_no_columns(self, rng):
-        x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 5, 5)).astype(np.float32), requires_grad=True)
-        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
-        with Tape() as tape:
-            ops.conv2d(x, w, b, stride=2, padding=2)
-        kept = self._kept(tape)  # the weight gradient rebuilds them from the input
-        assert set(kept) == {"wmat"} and np.shares_memory(kept["wmat"], w.data)
+        for c_in in WIDTHS:
+            x = Tensor(rng.normal(size=(2, c_in, 16, 16)).astype(np.float32), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, c_in, 5, 5)).astype(np.float32), requires_grad=True)
+            b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+            with Tape() as tape:
+                ops.conv2d(x, w, b, stride=2, padding=2)
+            kept = self._kept(tape)  # the weight gradient rebuilds them from the input
+            assert set(kept) == {"wmat"} and np.shares_memory(kept["wmat"], w.data)
 
     def test_frozen_weight_returns_only_the_input_gradient(self, rng):
         x = Tensor(rng.normal(size=(2, 3, 6, 6)).astype(np.float32), requires_grad=True)
@@ -225,14 +275,15 @@ class TestConv2d:
             ops.conv2d(x, w, b, stride=1, padding=0)
 
     def test_gradients(self, rng):
-        x0 = rng.normal(size=(2, 3, 6, 6))
-        w0 = rng.normal(size=(4, 3, 3, 3))
-        b0 = rng.normal(size=(4,))
-        r = rng.normal(size=(2, 4, 3, 3))
-        check_gradients(
-            lambda x, w, b: project(ops.conv2d(x, w, b, stride=2, padding=1), r),
-            [x0, w0, b0],
-        )
+        for c_in in WIDTHS:
+            x0 = rng.normal(size=(2, c_in, 6, 6))
+            w0 = rng.normal(size=(4, c_in, 3, 3))
+            b0 = rng.normal(size=(4,))
+            r = rng.normal(size=(2, 4, 3, 3))
+            check_gradients(
+                lambda x, w, b: project(ops.conv2d(x, w, b, stride=2, padding=1), r),
+                [x0, w0, b0],
+            )
 
 
 class TestBatchNorm2d:

@@ -25,6 +25,7 @@ from promptseg.pipeline import (
     STYLE_NAMES,
     TARGET_NAMES,
     ablate,
+    blas_info,
     domain_specs,
     eval_domains,
     load_seed_artifacts,
@@ -116,7 +117,7 @@ class TestRunLayout:
             meta = json.load(f)
         assert set(meta) == {"config_hash", "wall_clock_sec", "oracle_fingerprint",
                              "seal_checks", "oracle_queries", "stage_queries",
-                             "stage_seconds"}
+                             "stage_seconds", "blas"}
         assert meta["wall_clock_sec"] > 0
         stages = meta["stage_seconds"]
         assert list(stages) == ["apf", "data", "eval", "oracle", "spg"]  # sort_keys
@@ -237,6 +238,16 @@ class TestEvaluateRun:
         assert results.seal_checks == 1 + 3 * len(cfg.seeds)
         assert results.oracle_queries["predict"]["calls"] > 0
         assert results.rows == report.rows
+
+
+    def test_meta_records_the_blas_kernel(self, tiny_run):
+        # the float32 bits of a run depend on the OpenBLAS kernel and threads
+        _, _, run_dir = tiny_run
+        with open(os.path.join(run_dir, "report_meta.json")) as f:
+            blas = json.load(f)["blas"]
+        assert blas == blas_info()
+        assert isinstance(blas["core"], str) and blas["core"]
+        assert isinstance(blas["threads"], int) and blas["threads"] >= 1
 
 
 class TestDeterminism:

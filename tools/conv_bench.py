@@ -13,8 +13,10 @@ the median of ``--repeats`` runs after one warm-up:
 
 Each pass also runs once more, untimed, under ``tracemalloc`` for its
 traced peak in MB (a separate run, so the tracing does not touch the
-timings).  It prints one JSON object: the per-shape medians in ms with their
-sums, and the per-shape peaks with their maximum.
+timings).  Each shape also names the column layout its forward built
+(``layout``: "pixel" for ``ops._pixel_columns``, else "lattice").  It prints
+one JSON object: the per-shape medians in ms with their sums, and the
+per-shape peaks with their maximum.
 Run it from the root of a source checkout:
 
     PYTHONPATH=src python3 tools/conv_bench.py [--repeats 30] [--batch 8]
@@ -80,6 +82,17 @@ def traced_peak_mb(fn):
         tracemalloc.stop()
 
 
+def built_layout(fn):
+    """"pixel" if one run of ``fn`` builds pixel-major columns, else "lattice"."""
+    real, seen = ops._pixel_columns, []
+    ops._pixel_columns = lambda *args: seen.append(True) or real(*args)
+    try:
+        fn()
+    finally:
+        ops._pixel_columns = real
+    return "pixel" if seen else "lattice"
+
+
 def passes(x_shape, w_shape, stride, padding, rng):
     x0 = rng.normal(size=x_shape).astype(np.float32)
     w0 = (rng.normal(size=w_shape) * 0.1).astype(np.float32)
@@ -109,7 +122,9 @@ def main(argv=None):
     rows, totals, peaks = [], {}, {}
     for x_shape, w_shape, stride, padding in default_shapes(args.batch):
         row = {"x": list(x_shape), "weight": list(w_shape), "stride": stride, "padding": padding}
-        for name, fn in passes(x_shape, w_shape, stride, padding, rng).items():
+        timed = passes(x_shape, w_shape, stride, padding, rng)
+        row["layout"] = built_layout(timed["fwd"])
+        for name, fn in timed.items():
             row[name + "_ms"] = round(median_ms(fn, args.repeats), 3)
             row[name + "_peak_mb"] = round(traced_peak_mb(fn), 3)
             totals[name + "_ms"] = round(totals.get(name + "_ms", 0.0) + row[name + "_ms"], 3)
