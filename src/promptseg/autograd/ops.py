@@ -4,12 +4,13 @@ Convolution is lowered to BLAS matmuls (im2col) in one of two column layouts,
 chosen from the input's channel count (``conv2d`` states the rule).
 Pixel-major columns hold one row per output pixel, one strided copy of the
 zero-padded channels-last input, so the GEMM covers exactly the output cells.
-Lattice columns, which narrow (RGB) inputs keep, work on the stride-phase
-lattice: tap (ki, kj) reads stride phase (ki % s, kj % s) of the padded input
-shifted by (ki // s, kj // s), so a row of the column matrix is a contiguous
-copy (a phase's rows one strided copy) and the output is cropped from the
-lattice.  The forward runs one matmul per block of whole images whose columns
-fit ``COLUMN_BUDGET`` bytes, so its peak memory does not grow with the batch.
+Lattice columns, which narrow (RGB) inputs and 1x1 kernels keep, work on the
+stride-phase lattice: tap (ki, kj) reads stride phase (ki % s, kj % s) of the
+padded input shifted by (ki // s, kj // s), so a phase's taps are one strided
+copy of its zero-tailed lattice (an unpadded 1x1 kernel's columns are its one
+phase) and the output is cropped from the lattice.  The forward runs one
+matmul per block of whole images whose columns fit ``COLUMN_BUDGET`` bytes, so
+its peak memory does not grow with the batch.
 The input gradient runs on the lattice in both layouts: it adds each tap's row
 of the column gradient back into its phase in a fixed loop order, so results
 are bit-reproducible on repeated runs.
@@ -58,27 +59,18 @@ def _columns(x, k, stride, padding, ah, aw):
     b, c_in = x.shape[:2]
     n = b * ah * aw
     xt = x.transpose(1, 0, 2, 3)
-    if stride == k == 1 and not padding:  # the input is its own lattice
-        return xt.reshape(c_in, n)
+    if k == 1 and not padding:  # the input's one phase is its own lattice
+        return xt[:, :, ::stride, ::stride].reshape(c_in, n)
     cols = np.empty((c_in, k, k, n), x.dtype)
-    if -(-k // stride) >= 3:  # 3+ shifts per axis: one strided copy per phase beats one per tap
-        for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
-            # taps (a + s*i, c + s*j) read the phase's zero-tailed lattice from cell i*aw + j on
-            p, q = len(range(a, k, stride)), len(range(c, k, stride))
-            lattice = np.zeros((c_in, n + (p - 1) * aw + q - 1), x.dtype)
-            lattice[:, :n].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
-            s0, s1 = lattice.strides
-            cols[:, a::stride, c::stride] = as_strided(
-                lattice, (c_in, p, q, n), (s0, aw * s1, s1, s1), writeable=False)
-            del lattice  # one phase's lattice at a time
-        return cols.reshape(c_in * k * k, n)
-    cols[:, :stride, :stride] = 0  # the phases' cells that hold no input stay zero
     for a, c, cells, pixels in _phases(x.shape, k, stride, padding, ah, aw):
-        cols[:, a, c].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
-    for ki, kj in np.ndindex(k, k):
-        if off := (ki // stride) * aw + kj // stride:
-            cols[:, ki, kj, : n - off] = cols[:, ki % stride, kj % stride, off:]
-            cols[:, ki, kj, n - off :] = 0
+        # taps (a + s*i, c + s*j) read the phase's zero-tailed lattice from cell i*aw + j on
+        p, q = len(range(a, k, stride)), len(range(c, k, stride))
+        lattice = np.zeros((c_in, n + (p - 1) * aw + q - 1), x.dtype)
+        lattice[:, :n].reshape(c_in, b, ah, aw)[cells] = xt[pixels]
+        s0, s1 = lattice.strides
+        cols[:, a::stride, c::stride] = as_strided(
+            lattice, (c_in, p, q, n), (s0, aw * s1, s1, s1), writeable=False)
+        del lattice  # one phase's lattice at a time
     return cols.reshape(c_in * k * k, n)
 
 
@@ -102,9 +94,11 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     Inputs of at least ``PIXEL_MAJOR_CHANNELS`` channels under k > 1 take
     pixel-major columns (``_pixel_columns``); the rest keep the lattice
     (``_columns``), which computes (OH + ceil(k/s) - 1) x (OW + ceil(k/s) - 1)
-    cells per image, yet on 3-channel inputs its long row copies measured
-    faster than pixel-major runs of k*C floats.  The weight gradient rebuilds
-    the forward's columns; the input gradient runs on the lattice.
+    cells per image, yet on 3-channel inputs its long row copies, one strided
+    copy per stride phase, measured faster than pixel-major runs of k*C floats.
+    An unpadded 1x1 kernel's lattice columns are every s-th pixel, no copy at
+    stride 1 on one image.  The weight gradient rebuilds the forward's
+    columns; the input gradient runs on the lattice.
 
     The forward runs in blocks of whole images, as many as fit their columns
     (and the lattice or padded copy they are built from) into
@@ -141,7 +135,7 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     if pixel:  # an image's columns and its padded copy
         wpix = weight.data.transpose(2, 3, 1, 0).reshape(-1, c_out)
         image = wpix.shape[0] * out_h * out_w + c_in * (h + 2 * padding) * (w + 2 * padding)
-    else:  # an image's columns and, where _columns builds them, its phase lattices, one at a time
+    else:  # an image's columns and, for k > 1, one phase lattice at a time
         image = (wmat.shape[1] + c_in) * ah * aw
     per = max(1, COLUMN_BUDGET // (image * x.data.itemsize))
     out = None
@@ -177,7 +171,8 @@ def conv2d(x, weight, bias, stride=1, padding=0):
             # each tap's row added back into its phase's lattice in a fixed
             # order, then each phase's cells copied to their pixels
             dcols = (wmat.T @ glat).reshape(c_in, k, k, n)
-            lattices = np.zeros((stride, stride, c_in, n), dcols.dtype)
+            phases = min(stride, k)  # the phases a tap reads
+            lattices = np.zeros((phases, phases, c_in, n), dcols.dtype)
             for ki, kj in np.ndindex(k, k):
                 off = (ki // stride) * aw + kj // stride
                 lattices[ki % stride, kj % stride, :, off:] += dcols[:, ki, kj, : n - off]

@@ -51,16 +51,13 @@ class SegModel(Module):
         return sum(t.size for t in parameters(self.tensors()))
 
 
-def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3,
-                    widths=(16, 32, 64), kernel=5):
-    """Cross-entropy training of a fresh SegModel on the base domain.
+def pretrain_oracle(model, samples, o):
+    """Cross-entropy training of ``model`` on the base domain.
 
-    Returns (model, per-iteration losses).  A non-finite loss aborts
-    immediately via the op-level finite guard.
+    ``o`` is the config section (iters, batch, lr, seed).  Returns the
+    per-iteration losses.  A non-finite loss aborts immediately via the
+    op-level finite guard.
     """
-    if not samples:
-        raise ValueError("base domain is empty")
-    model = SegModel(samples[0].class_count, stream(seed, "oracle-init"), widths, kernel)
     opt = AdamW(parameters(model.tensors()))
 
     def step(_, xb, yb):
@@ -69,9 +66,8 @@ def pretrain_oracle(samples, iters, seed, batch_size=8, lr=5e-3,
         tape.backward(loss)
         return loss.item()
 
-    losses = fit(samples, step, opt, MultiStepLr(lr), stream(seed, "oracle-batches"),
-                 iters, batch_size, "oracle pretrain")
-    return model, losses
+    return fit(samples, step, opt, MultiStepLr(o.lr), stream(o.seed, "oracle-batches"),
+               o.iters, o.batch, "oracle pretrain")
 
 
 def fingerprint_tensors(tensors) -> int:

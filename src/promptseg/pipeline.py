@@ -202,14 +202,11 @@ def stage_oracle(cfg, domains, run_dir=None):
     """Pretrain the frozen segmentation model on clean base scenes."""
     path = None if run_dir is None else os.path.join(run_dir, "oracle.ckpt")
     o = cfg.oracle
+    model = SegModel(CLASS_COUNT, stream(o.seed, "oracle-init"), o.widths, o.kernel)
     if path is not None and os.path.exists(path):
-        model = SegModel(CLASS_COUNT, stream(o.seed, "oracle-init"), o.widths, o.kernel)
         load_oracle(path, model)
         return model, OracleHandle(model), []
-    model, losses = pretrain_oracle(
-        domains["base_train"], iters=o.iters, seed=o.seed,
-        batch_size=o.batch, lr=o.lr, widths=o.widths, kernel=o.kernel,
-    )
+    losses = pretrain_oracle(model, domains["base_train"], o)
     if path is not None:
         save_oracle(path, model)
     return model, OracleHandle(model), losses

@@ -121,6 +121,18 @@ def sgwd_v1(samples) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def pretrained(samples, **kw):
+    """A SegModel drawn from the oracle's init stream and pretrained on
+    ``samples`` under ``OracleConfig(**kw)``: (model, losses)."""
+    from promptseg.config import OracleConfig
+    from promptseg.oracle import SegModel, pretrain_oracle
+    from promptseg.seeding import stream
+
+    o = OracleConfig(**kw)
+    model = SegModel(6, stream(o.seed, "oracle-init"), o.widths, o.kernel)
+    return model, pretrain_oracle(model, samples, o)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
@@ -140,10 +152,10 @@ def base_world():
 @pytest.fixture(scope="session")
 def base_oracle(base_world):
     """Oracle pretrained once per session with the reference recipe."""
-    from promptseg.oracle import OracleHandle, pretrain_oracle
+    from promptseg.oracle import OracleHandle
 
     train, _ = base_world
-    model, losses = pretrain_oracle(train, iters=1500, seed=5)
+    model, losses = pretrained(train, iters=1500, seed=5)
     return model, OracleHandle(model), losses
 
 

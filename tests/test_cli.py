@@ -16,7 +16,7 @@ from conftest import sgwd_v1, tiny_experiment
 from promptseg import pipeline
 from promptseg.checkpoint import load_checkpoint, save_checkpoint
 from promptseg.cli import main
-from promptseg.config import config_hash, save_config
+from promptseg.config import save_config
 from promptseg.datasets import domain_digest, load_domain, save_domain
 from promptseg.oracle import OracleHandle
 from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
@@ -283,6 +283,16 @@ class TestRunAll:
                      "--input", src, "--out", out_path]) == 0
         assert len(load_domain(out_path)) == len(load_domain(src))
         assert os.listdir(str(tmp_path / "runs")) == [os.path.basename(run_dir)]
+
+    def test_in_memory_run_names_no_report(self, tmp_path, monkeypatch, capsys):
+        # an empty out_dir keeps the run in memory: no report path is printed
+        monkeypatch.delenv("PROMPTSEG_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        save_config("config.json", tiny_experiment(out_dir=""))
+        assert main(["--config", "config.json", "run-all"]) == 0
+        out = capsys.readouterr().out
+        assert "target mIoU" in out and "report ->" not in out
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_seeds_list_override(self, tmp_path):
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))

@@ -31,7 +31,6 @@ from promptseg.seeding import stream
 from conftest import (
     check_gradients,
     conv_bn_reference,
-    rel_err,
     scale,
     sum_all,
     vary_bn_state,
@@ -151,7 +150,8 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k,stride,padding,size", WINDOW_CASES)
     def test_columns_bit_equal_to_tap_by_tap(self, rng, k, stride, padding, size):
-        # (5, 2, 2) and (3, 1, 1) copy each phase's taps at once, the rest tap by tap
+        # _columns copies each phase's taps at once (an unpadded 1x1 kernel takes
+        # every s-th pixel); the reference copies them tap by tap
         x = rng.normal(size=(2, 3, size, size)).astype(np.float32)
         out = (size + 2 * padding - k) // stride + 1
         ah = out - 1 - (-k // stride)
@@ -224,6 +224,24 @@ class TestConv2d:
     def test_1x1_stride1_single_image_columns_are_a_view(self, rng):
         _, x = self._check_against_loop(rng, 1, 1, 0, 5, batch=1, c_in=3)
         assert np.shares_memory(ops._columns(x.data, 1, 1, 0, 5, 5), x.data)
+
+    def test_1x1_stride2_input_gradient_zeroes_one_phase(self, rng):
+        # a 1x1 kernel reads one stride phase: forward plus input gradient peak
+        # below the input gradient and the four phase lattices of stride 2
+        x = Tensor(rng.normal(size=(8, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 32, 1, 1)).astype(np.float32))
+        b = Tensor(np.zeros(8, np.float32))
+        g = np.ones((8, 8, 16, 16), np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ops.conv2d(x, w, b, stride=2)
+            gx = tape._nodes[-1].backward_fn(g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lattice = 32 * 8 * 16 * 16 * 4
+        assert peak < gx.nbytes + 4 * lattice
 
     def test_trainable_weight_keeps_no_columns(self, rng):
         for c_in in WIDTHS:

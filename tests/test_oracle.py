@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from promptseg.autograd import Tape, Tensor
+from promptseg.autograd import Tensor
 from promptseg.autograd import ops
 from promptseg.autograd.layers import parameters
 from promptseg.datasets import DomainSpec, make_domain, stack_images, stack_masks
@@ -10,13 +10,12 @@ from promptseg.oracle import (
     OracleHandle,
     SegModel,
     load_oracle,
-    pretrain_oracle,
     save_oracle,
 )
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, pretrained, rel_err
 
 
 def tiny_domain(seed, count=16, size=64):
@@ -58,7 +57,7 @@ class TestSegModel:
 class TestPretrain:
     def test_zero_iters_returns_untrained_model_at_chance(self):
         val = tiny_domain(7, count=6)
-        model, losses = pretrain_oracle(val, iters=0, seed=1)
+        model, losses = pretrained(val, iters=0, seed=1)
         assert losses == []
         handle = OracleHandle(model)
         pred = handle.predict_mask(stack_images(val))
@@ -67,14 +66,14 @@ class TestPretrain:
 
     def test_same_seed_same_fingerprint(self):
         train = tiny_domain(8, count=8)
-        a, _ = pretrain_oracle(train, iters=20, seed=3)
-        b, _ = pretrain_oracle(train, iters=20, seed=3)
+        a, _ = pretrained(train, iters=20, seed=3)
+        b, _ = pretrained(train, iters=20, seed=3)
         assert OracleHandle(a).fingerprint == OracleHandle(b).fingerprint
 
     def test_different_seed_different_fingerprint(self):
         train = tiny_domain(8, count=8)
-        a, _ = pretrain_oracle(train, iters=5, seed=3)
-        b, _ = pretrain_oracle(train, iters=5, seed=4)
+        a, _ = pretrained(train, iters=5, seed=3)
+        b, _ = pretrained(train, iters=5, seed=4)
         assert OracleHandle(a).fingerprint != OracleHandle(b).fingerprint
 
     def test_loss_decreases_and_val_miou_high(self, trained):
@@ -86,7 +85,7 @@ class TestPretrain:
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            pretrain_oracle([], iters=1, seed=0)
+            pretrained([], iters=1, seed=0)
 
 
 class TestHandle:

@@ -6,7 +6,7 @@ import pytest
 from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
 from promptseg.autograd.tensor import ShapeError
 from promptseg.config import ExperimentConfig, SpgConfig
-from promptseg.datasets import DomainSpec, make_domain, stack_images, stack_masks
+from promptseg.datasets import DomainSpec, make_domain
 from promptseg.errors import FormatError, KindMismatchError
 from promptseg.oracle import OracleHandle, SegModel
 from promptseg.prompts import (
