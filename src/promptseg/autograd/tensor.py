@@ -158,7 +158,9 @@ class Tape:
         ``output`` must be a tensor this tape produced.  ``seed`` is the
         upstream gradient with the same shape as ``output``; omitting it
         requires a scalar output and seeds with 1.  Calling backward twice
-        accumulates, matching the usual convention.
+        accumulates, matching the usual convention.  A leaf's first gradient
+        is kept as its op returned it, so it may share memory with ``seed``
+        or another leaf's gradient: read ``.grad``, never write into it.
         """
         if not isinstance(output, Tensor):
             raise TypeError("backward expects a Tensor")
@@ -191,9 +193,7 @@ class Tape:
                     acc = pending.get(id(t))
                     pending[id(t)] = gi if acc is None else acc + gi
                 else:
-                    if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
-                    t.grad += gi
+                    t.grad = gi if t.grad is None else t.grad + gi
 
 
 def apply_op(op_name, out_data, inputs, backward_fn):

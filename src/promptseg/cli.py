@@ -63,16 +63,8 @@ def build_parser():
     sub.add_parser("gen-data", help="render every domain to disk")
     sub.add_parser("pretrain-oracle", help="train and freeze the base model")
 
-    spg = sub.add_parser("train-spg", help="train per-style prompt generators")
-    spg.add_argument("--style", choices=STYLE_NAMES, help="one style only")
-    spg.add_argument("--variant", help="prompt shape override")
-    spg.add_argument("--init", help="template init override")
-
-    apf = sub.add_parser("train-apf", help="train the fusion heads")
-    apf.add_argument("--no-pn", action="store_true",
-                     help="skip prompt normalization")
-    apf.add_argument("--no-softmax", action="store_true")
-    apf.add_argument("--no-tanh", action="store_true")
+    sub.add_parser("train-spg", help="train per-style prompt generators")
+    sub.add_parser("train-apf", help="train the fusion heads")
 
     ev = sub.add_parser("eval", help="evaluate a trained run")
     ev.add_argument("--domain", help="single validation domain")
@@ -118,23 +110,12 @@ def cmd_pretrain_oracle(cfg, args):
 
 
 def cmd_train_spg(cfg, args):
-    spg = dataclasses.replace(cfg.spg, variant=args.variant or cfg.spg.variant,
-                              init=args.init or cfg.spg.init)
-    cfg = dataclasses.replace(cfg, spg=spg).validate()
-    run_arms(cfg, {"": cfg}, open_run(cfg), last="train-spg", only=args.style)
-    names = (args.style,) if args.style else STYLE_NAMES
+    run_arms(cfg, {"": cfg}, open_run(cfg), last="train-spg")
     for seed in cfg.seeds:
-        print(f"seed {seed}: generators {', '.join(names)}")
+        print(f"seed {seed}: generators {', '.join(STYLE_NAMES)}")
 
 
 def cmd_train_apf(cfg, args):
-    apf = dataclasses.replace(
-        cfg.apf,
-        per_channel=cfg.apf.per_channel and not args.no_pn,
-        use_softmax=cfg.apf.use_softmax and not args.no_softmax,
-        use_tanh=cfg.apf.use_tanh and not args.no_tanh,
-    )
-    cfg = dataclasses.replace(cfg, apf=apf)
     run_dir = open_run(cfg)
     run_arms(cfg, {"": cfg}, run_dir, last="train-apf")
     for seed in cfg.seeds:

@@ -10,9 +10,9 @@ the segmentation oracle stay byte-identical through the whole phase.
 So a sample's frozen half of the pass never changes.  Training and
 evaluation keep it in a table, one row per sample (``FrozenTable``): a batch
 computes the rows it is first to draw as one group, and later steps and arms
-gather them.  A row keeps its group's bits (on some BLAS kernels a GEMM row
-depends on the others); the arms of a seed draw the same batches, so their
-order does not matter.
+gather them.  A row keeps its group's bits (on some BLAS kernels a GEMM row's
+bits follow its slot in the call and the call's size, not the other rows);
+the arms of a seed draw the same batches, so their order does not matter.
 """
 
 import numpy as np

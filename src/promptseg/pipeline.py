@@ -213,16 +213,11 @@ def stage_oracle(cfg, domains, run_dir=None):
 
 
 @_stage("train-spg")
-def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
-    """Train one generator per style against the sealed oracle.
-
-    ``only`` restricts per-style training to a single named style; the
-    shared warm start still covers every style so the result matches the
-    full run bit for bit.  Loaded when ``seed_dir`` holds all those requested.
-    """
-    names = STYLE_NAMES if only is None else (only,)
+def stage_spg(cfg, domains, oracle, seed, seed_dir=None) -> dict:
+    """Train one generator per style against the sealed oracle; loaded when
+    ``seed_dir`` holds every style's checkpoint (a partial set is trained again)."""
     paths = {} if seed_dir is None else {
-        name: os.path.join(seed_dir, f"spg_{name}.ckpt") for name in names}
+        name: os.path.join(seed_dir, f"spg_{name}.ckpt") for name in STYLE_NAMES}
     s = cfg.spg
     gens = {
         name: StylePromptGenerator(
@@ -238,11 +233,11 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None, only=None) -> dict:
         subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
         if s.init == "meta":
             meta_pretrain(gens, subsets, oracle, s, seed=seed)
-        for name in names:
-            train_spg(gens[name], subsets[name], oracle, s, seed=seed)
+        for name, gen in gens.items():
+            train_spg(gen, subsets[name], oracle, s, seed=seed)
             if paths:
-                save_generator(paths[name], gens[name])
-    return gens if only is None else {only: gens[only]}
+                save_generator(paths[name], gen)
+    return gens
 
 
 @_stage("train-apf")
@@ -323,7 +318,7 @@ def report_columns():
     return cols
 
 
-def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
+def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     """Train and evaluate every (seed, arm) pair on one world.
 
     The world (domains, oracle, encoder) is built once from ``cfg``; ``arms``
@@ -331,8 +326,7 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
     ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
     one set of generators.  Artifacts go under ``run_dir``, which only a
     one-arm run should pass; a rerun loads what it holds, so it resumes.
-    It stops after stage ``last`` (a cell short of "eval" has no rows) and
-    hands ``only``, the one style to train, to ``stage_spg``.
+    It stops after stage ``last`` (a cell short of "eval" has no rows).
 
     After every stage from the oracle's on, the runtime seal check compares
     the live weights of the oracle and of the encoder with their
@@ -374,7 +368,7 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval", only=None):
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
                 shared[arm_cfg.spg] = timed("spg", stage_spg, arm_cfg, domains,
-                                            oracle, seed, sdir, only)
+                                            oracle, seed, sdir)
                 check_seal("train-spg")
             gens = shared[arm_cfg.spg]
             rows, attention = [], []

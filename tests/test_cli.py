@@ -47,19 +47,6 @@ class TestStagedCommands:
             assert os.path.exists(os.path.join(seed_dir, f"spg_{s}.ckpt"))
         assert os.path.exists(os.path.join(seed_dir, "apf.ckpt"))
 
-    def test_single_style_matches_full_run(self, staged):
-        # --style trains just one generator, bit-identical to the full run
-        cfg, cfg_path, run_dir = staged
-        style = STYLE_NAMES[0]
-        ckpt = os.path.join(run_dir, "seed0", f"spg_{style}.ckpt")
-        with open(ckpt, "rb") as f:
-            full = f.read()
-        os.remove(ckpt)
-        assert main(["--config", cfg_path, "train-spg", "--style", style]) == 0
-        with open(ckpt, "rb") as f:
-            single = f.read()
-        assert single == full
-
     def test_eval_prints_domain_rows(self, staged, capsys):
         _, cfg_path, _ = staged
         assert main(["--config", cfg_path, "eval"]) == 0
@@ -371,6 +358,25 @@ class TestAblateCommand:
 
 
 class TestResolution:
+    @pytest.mark.parametrize("argv", [
+        ["train-spg", "--style", "cool_dim"],
+        ["train-spg", "--variant", "full"],
+        ["train-spg", "--init", "zero"],
+        ["train-apf", "--no-pn"],
+        ["train-apf", "--no-softmax"],
+        ["train-apf", "--no-tanh"],
+    ], ids=lambda argv: argv[1])
+    def test_config_sections_have_no_flag_overrides(self, argv, tmp_path):
+        # a training command takes its experiment from the config alone: a
+        # flag that changed it would train in a run no later command opens
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--config", cfg_path] + argv)
+        assert exit_info.value.code == 2
+        assert not os.path.exists(cfg.out_dir)
+
     def test_env_var_sets_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PROMPTSEG_OUT", str(tmp_path / "envroot"))
         cfg = tiny_experiment()

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ from promptseg.autograd import (
     no_grad,
     shadow_precision,
 )
-from promptseg.autograd.tensor import add, mul
+from promptseg.autograd.tensor import add, mul, reshape
 
 from conftest import scale, sum_all
 
@@ -40,6 +41,22 @@ class TestTapeMechanics:
         tape.backward(loss)
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, 2.0 * np.ones(4, np.float32))
+
+    def test_leaf_takes_its_first_gradient_without_a_copy(self, rng):
+        # reshape's gradient is a view of the seed, so the leaf's gradient
+        # costs no buffer of its own
+        x = Tensor(rng.normal(size=(256, 256)).astype(np.float32), requires_grad=True)
+        seed = rng.normal(size=(65536,)).astype(np.float32)
+        with Tape() as tape:
+            y = reshape(x, (65536,))
+        tracemalloc.start()
+        try:
+            tape.backward(y, seed=seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.data.nbytes
+        np.testing.assert_array_equal(x.grad, seed.reshape(256, 256))
 
     def test_nonscalar_backward_requires_seed(self, rng):
         x = Tensor(rng.normal(size=(3,)).astype(np.float32), requires_grad=True)
