@@ -11,9 +11,10 @@ copy of its zero-tailed lattice (an unpadded 1x1 kernel's columns are its one
 phase) and the output is cropped from the lattice.  The forward runs one
 matmul per block of whole images whose columns fit ``COLUMN_BUDGET`` bytes, so
 its peak memory does not grow with the batch.
-The input gradient runs on the lattice in both layouts: it adds each tap's row
-of the column gradient back into its phase in a fixed loop order, so results
-are bit-reproducible on repeated runs.
+The input gradient runs on the lattice in both layouts (an unpadded 1x1
+kernel's writes its one phase's pixels directly): it adds each tap's row of
+the column gradient back into its phase in a fixed loop order, so results are
+bit-reproducible on repeated runs.
 Batch norm is training-mode only: ``layers.conv_bn`` folds eval mode into
 the conv.  Bilinear upsampling is a pair of precomputed interpolation
 matrices applied as batched matmuls.
@@ -98,7 +99,8 @@ def conv2d(x, weight, bias, stride=1, padding=0):
     copy per stride phase, measured faster than pixel-major runs of k*C floats.
     An unpadded 1x1 kernel's lattice columns are every s-th pixel, no copy at
     stride 1 on one image.  The weight gradient rebuilds the forward's
-    columns; the input gradient runs on the lattice.
+    columns; the input gradient runs on the lattice, except an unpadded 1x1
+    kernel's, which writes every s-th pixel.
 
     The forward runs in blocks of whole images, as many as fit their columns
     (and the lattice or padded copy they are built from) into
@@ -155,9 +157,12 @@ def conv2d(x, weight, bias, stride=1, padding=0):
 
     def backward_fn(g):
         gt = g.transpose(1, 0, 2, 3)
-        glat = np.zeros((c_out, b, ah, aw), g.dtype)  # cropped cells get no gradient
-        glat[:, :, :out_h, :out_w] = gt
-        glat = glat.reshape(c_out, n)
+        if ah == out_h:  # k <= s: the lattice is the output grid, nothing was cropped
+            glat = gt.reshape(c_out, n)
+        else:
+            glat = np.zeros((c_out, b, ah, aw), g.dtype)  # cropped cells get no gradient
+            glat[:, :, :out_h, :out_w] = gt
+            glat = glat.reshape(c_out, n)
         # the tape keeps no columns: the weight gradient rebuilds them
         gw = None
         if weight.requires_grad and pixel:
@@ -167,7 +172,10 @@ def conv2d(x, weight, bias, stride=1, padding=0):
             gw = (glat @ _columns(x.data, k, stride, padding, ah, aw).T).reshape(weight.shape)
         gb = gt.reshape(c_out, -1).sum(axis=1) if bias.requires_grad else None
         gx = None
-        if x.requires_grad:
+        if x.requires_grad and k == 1 and not padding:  # the one tap's row is every s-th pixel
+            gx = np.zeros(x.shape, glat.dtype)
+            gx[:, :, ::stride, ::stride] = (wmat.T @ glat).reshape(c_in, b, ah, aw).transpose(1, 0, 2, 3)
+        elif x.requires_grad:
             # each tap's row added back into its phase's lattice in a fixed
             # order, then each phase's cells copied to their pixels
             dcols = (wmat.T @ glat).reshape(c_in, k, k, n)

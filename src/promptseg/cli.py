@@ -156,9 +156,7 @@ def cmd_infer(cfg, args):
         pred = infer(xs, list(gens.values()), enc, heads, oracle,
                      per_channel=a.per_channel, use_softmax=a.use_softmax,
                      use_tanh=a.use_tanh)
-    out = [Sample(image=s.image, mask=pred[i].astype(np.uint8),
-                  class_count=oracle.class_count)
-           for i, s in enumerate(samples)]
+    out = [Sample(s.image, pred[i].astype(np.uint8)) for i, s in enumerate(samples)]
     save_domain(args.out_file, out)
     print(f"{len(out)} masks -> {args.out_file}")
     if args.color:

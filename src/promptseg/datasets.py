@@ -5,19 +5,18 @@ style.  Content is a pure function of the DomainSpec, so two builds of the
 same spec hash identically.
 
 On disk a domain is a "DOMN" table in the checkpoint container, the one binary
-container: ``images`` (N, 3, H, W), ``masks`` (N, H, W) and ``class_counts``
-(N,), all f32, which holds the small integer labels and counts exactly.
+container: ``images`` (N, 3, H, W) and ``masks`` (N, H, W), both f32, which
+holds the small integer labels exactly.
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, loader, save_checkpoint
 from .errors import FormatError
-from .scenes import Sample, SceneSpec, render_scene
+from .scenes import CLASS_COUNT, Sample, SceneSpec, render_scene
 from .seeding import mix_seed
 from .styles import StyleJitter, StyleParams, apply_style, jittered
 
@@ -48,7 +47,7 @@ def make_domain(spec: DomainSpec) -> list[Sample]:
                 else spec.style_mean
             )
             image = apply_style(s.image, params, seed=mix_seed(spec.style_seed, "noise", i))
-            s = Sample(image=image, mask=s.mask, class_count=s.class_count)
+            s = Sample(image=image, mask=s.mask)
         samples.append(s)
     return samples
 
@@ -59,34 +58,31 @@ def domain_digest(samples) -> str:
     for s in samples:
         h.update(np.ascontiguousarray(s.image, dtype="<f4").tobytes())
         h.update(np.ascontiguousarray(s.mask, dtype=np.uint8).tobytes())
-        h.update(struct.pack("<I", s.class_count))
     return h.hexdigest()
 
 
 def save_domain(path, samples):
     images = stack_images(samples)
     masks = np.stack([s.mask for s in samples], dtype=np.float32)
-    counts = np.array([s.class_count for s in samples], dtype=np.float32)
-    save_checkpoint(path, KIND, {"images": images, "masks": masks, "class_counts": counts})
+    save_checkpoint(path, KIND, {"images": images, "masks": masks})
 
 
 @loader
 def load_domain(path) -> list[Sample]:
     _, t = load_checkpoint(path, KIND)
-    images, masks, counts = t["images"], t["masks"], t["class_counts"]
+    if set(t) != {"images", "masks"}:
+        raise FormatError(f"{path}: a domain table holds images and masks, "
+                          f"not {sorted(t)}")
+    images, masks = t["images"], t["masks"]
     n, _, h, w = images.shape  # ValueError, hence FormatError, unless 4-D
-    if (images.shape[1], masks.shape, counts.shape) != (3, (n, h, w), (n,)):
-        raise FormatError(f"{path}: images, masks and class counts do not pair up")
+    if (images.shape[1], masks.shape) != (3, (n, h, w)):
+        raise FormatError(f"{path}: images and masks do not pair up")
     if not np.isfinite(images).all():
         raise FormatError(f"{path}: non-finite pixel values")
     # range and integrality before the cast, which warns on NaN or a negative value
-    k = counts.reshape(n, 1, 1)
-    if not (((k >= 1) & (k <= 256) & (np.floor(k) == k)).all()
-            and ((masks >= 0) & (masks < k) & (np.floor(masks) == masks)).all()):
-        raise FormatError(f"{path}: mask values must be integers in [0, class count), "
-                          "class counts integers in [1, 256]")
-    masks = masks.astype(np.uint8)
-    return [Sample(image, mask, int(c)) for image, mask, c in zip(images, masks, counts)]
+    if not ((masks >= 0) & (masks < CLASS_COUNT) & (np.floor(masks) == masks)).all():
+        raise FormatError(f"{path}: mask values must be integers in [0, {CLASS_COUNT})")
+    return [Sample(image, mask) for image, mask in zip(images, masks.astype(np.uint8))]
 
 
 def stack_images(samples, indices=None) -> np.ndarray:

@@ -44,7 +44,7 @@ from .prompts import (
     save_generator,
     train_spg,
 )
-from .scenes import SceneSpec
+from .scenes import CLASS_COUNT, SceneSpec
 from .seeding import stream
 from .styles import TARGET_STYLES, style_presets
 
@@ -53,7 +53,6 @@ log = logging.getLogger(__name__)
 STYLE_NAMES = tuple(style_presets())
 TARGET_NAMES = tuple(TARGET_STYLES)
 TARGET_DOMAINS = tuple(f"{t}_val" for t in TARGET_NAMES)
-CLASS_COUNT = 6
 
 
 @dataclass

@@ -24,27 +24,23 @@ PALETTE = np.array(
     ],
     dtype=np.float32,
 )
+# the world's one label space: every mask labels pixels in [0, CLASS_COUNT)
+CLASS_COUNT = len(PALETTE)
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Content seed plus canvas geometry and per-class object count ranges."""
+    """Content seed plus canvas geometry."""
 
     seed: int
     height: int = 64
     width: int = 64
-    class_count: int = 6
-    buildings: tuple = (1, 3)
-    signs: tuple = (2, 5)
-    trees: tuple = (1, 4)
-    dashes: tuple = (4, 7)
 
 
 @dataclass
 class Sample:
     image: np.ndarray  # (3, H, W) float32 in [0, 1]
     mask: np.ndarray  # (H, W) uint8
-    class_count: int
 
 
 def _disc(mask, cy, cx, r, value):
@@ -69,9 +65,6 @@ def render_scene(spec: SceneSpec, index: int) -> Sample:
     """Deterministic scene for (spec.seed, index)."""
     if index < 0:
         raise ValueError("scene index must be non-negative")
-    k = spec.class_count
-    if not 2 <= k <= len(PALETTE):
-        raise ValueError(f"class_count must be in [2, {len(PALETTE)}]")
     rng = np.random.default_rng((spec.seed, index))
     h, w = spec.height, spec.width
     mask = np.zeros((h, w), dtype=np.uint8)
@@ -83,49 +76,45 @@ def render_scene(spec: SceneSpec, index: int) -> Sample:
 
     # dashed lane stripe along the road center; dashes and gaps both kept
     # wide enough that the oracle's 1/8-resolution decoder can resolve them
-    if k > 5:
-        thick = max(4, band // 3)
-        stripe = min(h - thick, y_road + (band - thick) // 2)
-        cursor = int(rng.integers(0, 8))
-        for _ in range(int(rng.integers(spec.dashes[0], spec.dashes[1] + 1))):
-            dash = int(rng.integers(16, 28))
-            gap = int(rng.integers(12, 19))
-            if cursor >= w:
-                break
-            mask[stripe : stripe + thick, cursor : min(w, cursor + dash)] = 5
-            cursor += dash + gap
+    thick = max(4, band // 3)
+    stripe = min(h - thick, y_road + (band - thick) // 2)
+    cursor = int(rng.integers(0, 8))
+    for _ in range(int(rng.integers(4, 8))):
+        dash = int(rng.integers(16, 28))
+        gap = int(rng.integers(12, 19))
+        if cursor >= w:
+            break
+        mask[stripe : stripe + thick, cursor : min(w, cursor + dash)] = 5
+        cursor += dash + gap
 
     # buildings stand on the road's top edge
-    if k > 2:
-        for _ in range(int(rng.integers(spec.buildings[0], spec.buildings[1] + 1))):
-            bw = int(rng.integers(max(6, w // 8), max(8, w // 4) + 1))
-            bh = int(rng.integers(max(8, h // 6), max(10, int(0.4 * h)) + 1))
-            bx = int(rng.integers(0, max(1, w - bw)))
-            mask[max(0, y_road - bh) : y_road, bx : bx + bw] = 2
+    for _ in range(int(rng.integers(1, 4))):
+        bw = int(rng.integers(max(6, w // 8), max(8, w // 4) + 1))
+        bh = int(rng.integers(max(8, h // 6), max(10, int(0.4 * h)) + 1))
+        bx = int(rng.integers(0, max(1, w - bw)))
+        mask[max(0, y_road - bh) : y_road, bx : bx + bw] = 2
 
     # tree blobs in the sky region
-    if k > 4:
-        for _ in range(int(rng.integers(spec.trees[0], spec.trees[1] + 1))):
-            r = int(rng.integers(5, max(6, h // 7) + 1))
-            cy = int(rng.integers(r, max(r + 1, y_road - 2)))
-            cx = int(rng.integers(0, w))
-            ry = max(4, int(r * rng.uniform(0.7, 1.3)))
-            _blob(mask, cy, cx, r, ry, 4)
+    for _ in range(int(rng.integers(1, 5))):
+        r = int(rng.integers(5, max(6, h // 7) + 1))
+        cy = int(rng.integers(r, max(r + 1, y_road - 2)))
+        cx = int(rng.integers(0, w))
+        ry = max(4, int(r * rng.uniform(0.7, 1.3)))
+        _blob(mask, cy, cx, r, ry, 4)
 
     # sign discs drawn last so they stay visible; kept near the road edge so
     # they rarely carve holes into buildings
-    if k > 3:
-        for _ in range(int(rng.integers(spec.signs[0], spec.signs[1] + 1))):
-            r = int(rng.integers(5, max(6, h // 9) + 1))
-            lo = max(r + 1, y_road - 2 * r)
-            hi = min(h - r - 1, y_road + band - r)
-            cy = int(rng.integers(lo, max(lo + 1, hi)))
-            cx = int(rng.integers(r + 1, w - r - 1))
-            _disc(mask, cy, cx, r, 3)
+    for _ in range(int(rng.integers(2, 6))):
+        r = int(rng.integers(5, max(6, h // 9) + 1))
+        lo = max(r + 1, y_road - 2 * r)
+        hi = min(h - r - 1, y_road + band - r)
+        cy = int(rng.integers(lo, max(lo + 1, hi)))
+        cx = int(rng.integers(r + 1, w - r - 1))
+        _disc(mask, cy, cx, r, 3)
 
     image = PALETTE[mask].transpose(2, 0, 1).astype(np.float32)
     tint = rng.normal(0.0, 0.015, (3, 1, 1))
     noise = rng.normal(0.0, 0.015, image.shape)
     image = np.clip(image + tint + noise, 0.0, 1.0).astype(np.float32)
-    return Sample(image=image, mask=mask, class_count=k)
+    return Sample(image=image, mask=mask)
 

@@ -6,6 +6,8 @@ import pytest
 
 from promptseg.autograd import Tape, Tensor, shadow_precision
 from promptseg.autograd.tensor import apply_op
+from promptseg.checkpoint import save_checkpoint
+from promptseg.scenes import CLASS_COUNT
 
 
 def sum_all(a):
@@ -115,10 +117,19 @@ def sgwd_v1(samples) -> bytes:
     then a CRC32 of everything before it."""
     parts = [b"SGWD", struct.pack("<II", 1, len(samples))]
     for s in samples:
-        parts += [struct.pack("<III", *s.mask.shape, s.class_count),
+        parts += [struct.pack("<III", *s.mask.shape, CLASS_COUNT),
                   s.image.astype("<f4").tobytes(), s.mask.astype(np.uint8).tobytes()]
     body = b"".join(parts)
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def save_counted_domain(path, samples):
+    """``samples`` saved as the DOMN table that also held one class count per
+    sample, the layout before the world had one label space."""
+    save_checkpoint(path, "DOMN", {
+        "images": np.stack([s.image for s in samples]),
+        "masks": np.stack([s.mask for s in samples], dtype=np.float32),
+        "class_counts": np.full(len(samples), CLASS_COUNT, np.float32)})
 
 
 def pretrained(samples, **kw):

@@ -11,7 +11,7 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import sgwd_v1, tiny_experiment
+from conftest import save_counted_domain, sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
 from promptseg.checkpoint import load_checkpoint, save_checkpoint
@@ -20,6 +20,7 @@ from promptseg.config import save_config
 from promptseg.datasets import domain_digest, load_domain, save_domain
 from promptseg.oracle import OracleHandle
 from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
+from promptseg.scenes import CLASS_COUNT
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +79,7 @@ class TestStagedCommands:
         for before, after in zip(inputs, preds):
             assert np.array_equal(after.image, before.image)
             assert after.mask.shape == before.mask.shape
-            assert after.mask.max() < after.class_count
+            assert after.mask.max() < CLASS_COUNT
 
     def test_infer_overflowing_pixel_is_an_error(self, staged, tmp_path, capsys):
         # finite, so the loader accepts it, but the first conv overflows
@@ -97,6 +98,17 @@ class TestStagedCommands:
         cfg, cfg_path, run_dir = staged
         src = tmp_path / "old.dom"
         src.write_bytes(sgwd_v1(load_domain(os.path.join(run_dir, "data", "base_val.dom"))))
+        assert main(["--config", cfg_path, "infer", "--input", str(src),
+                     "--out", str(tmp_path / "pred.dom")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(src) in err
+        assert not os.path.exists(tmp_path / "pred.dom")
+
+    def test_infer_of_a_domain_with_class_counts_is_an_error(self, staged, tmp_path, capsys):
+        # a domain table saved with one class count per sample
+        cfg, cfg_path, run_dir = staged
+        src = tmp_path / "counted.dom"
+        save_counted_domain(src, load_domain(os.path.join(run_dir, "data", "base_val.dom")))
         assert main(["--config", cfg_path, "infer", "--input", str(src),
                      "--out", str(tmp_path / "pred.dom")]) == 1
         err = capsys.readouterr().err

@@ -42,18 +42,18 @@ GOLDEN = {
         "run": {
             "attention.csv": "7b36638452008153e1c35286b37bc5ca",
             "attention_report.csv": "ee3f3a98c195f20e24aa8a7f84cc57fc",
-            "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
-            "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
-            "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
-            "data/cool_dim_val.dom": "c7f5d5152fd1502704aa7429390e2429",
-            "data/dusk_val.dom": "2dace8e1f99100749d75e11c3b42ee33",
-            "data/green_bright_train.dom": "16e2cc16bc9a5a96631a389523f27ebd",
-            "data/green_bright_val.dom": "8e062c9ecec1540084c5f350edddd630",
-            "data/high_contrast_train.dom": "7202d1f758d8afd673466fe1e3a35799",
-            "data/high_contrast_val.dom": "5331a034cbb930a4d058f6a4d451c02c",
-            "data/snow_glare_val.dom": "1188968fc8c96c784431ab8f46718c80",
-            "data/warm_hazy_train.dom": "60b64da21bc67d07e340a9d29f828468",
-            "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
+            "data/base_train.dom": "7a8c9f0bfc6b54f72bc2833f2c53f0b4",
+            "data/base_val.dom": "9ea765fb8a9b3726bf5e179eae23dc15",
+            "data/cool_dim_train.dom": "0d731f27657afadac11bd61b869d443a",
+            "data/cool_dim_val.dom": "839c3ff584c7d9061dfb5cb58d66e019",
+            "data/dusk_val.dom": "9620e2161fa66b6b6c282ae11b485402",
+            "data/green_bright_train.dom": "f515c348af4862fb00030eecf278baef",
+            "data/green_bright_val.dom": "6ffe999e9abff1c692a8d1346588218a",
+            "data/high_contrast_train.dom": "16217fdd6b4f5ec84e0920dd430b7de7",
+            "data/high_contrast_val.dom": "9b1e48c71c82c832b319685542f79fd9",
+            "data/snow_glare_val.dom": "ea5a3c1cba854c59560ecde3dc8493d7",
+            "data/warm_hazy_train.dom": "280ebc9a6b953d10c5d7b545c5f5bb0c",
+            "data/warm_hazy_val.dom": "7c379e258da5cdabb05370c39e597cfa",
             "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
             "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
             "seed0/apf.ckpt": "eec82fe720582f46d1fb9623460cfba8",
@@ -98,18 +98,18 @@ GOLDEN = {
         "run": {
             "attention.csv": "05c5f3fc4ad2fc0e2cab2b76ff9536bf",
             "attention_report.csv": "c1e14598eee34d2955fa7b1da4d7d7e9",
-            "data/base_train.dom": "69378c55fff60dd85efa5aaa3d64ca7c",
-            "data/base_val.dom": "a02f87bea161a5be5538cbda784defb6",
-            "data/cool_dim_train.dom": "e758b3e23ad4afcbebc9d6c2923c64d2",
-            "data/cool_dim_val.dom": "c7f5d5152fd1502704aa7429390e2429",
-            "data/dusk_val.dom": "2dace8e1f99100749d75e11c3b42ee33",
-            "data/green_bright_train.dom": "16e2cc16bc9a5a96631a389523f27ebd",
-            "data/green_bright_val.dom": "8e062c9ecec1540084c5f350edddd630",
-            "data/high_contrast_train.dom": "7202d1f758d8afd673466fe1e3a35799",
-            "data/high_contrast_val.dom": "5331a034cbb930a4d058f6a4d451c02c",
-            "data/snow_glare_val.dom": "1188968fc8c96c784431ab8f46718c80",
-            "data/warm_hazy_train.dom": "60b64da21bc67d07e340a9d29f828468",
-            "data/warm_hazy_val.dom": "552fe7d28450020f0d6442a3b02c3ba0",
+            "data/base_train.dom": "7a8c9f0bfc6b54f72bc2833f2c53f0b4",
+            "data/base_val.dom": "9ea765fb8a9b3726bf5e179eae23dc15",
+            "data/cool_dim_train.dom": "0d731f27657afadac11bd61b869d443a",
+            "data/cool_dim_val.dom": "839c3ff584c7d9061dfb5cb58d66e019",
+            "data/dusk_val.dom": "9620e2161fa66b6b6c282ae11b485402",
+            "data/green_bright_train.dom": "f515c348af4862fb00030eecf278baef",
+            "data/green_bright_val.dom": "6ffe999e9abff1c692a8d1346588218a",
+            "data/high_contrast_train.dom": "16217fdd6b4f5ec84e0920dd430b7de7",
+            "data/high_contrast_val.dom": "9b1e48c71c82c832b319685542f79fd9",
+            "data/snow_glare_val.dom": "ea5a3c1cba854c59560ecde3dc8493d7",
+            "data/warm_hazy_train.dom": "280ebc9a6b953d10c5d7b545c5f5bb0c",
+            "data/warm_hazy_val.dom": "7c379e258da5cdabb05370c39e597cfa",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
             "seed0/apf.ckpt": "9dd9e1e6a0ec7272f69dd6c26888b330",

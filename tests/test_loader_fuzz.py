@@ -32,7 +32,7 @@ from promptseg.errors import FormatError
 from promptseg.fusion import FusionHeads, load_heads, save_heads
 from promptseg.oracle import SegModel, load_oracle, save_oracle
 from promptseg.prompts import StylePromptGenerator, load_generator, save_generator
-from promptseg.scenes import SceneSpec
+from promptseg.scenes import CLASS_COUNT, SceneSpec
 from promptseg.seeding import stream
 
 def with_crc(body):
@@ -192,7 +192,7 @@ def test_encoder_fingerprint_value_edits(tmp_path):
 
 def test_domain_value_edits(tmp_path):
     load, path, _, (kind, arrays) = valid_file(tmp_path, "load_domain")
-    images, masks, counts = arrays["images"], arrays["masks"], arrays["class_counts"]
+    images, masks = arrays["images"], arrays["masks"]
 
     def edited(name, at, value):
         arr = arrays[name].copy()
@@ -202,17 +202,12 @@ def test_domain_value_edits(tmp_path):
     save_oracle_file(tmp_path / "oracle.ckpt")
     cases = [
         ("a NaN pixel", edited("images", (1, 2, 3, 4), np.nan)),
-        ("a mask label equal to its class count", edited("masks", (1, 2, 3), counts[1])),
+        ("a mask label equal to CLASS_COUNT", edited("masks", (1, 2, 3), CLASS_COUNT)),
         ("a negative mask label", edited("masks", (1, 2, 3), -1.0)),
         ("a NaN mask label", edited("masks", (1, 2, 3), np.nan)),
         ("a fractional mask label", edited("masks", (1, 2, 3), 0.5)),
-        ("class count zero", edited("class_counts", 1, 0.0)),
-        ("a fractional class count", edited("class_counts", 1, counts[1] + 0.5)),
-        ("a NaN class count", edited("class_counts", 1, np.nan)),
         ("one mask fewer than images",
          encode(kind, {**arrays, "masks": masks[:-1]}.items())[0]),
-        ("one class count fewer than images",
-         encode(kind, {**arrays, "class_counts": counts[:-1]}.items())[0]),
         ("images without their channel axis",
          encode(kind, {**arrays, "images": images[:, 0]}.items())[0]),
         ("an ORCL checkpoint", (tmp_path / "oracle.ckpt").read_bytes()),

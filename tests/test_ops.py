@@ -243,6 +243,24 @@ class TestConv2d:
         lattice = 32 * 8 * 16 * 16 * 4
         assert peak < gx.nbytes + 4 * lattice
 
+    def test_1x1_stride1_input_gradient_builds_no_lattice(self, rng):
+        # the column gradient goes straight into the input gradient: forward
+        # plus input gradient peak below the two of them and a phase lattice,
+        # each the input's size
+        x = Tensor(rng.normal(size=(8, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 32, 1, 1)).astype(np.float32))
+        b = Tensor(np.zeros(8, np.float32))
+        g = np.ones((8, 8, 32, 32), np.float32)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                ops.conv2d(x, w, b)
+            gx = tape._nodes[-1].backward_fn(g)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * gx.nbytes
+
     def test_trainable_weight_keeps_no_columns(self, rng):
         for c_in in WIDTHS:
             x = Tensor(rng.normal(size=(2, c_in, 16, 16)).astype(np.float32), requires_grad=True)

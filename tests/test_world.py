@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import sgwd_v1
+from conftest import save_counted_domain, sgwd_v1
 
 from promptseg.datasets import (
     DomainSpec,
@@ -14,7 +14,7 @@ from promptseg.datasets import (
     save_domain,
 )
 from promptseg.errors import FormatError
-from promptseg.scenes import PALETTE, SceneSpec, render_scene
+from promptseg.scenes import CLASS_COUNT, PALETTE, SceneSpec, render_scene
 from promptseg.styles import (
     StyleJitter,
     StyleParams,
@@ -57,7 +57,7 @@ class TestRenderScene:
         present = set(np.unique(s.mask).tolist())
         assert 0 in present
         assert len(present) >= 2
-        assert s.mask.max() < s.class_count
+        assert s.mask.max() < CLASS_COUNT
 
     def test_palette_recovery_iou(self):
         # the image is flat palette colors + noise, so nearest-color
@@ -199,7 +199,6 @@ class TestDatasetIo:
         for a, b in zip(samples, back):
             assert a.image.tobytes() == b.image.tobytes()
             assert a.mask.tobytes() == b.mask.tobytes()
-            assert a.class_count == b.class_count
 
     def test_truncated_file_raises_format_error(self, tmp_path):
         samples = make_domain(TestMakeDomain.base)
@@ -222,7 +221,7 @@ class TestDatasetIo:
         path = tmp_path / "d.dom"
         save_domain(path, samples)
         n, h, w = 100, 16, 16
-        records = {"images": (n, 3, h, w), "masks": (n, h, w), "class_counts": (n,)}
+        records = {"images": (n, 3, h, w), "masks": (n, h, w)}
         # magic, version, kind; per record its name length, name, rank, dims
         # and f32 payload; the CRC trailer
         raw = 12 + sum(4 + len(name) + 4 + 4 * len(dims) + 4 * math.prod(dims)
@@ -233,6 +232,14 @@ class TestDatasetIo:
         # domains saved before the checkpoint table fail to load, naming the file
         path = tmp_path / "old.dom"
         path.write_bytes(sgwd_v1(make_domain(TestMakeDomain.base)))
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_domain(path)
+
+    def test_domain_with_class_counts_names_the_path(self, tmp_path):
+        # a table that still holds one class count per sample is refused, not
+        # read without its counts
+        path = tmp_path / "counted.dom"
+        save_counted_domain(path, make_domain(TestMakeDomain.base))
         with pytest.raises(FormatError, match=re.escape(str(path))):
             load_domain(path)
 

@@ -34,7 +34,7 @@ from promptseg.autograd import ops
 from promptseg.config import ExperimentConfig
 from promptseg.oracle import SegModel
 from promptseg.prompts import StylePromptGenerator
-from promptseg.scenes import SceneSpec
+from promptseg.scenes import CLASS_COUNT
 from promptseg.seeding import stream
 
 
@@ -55,7 +55,7 @@ def default_shapes(batch):
     ops.conv2d = record
     try:
         with no_grad():
-            SegModel(SceneSpec(0).class_count, stream(0, "bench"), o.widths, o.kernel).forward(x)
+            SegModel(CLASS_COUNT, stream(0, "bench"), o.widths, o.kernel).forward(x)
             StylePromptGenerator("bench", "a_border", 3, size, size, spg.pad, spg.depth).modulate(x)
     finally:
         ops.conv2d = real
