@@ -23,6 +23,7 @@ from .datasets import Sample, load_domain, save_domain
 from .errors import FormatError, StageError
 from .fusion import infer
 from .pipeline import (
+    STAGES,
     STYLE_NAMES,
     SUITES,
     ablate,
@@ -33,14 +34,9 @@ from .pipeline import (
     run_arms,
     run_dir_for,
     run_pipeline,
-    seed_dir,
-    stage_data,
-    stage_oracle,
     write_csv,
 )
 from .scenes import PALETTE
-
-log = logging.getLogger("promptseg")
 
 
 def seed_list(text):
@@ -94,32 +90,11 @@ def resolve_config(args):
     return cfg.validate()
 
 
-def cmd_gen_data(cfg, args):
+def cmd_stage(cfg, args):
+    """gen-data to train-apf: the run's chain stopped after the command's stage."""
     run_dir = open_run(cfg)
-    domains = stage_data(cfg, run_dir)
-    print(f"{len(domains)} domains -> {os.path.join(run_dir, 'data')}")
-
-
-def cmd_pretrain_oracle(cfg, args):
-    run_dir = open_run(cfg)
-    model, oracle, losses = stage_oracle(cfg, stage_data(cfg, run_dir), run_dir)
-    if losses:
-        log.info("oracle trained: final loss %.4f", losses[-1])
-    print(f"oracle: {model.parameter_count()} params, "
-          f"fingerprint {oracle.fingerprint:#x}")
-
-
-def cmd_train_spg(cfg, args):
-    run_arms(cfg, {"": cfg}, open_run(cfg), last="train-spg")
-    for seed in cfg.seeds:
-        print(f"seed {seed}: generators {', '.join(STYLE_NAMES)}")
-
-
-def cmd_train_apf(cfg, args):
-    run_dir = open_run(cfg)
-    run_arms(cfg, {"": cfg}, run_dir, last="train-apf")
-    for seed in cfg.seeds:
-        print(f"seed {seed}: fusion heads -> {seed_dir(run_dir, seed)}")
+    run_arms(cfg, {"": cfg}, run_dir, last=args.command)
+    print(f"{args.command} -> {run_dir}")
 
 
 def cmd_eval(cfg, args):
@@ -216,10 +191,7 @@ def cmd_run_all(cfg, args):
 
 
 COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "pretrain-oracle": cmd_pretrain_oracle,
-    "train-spg": cmd_train_spg,
-    "train-apf": cmd_train_apf,
+    **dict.fromkeys(STAGES[:-1], cmd_stage),
     "eval": cmd_eval,
     "infer": cmd_infer,
     "ablate": cmd_ablate,
@@ -237,7 +209,7 @@ def main(argv=None):
     try:
         cfg = resolve_config(args)
         COMMANDS[args.command](cfg, args)
-    except (StageError, FormatError, ValueError, NonFiniteError) as e:
+    except (StageError, FormatError, ValueError, NonFiniteError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

@@ -47,9 +47,6 @@ class SegModel(Module):
         logits = self.head(run_stages(self.stage, x, training))
         return ops.bilinear_upsample(logits, h_in, w_in)
 
-    def parameter_count(self):
-        return sum(t.size for t in parameters(self.tensors()))
-
 
 def pretrain_oracle(model, samples, o):
     """Cross-entropy training of ``model`` on the base domain.

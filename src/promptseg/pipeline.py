@@ -53,6 +53,8 @@ log = logging.getLogger(__name__)
 STYLE_NAMES = tuple(style_presets())
 TARGET_NAMES = tuple(TARGET_STYLES)
 TARGET_DOMAINS = tuple(f"{t}_val" for t in TARGET_NAMES)
+# the chain of a run, in order; a stage's name is also its CLI command
+STAGES = ("gen-data", "pretrain-oracle", "train-spg", "train-apf", "eval")
 
 
 @dataclass
@@ -66,8 +68,7 @@ class Results:
     report is derived from the cells or from ``target_means``.
     ``oracle_queries`` is the oracle's ``OracleHandle.queries`` at the end
     and ``stage_queries`` splits them by stage; ``stage_seconds`` is the wall
-    time summed per stage ("data", "oracle", "spg", "apf", "eval"), which no
-    byte contract covers.
+    time summed per stage of ``STAGES``, which no byte contract covers.
     """
 
     cells: list
@@ -325,7 +326,8 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     ``apf`` section.  Within a seed, arms with equal ``spg`` sections share
     one set of generators.  Artifacts go under ``run_dir``, which only a
     one-arm run should pass; a rerun loads what it holds, so it resumes.
-    It stops after stage ``last`` (a cell short of "eval" has no rows).
+    It stops after stage ``last`` of ``STAGES``: a run stopped before
+    "train-spg" has no cells, and a cell short of "eval" has no rows.
 
     After every stage from the oracle's on, the runtime seal check compares
     the live weights of the oracle and of the encoder with their
@@ -333,9 +335,12 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     ``Results`` holds one cell per pair, the number of seal checks passed,
     the oracle's query counts (in all and per stage) and each stage's seconds.
     """
-    seconds, queries, oracle = {}, {}, None
+    if last not in STAGES:
+        raise ValueError(f"unknown stage {last!r}; choose from {', '.join(STAGES)}")
+    done = STAGES[:STAGES.index(last) + 1]
+    seconds, queries, oracle, enc = {}, {}, None, None
 
-    def timed(name, stage, *args):
+    def run(name, stage, *args):
         before = {} if oracle is None else {q: dict(c) for q, c in oracle.queries.items()}
         t0 = time.perf_counter()
         out = stage(*args)
@@ -343,10 +348,14 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
         for query, counts in before.items():
             split = queries.setdefault(name, {}).setdefault(query, dict.fromkeys(counts, 0))
             split.update({k: split[k] + n - counts[k] for k, n in oracle.queries[query].items()})
+        if enc is not None:
+            check_seal(name)
         return out
 
-    domains = timed("data", stage_data, cfg, run_dir)
-    model, oracle, _ = timed("oracle", stage_oracle, cfg, domains, run_dir)
+    domains = run("gen-data", stage_data, cfg, run_dir)
+    if last == "gen-data":
+        return Results([], None, 0, {}, queries, seconds)
+    model, oracle, _ = run("pretrain-oracle", stage_oracle, cfg, domains, run_dir)
     enc = SharedEncoder.from_seg_model(model)
     enc_fingerprint, seal_checks = enc.fingerprint(), 0
 
@@ -360,25 +369,22 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
 
     check_seal("pretrain-oracle")
     cells = []
-    for seed in cfg.seeds:
+    for seed in cfg.seeds if "train-spg" in done else ():
         log.info("seed %d", seed)
         sdir = None if run_dir is None else seed_dir(run_dir, seed)
         shared = {}
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
-                shared[arm_cfg.spg] = timed("spg", stage_spg, arm_cfg, domains,
-                                            oracle, seed, sdir)
-                check_seal("train-spg")
+                shared[arm_cfg.spg] = run("train-spg", stage_spg, arm_cfg, domains,
+                                          oracle, seed, sdir)
             gens = shared[arm_cfg.spg]
             rows, attention = [], []
-            if last != "train-spg":
-                heads = timed("apf", stage_apf, arm_cfg, domains, gens, enc,
-                              oracle, seed, sdir)
-                check_seal("train-apf")
-                if last == "eval":
-                    rows, attention = timed("eval", stage_eval, arm_cfg, domains,
-                                            gens, enc, heads, oracle, seed, names)
-                    check_seal("eval")
+            if "train-apf" in done:
+                heads = run("train-apf", stage_apf, arm_cfg, domains, gens, enc,
+                            oracle, seed, sdir)
+            if "eval" in done:
+                rows, attention = run("eval", stage_eval, arm_cfg, domains,
+                                      gens, enc, heads, oracle, seed, names)
             cells.append((arm, seed, rows, attention))
     return Results(cells, oracle.fingerprint, seal_checks, oracle.queries, queries, seconds)
 

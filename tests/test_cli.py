@@ -115,6 +115,15 @@ class TestStagedCommands:
         assert err.startswith("error:") and str(src) in err
         assert not os.path.exists(tmp_path / "pred.dom")
 
+    def test_infer_of_a_missing_file_is_an_error(self, staged, tmp_path, capsys):
+        _, cfg_path, _ = staged
+        src = str(tmp_path / "absent.dom")
+        assert main(["--config", cfg_path, "infer", "--input", src,
+                     "--out", str(tmp_path / "pred.dom")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and src in err
+        assert not os.path.exists(tmp_path / "pred.dom")
+
     def test_infer_color_ppm_output(self, staged, tmp_path):
         cfg, cfg_path, run_dir = staged
         src = os.path.join(run_dir, "data", "base_val.dom")
@@ -220,6 +229,26 @@ class TestStagedData:
         assert main(["--config", cfg_path, "eval"]) == 0
         assert calls == []
 
+    def test_each_training_command_stops_at_its_stage(self, tmp_path, capsys):
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        cfg_path = str(tmp_path / "config.json")
+        save_config(cfg_path, cfg)
+        run_dir = run_dir_for(cfg)
+        seed_dir = os.path.join(run_dir, "seed0")
+        spgs = sorted(f"spg_{s}.ckpt" for s in STYLE_NAMES)
+        assert main(["--config", cfg_path, "gen-data"]) == 0
+        assert sorted(os.listdir(run_dir)) == ["config.json", "data"]
+        assert main(["--config", cfg_path, "pretrain-oracle"]) == 0
+        assert sorted(os.listdir(run_dir)) == ["config.json", "data", "oracle.ckpt"]
+        assert main(["--config", cfg_path, "train-spg"]) == 0
+        assert sorted(os.listdir(seed_dir)) == spgs
+        assert main(["--config", cfg_path, "train-apf"]) == 0
+        assert sorted(os.listdir(seed_dir)) == ["apf.ckpt"] + spgs
+        assert sorted(os.listdir(run_dir)) == ["config.json", "data", "oracle.ckpt", "seed0"]
+        assert capsys.readouterr().out.splitlines() == [
+            f"{command} -> {run_dir}"
+            for command in ("gen-data", "pretrain-oracle", "train-spg", "train-apf")]
+
     def test_eval_of_an_untrained_run_renders_nothing(self, tmp_path, capsys):
         # the missing checkpoint is reported before any domain is rendered
         cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
@@ -311,8 +340,9 @@ class TestPretrainOracle:
         cfg_path = str(tmp_path / "config.json")
         save_config(cfg_path, cfg)
         assert main(["-v", "--config", cfg_path, "pretrain-oracle"]) == 0
-        assert "fingerprint" in capsys.readouterr().out
-        assert os.path.exists(os.path.join(run_dir_for(cfg), "oracle.ckpt"))
+        run_dir = run_dir_for(cfg)
+        assert capsys.readouterr().out == f"pretrain-oracle -> {run_dir}\n"
+        assert os.path.exists(os.path.join(run_dir, "oracle.ckpt"))
 
 
 def drift_oracle_after(monkeypatch, stage):
@@ -413,6 +443,12 @@ class TestResolution:
         bad.write_text("{not json")
         assert main(["--config", str(bad), "gen-data"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_config_reports_error(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["--config", path, "eval"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
 
     def test_unknown_config_key_reports_error(self, tmp_path, capsys):
         cfg = tiny_experiment()

@@ -120,7 +120,7 @@ class TestRunLayout:
                              "stage_seconds", "blas"}
         assert meta["wall_clock_sec"] > 0
         stages = meta["stage_seconds"]
-        assert list(stages) == ["apf", "data", "eval", "oracle", "spg"]  # sort_keys
+        assert list(stages) == sorted(pipeline.STAGES)  # sort_keys
         assert all(sec >= 0 for sec in stages.values())
         assert sum(stages.values()) <= meta["wall_clock_sec"] + 0.005  # rounding
         totals = meta["oracle_queries"]
@@ -128,11 +128,11 @@ class TestRunLayout:
         # the stages that query the oracle split its totals between them:
         # training asks for input gradients only, evaluation for predictions
         split = meta["stage_queries"]
-        assert list(split) == ["apf", "eval", "spg"]  # sort_keys
+        assert list(split) == ["eval", "train-apf", "train-spg"]  # sort_keys
         for query, counts in totals.items():
             for key, n in counts.items():
                 assert sum(split[stage][query][key] for stage in split) == n, (query, key)
-        for stage in ("spg", "apf"):
+        for stage in ("train-spg", "train-apf"):
             assert split[stage]["predict"] == {"calls": 0, "images": 0}
             assert split[stage]["input_grad"]["calls"] > 0
         assert split["eval"]["input_grad"] == {"calls": 0, "images": 0}
