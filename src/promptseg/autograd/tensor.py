@@ -207,46 +207,17 @@ def apply_op(op_name, out_data, inputs, backward_fn):
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Reduce a broadcasted gradient back to ``shape``."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def _check_binary(a, b, op_name):
-    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise TypeError(f"{op_name} expects Tensor operands")
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError as e:
-        raise ShapeError(f"{op_name}: cannot broadcast {a.shape} with {b.shape}") from e
-
-
 def add(a, b):
-    _check_binary(a, b, "add")
+    """Elementwise sum of two tensors of one shape."""
+    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
+        raise TypeError("add expects Tensor operands")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def backward_fn(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
-        return ga, gb
+        return g, g
 
     return apply_op("add", a.data + b.data, (a, b), backward_fn)
-
-
-def mul(a, b):
-    _check_binary(a, b, "mul")
-
-    def backward_fn(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return apply_op("mul", a.data * b.data, (a, b), backward_fn)
 
 
 def reshape(a, shape):
@@ -256,15 +227,3 @@ def reshape(a, shape):
         return (np.reshape(g, a.data.shape),)
 
     return apply_op("reshape", out, (a,), backward_fn)
-
-
-def broadcast_to_batch(a, batch):
-    """Expand a leading batch dimension of 1 to ``batch`` (gradient sums back)."""
-    if a.ndim < 1 or a.shape[0] != 1:
-        raise ShapeError(f"broadcast_to_batch expects leading dim 1, got {a.shape}")
-    out = np.ascontiguousarray(np.broadcast_to(a.data, (batch,) + a.shape[1:]))
-
-    def backward_fn(g):
-        return (g.sum(axis=0, keepdims=True),)
-
-    return apply_op("broadcast_to_batch", out, (a,), backward_fn)

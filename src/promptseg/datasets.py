@@ -75,6 +75,8 @@ def load_domain(path) -> list[Sample]:
                           f"not {sorted(t)}")
     images, masks = t["images"], t["masks"]
     n, _, h, w = images.shape  # ValueError, hence FormatError, unless 4-D
+    if not n:
+        raise FormatError(f"{path}: the domain holds no images")
     if (images.shape[1], masks.shape) != (3, (n, h, w)):
         raise FormatError(f"{path}: images and masks do not pair up")
     if not np.isfinite(images).all():

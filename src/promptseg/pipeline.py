@@ -40,12 +40,11 @@ from .prompts import (
     VARIANTS,
     StylePromptGenerator,
     load_generator,
-    meta_pretrain,
     save_generator,
     train_spg,
 )
 from .scenes import CLASS_COUNT, SceneSpec
-from .seeding import stream
+from .seeding import mix_seed, stream
 from .styles import TARGET_STYLES, style_presets
 
 log = logging.getLogger(__name__)
@@ -230,11 +229,12 @@ def stage_spg(cfg, domains, oracle, seed, seed_dir=None) -> dict:
         for name, p in paths.items():
             load_generator(p, gens[name])
     else:
-        subsets = {name: domains[f"{name}_train"] for name in STYLE_NAMES}
-        if s.init == "meta":
-            meta_pretrain(gens, subsets, oracle, s, seed=seed)
         for name, gen in gens.items():
-            train_spg(gen, subsets[name], oracle, s, seed=seed)
+            subset = domains[f"{name}_train"]
+            if s.init == "meta":  # a short warm-up on the same subset first
+                train_spg(gen, subset, oracle, dataclasses.replace(s, iters=s.meta_iters),
+                          seed=mix_seed(seed, "meta"))
+            train_spg(gen, subset, oracle, s, seed=seed)
             if paths:
                 save_generator(paths[name], gen)
     return gens

@@ -11,9 +11,12 @@ Variants:
   a_border  border template modulated per side and channel by the input
   full      fixed full-canvas template
   a_full    full-canvas template reweighted by an upsampled pixel map
-"""
 
-import dataclasses
+Each template assembles its canvas in one tape op (``border_canvas`` or
+``full_canvas``).  Init ``meta`` draws the ``normal`` template; its warm-up,
+``spg.meta_iters`` iterations of ``train_spg``, runs in
+``pipeline.stage_spg`` right before that generator's main training.
+"""
 
 import numpy as np
 
@@ -25,12 +28,13 @@ from .autograd.layers import (
     Module,
     conv_bn,
     parameters,
+    run_stages,
     tensor_arrays,
 )
 from .autograd.optim import MultiStepLr, SgdMomentum
-from .autograd.tensor import ShapeError, add, apply_op, broadcast_to_batch, mul, reshape
+from .autograd.tensor import ShapeError, add, apply_op, reshape
 from .checkpoint import load_module, save_checkpoint
-from .seeding import mix_seed, stream
+from .seeding import stream
 from .train import fit
 
 VARIANTS = ("border", "a_border", "full", "a_full")
@@ -113,11 +117,25 @@ class FullTemplate(Module):
         )
 
     def assemble(self, pixel_map=None, batch=1):
-        """Canvas (B, C, H, W), optionally reweighted by a (B, C, H, W) pixel map."""
-        canvas = reshape(self.canvas, (1,) + self.canvas.shape)
+        """Canvas (B, C, H, W), optionally reweighted by a (B, C, H, W) pixel
+        map.  One op copies the template to every image or scales it."""
+        canvas = self.canvas
         if pixel_map is None:
-            return broadcast_to_batch(canvas, batch)
-        return mul(canvas, pixel_map)
+            out = np.ascontiguousarray(np.broadcast_to(canvas.data, (batch,) + canvas.shape))
+
+            def backward_fn(g):
+                return (g.sum(axis=0),)
+
+            return apply_op("full_canvas", out, (canvas,), backward_fn)
+        if pixel_map.ndim != 4 or pixel_map.shape[1:] != canvas.shape:
+            raise ShapeError(f"pixel map must be (B, {self.channels}, {self.height}, "
+                             f"{self.width}), got {pixel_map.shape}")
+
+        def backward_fn(g):
+            return (g * pixel_map.data).sum(axis=0), g * canvas.data
+
+        return apply_op("full_canvas", canvas.data * pixel_map.data, (canvas, pixel_map),
+                        backward_fn)
 
 
 class ModulatorBlock(Module):
@@ -160,12 +178,6 @@ class ModulatorNetwork(Module):
         head_out = 4 * out_channels if mode == "coeffs" else out_channels
         self.head = Conv2d(widths[-1], head_out, 1, rng)
 
-    def backbone(self, x, training):
-        """The 1/8-resolution feature map feeding the head."""
-        for block in self.block:
-            x = block(x, training)
-        return x
-
     def low_res(self, x, training=False):
         """Everything below the input resolution: the (B, 4, C) coefficients
         in mode "coeffs", the (B, C, H/8, W/8) head map in mode "map"."""
@@ -174,7 +186,7 @@ class ModulatorNetwork(Module):
         b, _, h, w = x.shape
         if h % 8 or w % 8:
             raise ShapeError(f"modulator input dims must be divisible by 8, got {h}x{w}")
-        feats = self.head(self.backbone(x, training))
+        feats = self.head(run_stages(self.block, x, training))
         if self.mode == "coeffs":
             pooled = ops.adaptive_avg_pool_to_1(feats)
             return reshape(pooled, (b, 4, self.out_channels))
@@ -242,8 +254,6 @@ def attach_prompt(x, prompt):
     """x' = x + P.  No clamping: the attachment stays linear in the prompt."""
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x, np.float32))
-    if x.shape != prompt.shape:
-        raise ShapeError(f"prompt shape {prompt.shape} does not match input {x.shape}")
     return add(x, prompt)
 
 
@@ -277,19 +287,6 @@ def train_spg(gen, samples, oracle, spg, seed=0):
 
     return fit(samples, step, opt, _spg_schedule(spg), stream(seed, "spg-batches", gen.style),
                spg.iters, spg.batch, f"spg[{gen.style}]")
-
-
-def meta_pretrain(generators, style_subsets, oracle, spg, seed=0):
-    """Short per-style warmup pass shared by all generators before main training.
-
-    Each generator runs the ordinary training loop for ``spg.meta_iters``
-    iterations on its own style subset.  Zero iterations is a no-op by
-    construction.
-    """
-    warm = dataclasses.replace(spg, iters=spg.meta_iters)
-    for style, gen in generators.items():
-        train_spg(gen, style_subsets[style], oracle, warm, seed=mix_seed(seed, "meta"))
-    return generators
 
 
 def save_generator(path, gen):

@@ -28,6 +28,16 @@ def scale(a, s):
     return apply_op("scale", a.data * s, (a,), backward_fn)
 
 
+def mul(a, b):
+    """Elementwise product of two tensors of one shape."""
+    assert a.shape == b.shape, (a.shape, b.shape)
+
+    def backward_fn(g):
+        return g * b.data, g * a.data
+
+    return apply_op("mul", a.data * b.data, (a, b), backward_fn)
+
+
 def vary_bn_state(bn, rng):
     """Give a ``BatchNorm2d`` non-trivial affine parameters and running
     statistics, in its own dtypes."""
@@ -130,6 +140,12 @@ def save_counted_domain(path, samples):
         "images": np.stack([s.image for s in samples]),
         "masks": np.stack([s.mask for s in samples], dtype=np.float32),
         "class_counts": np.full(len(samples), CLASS_COUNT, np.float32)})
+
+
+def save_empty_domain(path, size=16):
+    """A valid DOMN table of zero images, which no domain writer produces."""
+    save_checkpoint(path, "DOMN", {"images": np.zeros((0, 3, size, size), np.float32),
+                                   "masks": np.zeros((0, size, size), np.float32)})
 
 
 def pretrained(samples, **kw):

@@ -11,7 +11,7 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import save_counted_domain, sgwd_v1, tiny_experiment
+from conftest import save_counted_domain, save_empty_domain, sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
 from promptseg.checkpoint import load_checkpoint, save_checkpoint
@@ -113,6 +113,16 @@ class TestStagedCommands:
                      "--out", str(tmp_path / "pred.dom")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(src) in err
+        assert not os.path.exists(tmp_path / "pred.dom")
+
+    def test_infer_of_a_domain_of_no_images_is_an_error(self, staged, tmp_path, capsys):
+        _, cfg_path, _ = staged
+        src = str(tmp_path / "empty.dom")
+        save_empty_domain(src)
+        assert main(["--config", cfg_path, "infer", "--input", src,
+                     "--out", str(tmp_path / "pred.dom")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and src in err
         assert not os.path.exists(tmp_path / "pred.dom")
 
     def test_infer_of_a_missing_file_is_an_error(self, staged, tmp_path, capsys):

@@ -24,14 +24,14 @@ from promptseg.autograd.layers import (
     load_tensor_arrays,
     tensor_arrays,
 )
-from promptseg.autograd.tensor import add, broadcast_to_batch, current_dtype, mul, reshape
-from promptseg.prompts import SIDES, BorderTemplate
+from promptseg.autograd.tensor import add, current_dtype, reshape
+from promptseg.prompts import SIDES, BorderTemplate, FullTemplate
 from promptseg.seeding import stream
 
 from conftest import (
     check_gradients,
     conv_bn_reference,
-    scale,
+    mul,
     sum_all,
     vary_bn_state,
 )
@@ -678,15 +678,6 @@ class TestStructuralOps:
         np.testing.assert_allclose(out.data[0], stack[0, 1], rtol=1e-6)
         np.testing.assert_allclose(out.data[1], stack[1, 2], rtol=1e-6)
 
-    def test_broadcast_to_batch(self, rng):
-        x = Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32), requires_grad=True)
-        with Tape() as tape:
-            y = broadcast_to_batch(x, 4)
-            loss = sum_all(y)
-        assert y.shape == (4, 2, 3, 3)
-        tape.backward(loss)
-        np.testing.assert_allclose(x.grad, 4.0, rtol=1e-6)
-
 
 def _gradcheck_registry(rng):
     """One entry per differentiable op: returns (loss builder, leaf arrays)."""
@@ -777,15 +768,25 @@ def _gradcheck_registry(rng):
         r = rng.normal(size=(2, 1, 3, 3))
         return lambda w_: project(ops.weighted_sum(w_, stack), r), [w]
 
-    def elementwise_case():
-        a = rng.normal(size=(1, 3, 1))
+    def add_case():
+        a = rng.normal(size=(2, 3, 4))
         b = rng.normal(size=(2, 3, 4))
         r = rng.normal(size=(2, 3, 4))
+        return lambda a_, b_: project(add(a_, b_), r), [a, b]
 
-        def loss(a_, b_):
-            return project(add(mul(a_, b_), scale(b_, 0.5)), r)
+    def full_case(pixel_map):
+        def make():
+            t = FullTemplate(2, 7, 8, "normal", rng)
+            m = [rng.normal(size=(3, 2, 7, 8))] if pixel_map else []
+            r = rng.normal(size=(3, 2, 7, 8))
 
-        return loss, [a, b]
+            def loss(canvas, *leaves):
+                t.canvas = canvas
+                return project(t.assemble(*leaves, batch=3), r)
+
+            return loss, [t.canvas.data] + m
+
+        return make
 
     def reshape_case():
         x = rng.normal(size=(2, 6))
@@ -808,7 +809,9 @@ def _gradcheck_registry(rng):
         "border_canvas_coeffs": canvas_case(coeffs=True),
         "bilinear_scores": scores_case,
         "weighted_sum": wsum_case,
-        "elementwise": elementwise_case,
+        "add": add_case,
+        "full_canvas": full_case(pixel_map=False),
+        "full_canvas_map": full_case(pixel_map=True),
         "reshape": reshape_case,
     }
 

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from conftest import save_counted_domain, sgwd_v1
+from conftest import save_counted_domain, save_empty_domain, sgwd_v1
 
 from promptseg.datasets import (
     DomainSpec,
@@ -241,6 +241,13 @@ class TestDatasetIo:
         path = tmp_path / "counted.dom"
         save_counted_domain(path, make_domain(TestMakeDomain.base))
         with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_domain(path)
+
+    def test_domain_of_no_images_names_the_path(self, tmp_path):
+        # loaded, it would be an empty domain that fails later without a name
+        path = tmp_path / "empty.dom"
+        save_empty_domain(path)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: the domain holds no images")):
             load_domain(path)
 
     def test_payload_bit_flip_rejected(self, tmp_path):
