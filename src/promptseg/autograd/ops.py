@@ -347,9 +347,10 @@ def bilinear_upsample(x, out_h, out_w):
 # normalization and losses
 
 def l2_norms(x, axes, eps=1e-8):
-    """L2 norms (at least ``eps``, kept dims) of plain array ``x`` over ``axes``:
-    (2, 3) for each (b, c) plane of (B, C, H, W), (1, 2, 3) for each sample,
-    whatever the other planes.  Prompts are normalized as constants: no tape."""
+    """L2 norms (at least ``eps``, kept dims) of plain array ``x`` over ``axes``,
+    each reduced block whatever the others: fusion reduces a prompt's
+    (B, C, pieces) piece norms over (2,) per channel or (1, 2) per sample.
+    Prompts are normalized as constants: no tape."""
     return np.maximum(np.sqrt((x * x).sum(axis=axes, keepdims=True)), eps)
 
 
@@ -402,20 +403,3 @@ def bilinear_scores(q, keys):
         return gq, gk
 
     return apply_op("bilinear_scores", out, (q, keys), backward_fn)
-
-
-def weighted_sum(weights, stack):
-    """Blend a constant prompt stack (B, n, C, H, W) with weights (B, n).
-
-    The stack is plain data by design: gradients flow only into the weights.
-    """
-    _as_tensor(weights, "weights")
-    stack = np.asarray(stack)
-    if weights.ndim != 2 or stack.ndim != 5 or stack.shape[:2] != weights.shape:
-        raise ShapeError(f"weighted_sum mismatch: weights {weights.shape}, stack {stack.shape}")
-    out = np.einsum("bn,bnchw->bchw", weights.data, stack)
-
-    def backward_fn(g):
-        return (np.einsum("bchw,bnchw->bn", g, stack),)
-
-    return apply_op("weighted_sum", out, (weights,), backward_fn)

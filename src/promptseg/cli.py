@@ -181,13 +181,13 @@ def cmd_attention_report(cfg, args):
 
 
 def cmd_run_all(cfg, args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     results = run_pipeline(cfg)
     if cfg.out_dir:  # an empty one keeps the run in memory
         print(f"report -> {os.path.join(run_dir_for(cfg), 'report.csv')}")
     base, fused = results.arm_means("baseline_miou")[""], results.arm_means()[""]
     print(f"target mIoU: baseline {base:.4f}, fused {fused:.4f} "
-          f"({fused - base:+.4f})  [{time.time() - t0:.0f}s]")
+          f"({fused - base:+.4f})  [{time.perf_counter() - t0:.0f}s]")
 
 
 COMMANDS = {

@@ -13,6 +13,13 @@ computes the rows it is first to draw as one group, and later steps and arms
 gather them.  A row keeps its group's bits (on some BLAS kernels a GEMM row's
 bits follow its slot in the call and the call's size, not the other rows);
 the arms of a seed draw the same batches, so their order does not matter.
+
+The blend itself never builds a prompt canvas: ``fuse_prompts`` mixes the
+templates' support (a border template's four strips, a full template's one
+canvas) with the weights over the norms, which come from the same support.
+A (B, n, C, H, W) stack of whole normalized prompts exists only as the
+encoder's input (``collect_prompts``), where fresh prompt rows are embedded:
+a table row's first fill, or a call without table rows.
 """
 
 import numpy as np
@@ -30,11 +37,11 @@ from .autograd.layers import (
     tensor_arrays,
 )
 from .autograd.optim import AdamW, CosineWarmRestarts
-from .autograd.tensor import ShapeError, guard_finite, reshape
+from .autograd.tensor import ShapeError, apply_op, guard_finite, reshape
 from .checkpoint import load_module, loader, pack_u64, save_checkpoint, unpack_u64
 from .datasets import stack_images
 from .oracle import fingerprint_tensors
-from .prompts import attach_prompt
+from .prompts import attach_prompt, paint, span
 from .seeding import stream
 from .train import fit
 
@@ -118,7 +125,7 @@ class FrozenTable:
 
         def prompt(group):
             lows = self.rows("base", group, base)[1:]
-            return _prompt_rows(generators, lows, len(group), enc, per_channel)[1:]
+            return _prompt_rows(generators, lows, len(group), enc, per_channel)
 
         image_emb, *lows = self.rows("base", idx, base)
         return (image_emb, lows, *self.rows(per_channel, idx, prompt))
@@ -145,31 +152,79 @@ def _base_rows(x, generators, enc):
 
 
 def _prompt_rows(generators, lows, batch, enc, per_channel):
-    """A batch's prompt stack, its (B, n, D) embeddings and its norms."""
+    """A batch's (B, n, D) prompt embeddings and its norms."""
     prompts, norms = collect_prompts(generators, lows, batch, per_channel)
     with no_grad():
         emb = enc.encode(prompts.reshape((-1,) + prompts.shape[2:])).data
-    return prompts, emb.reshape(prompts.shape[:2] + emb.shape[1:]), norms
+    return emb.reshape(prompts.shape[:2] + emb.shape[1:]), norms
 
 
-def collect_prompts(generators, lows, batch, per_channel=True, norms=None):
+def _norms(pieces, batch, per_channel):
+    """A prompt's (B, C) L2 norms per channel, or (B, 1) per sample, from its
+    ``paint`` pieces: the norm of the pieces' own norms, so no canvas is read."""
+    parts = []
+    for *_, values, scale in pieces:
+        own = np.sqrt((values * values).sum(axis=(-2, -1)))  # (C,) or (B, C)
+        parts.append(np.broadcast_to(own if scale is None else np.abs(scale) * own,
+                                     (batch, own.shape[-1])))
+    return ops.l2_norms(np.stack(parts, axis=-1), (2,) if per_channel else (1, 2))[..., 0]
+
+
+def collect_prompts(generators, lows, batch, per_channel=True):
     """A batch's prompts from its modulator outputs ``lows`` (None for a fixed
-    variant), each divided by its L2 norm into a plain (B, n, C, H, W) stack,
-    and the (B, n, C or 1, 1, 1) norms, per channel or per sample, or else
-    ``norms``, stored by an earlier call on the same rows (so the same bits)."""
+    variant), each divided by its L2 norm into one (B, n, C, H, W) stack, and
+    the (B, n, C or 1) norms, per channel or per sample.  Only the encoder
+    reads whole canvases: this runs where it embeds fresh prompt rows."""
     if not generators:
         raise ValueError("no generators given")
-    fresh, found = norms is None, []
-    with no_grad():
-        for i, (gen, low) in enumerate(zip(generators, lows)):
-            p = gen.prompt(low if low is None else Tensor(low), batch).data
-            stack = np.empty((batch, len(generators)) + p.shape[1:], p.dtype) if i == 0 else stack
-            found.append(ops.l2_norms(p, (2, 3) if per_channel else (1, 2, 3)) if fresh
-                         else norms[:, i])
-            np.divide(p, found[-1], out=stack[:, i])
-    if fresh:
-        guard_finite(stack, "collect_prompts")
-    return stack, np.stack(found, axis=1) if fresh else norms
+    supports = [gen.support(low) for gen, low in zip(generators, lows)]
+    norms = np.stack([_norms(pieces, batch, per_channel) for pieces in supports], axis=1)
+    first = generators[0]
+    stack = np.zeros((batch, len(generators), first.channels, first.height, first.width),
+                     norms.dtype)
+    for i, pieces in enumerate(supports):
+        paint(stack[:, i], pieces, 1 / norms[:, i])
+    guard_finite(stack, "collect_prompts")
+    return stack, norms
+
+
+def fuse_prompts(weights, generators, lows, norms):
+    """P_fused = sum_i w[:, i] * P_i / norm_i for (B, n) weights, from the
+    prompts' ``paint`` pieces, so no prompt canvas is built.  A piece counts
+    times w / norm and its own scale; the pieces at one place (a border
+    template's side, say) mix in one batched matmul over their m generators.
+    The prompts are constants: the gradient flows into the weights only."""
+    w = weights.data
+    if w.ndim != 2 or w.shape[1] != len(generators) or norms.shape[:2] != w.shape:
+        raise ShapeError(f"fuse_prompts mismatch: weights {w.shape}, {len(generators)} "
+                         f"generators, norms {norms.shape}")
+    first = generators[0]
+    b, c = len(w), first.channels
+    groups = {}  # (top, left, values shape) -> [(generator index, values, scale)]
+    for i, (gen, low) in enumerate(zip(generators, lows)):
+        for top, left, values, scale in gen.support(low):
+            groups.setdefault((top, left) + values.shape, []).append((i, values, scale))
+    out = np.zeros((b, c, first.height, first.width), np.result_type(w, norms))
+    ones, mixes = np.ones((b, c), out.dtype), []
+    for (top, left, *_), members in groups.items():
+        idx, values, scales = zip(*members)
+        idx, at = list(idx), span(top, left, values[0])
+        units = (np.stack([ones if s is None else s for s in scales], axis=-1)
+                 / np.moveaxis(norms[:, idx], 1, -1))  # (B, C, m)
+        values = np.stack(values, axis=-3)
+        *lead, rows, cols = values.shape
+        values = values.reshape(lead + [rows * cols])  # ([B,] C, m, h*w)
+        out[at] += ((w[:, None, idx] * units)[:, :, None] @ values).reshape(out[at].shape)
+        mixes.append((at, idx, values, units))
+
+    def backward_fn(g):
+        gw = np.zeros_like(w)
+        for at, idx, values, units in mixes:
+            dots = (g[at].reshape(b, c, 1, values.shape[-1]) @ np.swapaxes(values, -1, -2))[:, :, 0]
+            gw[:, idx] += (dots * units).sum(axis=1)  # a generator is once in a group
+        return (gw,)
+
+    return apply_op("fuse_prompts", out, (weights,), backward_fn)
 
 
 def attention_scores(heads, image_emb, prompt_emb):
@@ -197,13 +252,12 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
     x = np.asarray(x, np.float32)
     if rows is None:
         image_emb, *lows = _base_rows(x, generators, enc)
-        prompts, prompt_emb, _ = _prompt_rows(generators, lows, len(x), enc, per_channel)
+        prompt_emb, norms = _prompt_rows(generators, lows, len(x), enc, per_channel)
     else:
         image_emb, lows, prompt_emb, norms = rows
-        prompts, _ = collect_prompts(generators, lows, len(x), per_channel, norms)
     scores = attention_scores(heads, Tensor(image_emb), Tensor(prompt_emb))
     weights = fusion_weights(scores, use_softmax, use_tanh)
-    fused = ops.weighted_sum(weights, prompts)  # P_fused = sum_i w[:, i] * P_i
+    fused = fuse_prompts(weights, generators, lows, norms)
     return attach_prompt(x, fused), weights
 
 

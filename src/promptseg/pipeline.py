@@ -163,6 +163,20 @@ def domain_specs(cfg: ExperimentConfig) -> dict:
     return specs
 
 
+class TrainingDomains(dict):
+    """The ``*_train`` domains of a world, as a training stage sees them:
+    reading any other raises ``StageError`` naming the stage and the domain,
+    so no validation or target image can reach training."""
+
+    def __init__(self, stage, domains):
+        super().__init__((name, d) for name, d in domains.items() if name.endswith("_train"))
+        self.stage = stage
+
+    def __missing__(self, name):
+        raise StageError(f"stage {self.stage!r} read domain {name!r}; "
+                         "a training stage sees the *_train domains only")
+
+
 def run_dir_for(cfg) -> str:
     """``<out>/<confighash>``: where every artifact of ``cfg`` lives."""
     return os.path.join(cfg.out_dir, config_hash(cfg))
@@ -329,6 +343,7 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     It stops after stage ``last`` of ``STAGES``: a run stopped before
     "train-spg" has no cells, and a cell short of "eval" has no rows.
 
+    The training stages see only the ``*_train`` domains (``TrainingDomains``).
     After every stage from the oracle's on, the runtime seal check compares
     the live weights of the oracle and of the encoder with their
     fingerprints at build; a change raises ``StageError`` naming the stage.
@@ -355,7 +370,9 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     domains = run("gen-data", stage_data, cfg, run_dir)
     if last == "gen-data":
         return Results([], None, 0, {}, queries, seconds)
-    model, oracle, _ = run("pretrain-oracle", stage_oracle, cfg, domains, run_dir)
+    train = {stage: TrainingDomains(stage, domains)
+             for stage in ("pretrain-oracle", "train-spg", "train-apf")}
+    model, oracle, _ = run("pretrain-oracle", stage_oracle, cfg, train["pretrain-oracle"], run_dir)
     enc = SharedEncoder.from_seg_model(model)
     enc_fingerprint, seal_checks = enc.fingerprint(), 0
 
@@ -375,12 +392,12 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
         shared = {}
         for arm, arm_cfg in arms.items():
             if arm_cfg.spg not in shared:
-                shared[arm_cfg.spg] = run("train-spg", stage_spg, arm_cfg, domains,
+                shared[arm_cfg.spg] = run("train-spg", stage_spg, arm_cfg, train["train-spg"],
                                           oracle, seed, sdir)
             gens = shared[arm_cfg.spg]
             rows, attention = [], []
             if "train-apf" in done:
-                heads = run("train-apf", stage_apf, arm_cfg, domains, gens, enc,
+                heads = run("train-apf", stage_apf, arm_cfg, train["train-apf"], gens, enc,
                             oracle, seed, sdir)
             if "eval" in done:
                 rows, attention = run("eval", stage_eval, arm_cfg, domains,
@@ -408,7 +425,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
     An empty ``cfg.out_dir`` keeps everything in memory.
     """
     cfg.validate()
-    t0 = time.time()
+    t0 = time.perf_counter()  # the clock of stage_seconds, which never steps back
     run_dir = open_run(cfg) if cfg.out_dir else None
     results = run_arms(cfg, {"": cfg}, run_dir)
     if run_dir is not None:
@@ -417,7 +434,7 @@ def run_pipeline(cfg: ExperimentConfig) -> Results:
         write_csv(os.path.join(run_dir, "attention.csv"), results.attention,
                   ["domain", "seed", "style", "mean_weight"])
         meta = {"config_hash": config_hash(cfg),
-                "wall_clock_sec": round(time.time() - t0, 3),
+                "wall_clock_sec": round(time.perf_counter() - t0, 3),
                 "oracle_fingerprint": results.oracle_fingerprint,
                 "seal_checks": results.seal_checks,
                 "oracle_queries": results.oracle_queries,

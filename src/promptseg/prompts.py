@@ -13,9 +13,13 @@ Variants:
   a_full    full-canvas template reweighted by an upsampled pixel map
 
 Each template assembles its canvas in one tape op (``border_canvas`` or
-``full_canvas``).  Init ``meta`` draws the ``normal`` template; its warm-up,
-``spg.meta_iters`` iterations of ``train_spg``, runs in
-``pipeline.stage_spg`` right before that generator's main training.
+``full_canvas``), which SPG trains through, and describes the same canvas as
+``support`` pieces: a strip's or the canvas's values at a place, with a
+per-image scale.  Fusion reads the pieces (``paint``), so a border prompt's
+empty center is never stored; the whole canvases are built only for the
+shared encoder, which reads images.  Init ``meta`` draws the ``normal``
+template; its warm-up, ``spg.meta_iters`` iterations of ``train_spg``, runs
+in ``pipeline.stage_spg`` right before that generator's main training.
 """
 
 import numpy as np
@@ -52,6 +56,22 @@ def _init_values(shape, strategy, rng):
     raise ValueError(f"unknown init strategy {strategy!r}")
 
 
+def span(top, left, values):
+    """The index of a piece's pixels, ``values`` at (``top``, ``left``), in a canvas."""
+    return np.s_[..., top : top + values.shape[-2], left : left + values.shape[-1]]
+
+
+def paint(canvas, pieces, coeff=None):
+    """Add a template's ``support`` pieces into ``canvas`` (B, C, H, W) and
+    return it.  A piece (top, left, values, scale) adds its (C, h, w) values,
+    or (B, C, h, w) ones, at (top, left), times its (B, C) scale and the
+    (B, C) or (B, 1) ``coeff`` (None stands for 1 in both)."""
+    for top, left, values, scale in pieces:
+        k = coeff if scale is None else scale if coeff is None else coeff * scale
+        canvas[span(top, left, values)] += values if k is None else values * k[:, :, None, None]
+    return canvas
+
+
 class BorderTemplate(Module):
     """Four learnable edge strips, the attributes ``top``, ``bottom``, ``left``
     and ``right``; the assembled canvas has an exactly zero center.
@@ -72,6 +92,19 @@ class BorderTemplate(Module):
             values = _init_values((channels,) + shape, strategy, rng)
             setattr(self, name, Tensor(values, requires_grad=True))
 
+    def support(self, alpha=None):
+        """The canvas as ``paint`` pieces, one per strip in side order: the
+        strip's (C, h, w) values at its corner, scaled by its (B, C)
+        coefficients ``alpha[:, side]`` (None: the bare template).  ``alpha``
+        is a plain (B, 4, C) array.  The center is in no piece."""
+        h, w, p = self.height, self.width, self.pad
+        corners = [(0, 0), (h - p, 0), (p, 0), (p, w - p)]
+        return [(r, c, s.data, None if alpha is None else alpha[:, i])
+                for i, (s, (r, c)) in enumerate(zip(self.strips(), corners))]
+
+    def strips(self):
+        return [getattr(self, name) for name in SIDES]
+
     def assemble(self, alpha=None, batch=1):
         """Canvas (B, C, H, W) from the four strips, optionally side/channel scaled.
 
@@ -83,18 +116,16 @@ class BorderTemplate(Module):
             if alpha.ndim != 3 or alpha.shape[1] != 4 or alpha.shape[2] != self.channels:
                 raise ShapeError(f"alpha must be (B, 4, {self.channels}), got {alpha.shape}")
             batch = alpha.shape[0]
-        h, w, p = self.height, self.width, self.pad
-        strips = [getattr(self, name) for name in SIDES]
-        spans = [np.s_[:, :, r : r + s.shape[1], c : c + s.shape[2]]
-                 for s, (r, c) in zip(strips, [(0, 0), (h - p, 0), (p, 0), (p, w - p)])]
-        coeffs = [1] * 4 if alpha is None else [alpha.data[:, i, :, None, None] for i in range(4)]
-        canvas = np.zeros((batch, self.channels, h, w), strips[0].data.dtype)
-        for strip, at, coeff in zip(strips, spans, coeffs):
-            canvas[at] += strip.data * coeff  # disjoint strips: onto zeros is their exact sum
+        strips = self.strips()
+        pieces = self.support(None if alpha is None else alpha.data)
+        # disjoint strips: painted onto zeros, the canvas is their exact sum
+        canvas = paint(np.zeros((batch, self.channels, self.height, self.width),
+                                strips[0].data.dtype), pieces)
 
         def backward_fn(g):
-            gs = [np.ascontiguousarray(g[at]) for at in spans]
-            grads = [(gi * coeff).sum(axis=0) for gi, coeff in zip(gs, coeffs)]
+            gs = [np.ascontiguousarray(g[span(*piece[:3])]) for piece in pieces]
+            grads = [gi.sum(axis=0) if scale is None else (gi * scale[:, :, None, None]).sum(axis=0)
+                     for gi, (*_, scale) in zip(gs, pieces)]
             if alpha is not None:
                 grads.append(np.zeros_like(alpha.data))
                 for i, (gi, strip) in enumerate(zip(gs, strips)):
@@ -115,6 +146,12 @@ class FullTemplate(Module):
         self.canvas = Tensor(
             _init_values((channels, height, width), strategy, rng), requires_grad=True
         )
+
+    def support(self, pixel_map=None):
+        """The canvas as one ``paint`` piece: the (C, H, W) template, or its
+        product with a plain (B, C, H, W) pixel map."""
+        canvas = self.canvas.data
+        return [(0, 0, canvas if pixel_map is None else canvas * pixel_map, None)]
 
     def assemble(self, pixel_map=None, batch=1):
         """Canvas (B, C, H, W), optionally reweighted by a (B, C, H, W) pixel
@@ -244,6 +281,14 @@ class StylePromptGenerator(Module):
         """The prompts of a batch of ``batch`` from its ``modulate`` output."""
         coeff = None if low is None else self.modulator.expand(low, self.height, self.width)
         return self.template.assemble(coeff, batch)
+
+    def support(self, low):
+        """The prompts of a batch as its template's ``paint`` pieces, from its
+        ``modulate`` output as a plain array (None for a fixed variant)."""
+        if low is None:
+            return self.template.support()
+        return self.template.support(
+            self.modulator.expand(Tensor(low), self.height, self.width).data)
 
     def generate(self, x, training=False):
         """The style prompt for a batch, shaped like the batch itself."""

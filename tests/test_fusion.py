@@ -1,16 +1,17 @@
 """Fusion stage: shared encoder, attention heads, weight squashing, blending."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
-from promptseg.autograd import ops
 from promptseg.autograd.layers import tensor_arrays
 from promptseg.autograd.tensor import ShapeError, reshape
 from promptseg.errors import FormatError
 from promptseg.config import ApfConfig, ExperimentConfig
+from promptseg import fusion
 from promptseg.fusion import (
     FusionHeads,
     SharedEncoder,
@@ -18,6 +19,7 @@ from promptseg.fusion import (
     attention_scores,
     collect_prompts,
     frozen_tables,
+    fuse_prompts,
     fusion_forward,
     fusion_weights,
     infer,
@@ -28,7 +30,7 @@ from promptseg.fusion import (
 from promptseg.datasets import DomainSpec, make_domain
 from promptseg.oracle import OracleHandle, SegModel
 from promptseg.pipeline import stage_eval
-from promptseg.prompts import ModulatorNetwork, StylePromptGenerator, save_generator
+from promptseg.prompts import VARIANTS, ModulatorNetwork, StylePromptGenerator, save_generator
 from promptseg.scenes import SceneSpec
 from promptseg.seeding import stream
 
@@ -61,11 +63,15 @@ def toy_setup(n=3, size=16, variant="border", seed=0):
     return model, handle, enc, gens, heads, x
 
 
+def modulated(gens, x):
+    """The plain modulator outputs of images ``x`` (None for a fixed variant)."""
+    with no_grad():
+        return [None if low is None else low.data for low in (g.modulate(x) for g in gens)]
+
+
 def prompt_stack(gens, x, per_channel=True):
     """``collect_prompts``' stack for images ``x``, the modulators run afresh."""
-    with no_grad():
-        lows = [None if low is None else low.data for low in (g.modulate(x) for g in gens)]
-    return collect_prompts(gens, lows, len(x), per_channel)[0]
+    return collect_prompts(gens, modulated(gens, x), len(x), per_channel)[0]
 
 
 def encoded_scores(enc, heads, x, prompts):
@@ -284,32 +290,60 @@ class TestFusionWeights:
         assert np.array_equal(neither.data, raw)
 
 
-class TestFusePrompts:
-    def test_one_hot_selects_single_prompt(self, rng):
-        stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
-        w = np.zeros((2, 3), np.float32)
-        w[:, 1] = 1.0
-        fused = ops.weighted_sum(Tensor(w), stack)
-        assert np.allclose(fused.data, stack[:, 1], atol=1e-7)
+def fuse_setup(variants, per_channel=True, size=16):
+    """Generators of ``variants``, the modulator outputs of two random
+    images, and the prompt stack and norms ``collect_prompts`` gives them."""
+    gens = [StylePromptGenerator(f"s{i}", v, height=size, width=size, pad=3, depth=8, seed=i)
+            for i, v in enumerate(variants)]
+    x = np.random.default_rng(7).uniform(0.0, 1.0, (2, 3, size, size)).astype(np.float32)
+    lows = modulated(gens, x)
+    stack, norms = collect_prompts(gens, lows, len(x), per_channel)
+    return gens, lows, stack, norms
 
-    def test_zero_weights_give_zero(self, rng):
-        stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
-        fused = ops.weighted_sum(Tensor(np.zeros((2, 3), np.float32)), stack)
+
+class TestFusePrompts:
+    def test_one_hot_selects_single_prompt(self):
+        gens, lows, stack, norms = fuse_setup(["a_border"] * 3)
+        w = np.zeros((2, 3), np.float32)
+        w[0, 1] = w[1, 2] = 1.0
+        fused = fuse_prompts(Tensor(w), gens, lows, norms)
+        np.testing.assert_allclose(fused.data[0], stack[0, 1], atol=1e-7)
+        np.testing.assert_allclose(fused.data[1], stack[1, 2], atol=1e-7)
+
+    def test_zero_weights_give_zero(self):
+        gens, lows, _, norms = fuse_setup(["a_border", "a_full", "full"])
+        fused = fuse_prompts(Tensor(np.zeros((2, 3), np.float32)), gens, lows, norms)
         assert np.all(fused.data == 0.0)
 
     def test_linear_in_weights(self, rng):
-        stack = rng.normal(0, 1, (2, 4, 3, 4, 4)).astype(np.float32)
+        gens, lows, _, norms = fuse_setup(["a_border", "border", "a_full", "full"])
         w = rng.uniform(0, 1, (2, 4)).astype(np.float32)
-        once = ops.weighted_sum(Tensor(w.copy()), stack)
-        twice = ops.weighted_sum(Tensor(2.0 * w), stack)
+        once = fuse_prompts(Tensor(w.copy()), gens, lows, norms)
+        twice = fuse_prompts(Tensor(2.0 * w), gens, lows, norms)
         assert np.array_equal(twice.data, 2.0 * once.data)
 
     def test_matches_explicit_sum(self, rng):
-        stack = rng.normal(0, 1, (2, 3, 3, 4, 4)).astype(np.float32)
-        w = rng.uniform(0, 1, (2, 3)).astype(np.float32)
-        fused = ops.weighted_sum(Tensor(w.copy()), stack)
-        manual = sum(w[:, i, None, None, None] * stack[:, i] for i in range(3))
-        assert np.allclose(fused.data, manual, atol=1e-6)
+        # the sum over the stack of whole normalized canvases, per variant
+        # and for a list that mixes border and full templates, both norms
+        for variants, per_channel in itertools.product(
+                [[v] * 3 for v in VARIANTS] + [["a_border", "a_full", "a_border"]], [True, False]):
+            gens, lows, stack, norms = fuse_setup(variants, per_channel)
+            w = rng.uniform(0, 1, (2, 3)).astype(np.float32)
+            fused = fuse_prompts(Tensor(w.copy()), gens, lows, norms)
+            manual = sum(w[:, i, None, None, None] * stack[:, i] for i in range(3))
+            np.testing.assert_allclose(fused.data, manual, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("variant", ["border", "a_border"])
+    def test_border_prompt_is_zero_off_the_ring(self, rng, variant):
+        gens, lows, _, norms = fuse_setup([variant] * 3)
+        fused = fuse_prompts(Tensor(rng.uniform(0.5, 1, (2, 3))), gens, lows, norms)
+        assert np.all(fused.data[:, :, 3:-3, 3:-3] == 0.0)
+        assert np.all(fused.data[:, :, :3] != 0.0)
+
+    def test_rejects_weights_of_another_shape(self):
+        gens, lows, _, norms = fuse_setup(["a_border"] * 3)
+        with pytest.raises(ShapeError):
+            fuse_prompts(Tensor(np.ones((2, 2), np.float32)), gens, lows, norms)
 
 
 class TestFusionForward:
@@ -317,10 +351,11 @@ class TestFusionForward:
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
         with no_grad():
             prompted, weights = fusion_forward(x, gens, enc, heads)
-            manual_prompts = prompt_stack(gens, x)
+            lows = modulated(gens, x)
+            manual_prompts, norms = collect_prompts(gens, lows, len(x))
             scores = encoded_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
-            manual = x + ops.weighted_sum(manual_w, manual_prompts).data
+            manual = x + fuse_prompts(manual_w, gens, lows, norms).data
         assert np.array_equal(weights.data, manual_w.data)
         assert np.array_equal(prompted.data, manual)
 
@@ -341,11 +376,31 @@ class TestFusionForward:
             got = fusion_forward(x, gens, enc, heads, per_channel, rows=rows)
             want = fusion_forward(x, gens, enc, heads, per_channel)
             _, lows, _, stored = rows
-            stack, norms = collect_prompts(gens, lows, 4, per_channel)
-        assert np.array_equal(norms, stored)  # a plane's norm is its own
-        assert np.array_equal(stack, collect_prompts(gens, lows, 4, per_channel, stored)[0])
+            norms = collect_prompts(gens, lows, 4, per_channel)[1]
+        assert np.array_equal(norms, stored)  # a prompt's norm is its own
         for a, b in zip(got, want):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-6)
+
+    def test_table_rows_build_no_prompt_stack(self, monkeypatch):
+        # once a table holds a batch's rows, a training step reads them and
+        # mixes the fused prompt on the support: no prompt canvas is built
+        _, handle, enc, gens, heads, _ = toy_setup(n=3, variant="a_border")
+        dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=43, height=16, width=16),
+                                     count=4))
+        table = frozen_tables(enc, gens, handle)(dom)
+        table.gather(np.arange(4), gens, enc, True)
+
+        def stacked(*args):
+            raise AssertionError("a (B, n, C, H, W) prompt stack was built")
+
+        monkeypatch.setattr(fusion, "collect_prompts", stacked)
+        idx = np.array([3, 1, 2, 0])
+        rows = table.gather(idx, gens, enc, True)
+        with Tape() as tape:
+            prompted, _ = fusion_forward(np.stack([dom[i].image for i in idx]), gens, enc,
+                                         heads, rows=rows)
+        tape.backward(prompted, seed=np.ones_like(prompted.data))
+        assert heads.wx.weight.grad is not None
 
     def test_single_generator_reduces_to_tanh_one_attachment(self):
         model, handle, enc, gens, heads, x = toy_setup(n=1)
@@ -381,10 +436,11 @@ class TestFusionForward:
         assert np.all((w > 0) & (w <= TANH1 + 1e-7))
 
     def test_infer_on_an_empty_batch(self):
-        _, handle, enc, gens, heads, x = toy_setup(n=3)
-        mask, w = infer(x[:0], gens, enc, heads, handle, return_weights=True)
-        assert mask.shape == (0, 16, 16) and mask.dtype == np.uint8
-        assert w.shape == (0, 3)
+        for variant in VARIANTS:
+            _, handle, enc, gens, heads, x = toy_setup(n=3, variant=variant)
+            mask, w = infer(x[:0], gens, enc, heads, handle, return_weights=True)
+            assert mask.shape == (0, 16, 16) and mask.dtype == np.uint8
+            assert w.shape == (0, 3)
 
 
 class TestEndToEndGradient:

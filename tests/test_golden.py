@@ -16,6 +16,8 @@ natively, the Haswell (AVX2) one with ``OPENBLAS_CORETYPE=Haswell`` on the
 same host.
 A core with no table fails here with its name: record the values on the
 parent commit with that core before judging a change against them.
+``tools/golden.py`` computes the running core's table through ``measure``
+and prints it in this file's format; with ``--check`` it lists what moved.
 
 The report files are made through ``cli.main``, as a user makes them, so
 the formatting the CLI applies falls under the contract too.  Left out:
@@ -40,8 +42,8 @@ RUN_HASH = "54c87d710bb8981f"
 GOLDEN = {
     "SkylakeX": {
         "run": {
-            "attention.csv": "7b36638452008153e1c35286b37bc5ca",
-            "attention_report.csv": "ee3f3a98c195f20e24aa8a7f84cc57fc",
+            "attention.csv": "3241af092b0308bcc6ce0c70fc165162",
+            "attention_report.csv": "530e53cda7ca42410d5dfac09dbf262f",
             "data/base_train.dom": "7a8c9f0bfc6b54f72bc2833f2c53f0b4",
             "data/base_val.dom": "9ea765fb8a9b3726bf5e179eae23dc15",
             "data/cool_dim_train.dom": "0d731f27657afadac11bd61b869d443a",
@@ -56,12 +58,12 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "7c379e258da5cdabb05370c39e597cfa",
             "oracle.ckpt": "a8d4e1fed3a482c81b4b093edcbd5540",
             "report.csv": "11f24f30fe87eb416abb7945dfd8627c",
-            "seed0/apf.ckpt": "eec82fe720582f46d1fb9623460cfba8",
+            "seed0/apf.ckpt": "b408dfbf860640d6f0985401b64bdaa5",
             "seed0/spg_cool_dim.ckpt": "0d185d0dd4493134df2d163624b754cc",
             "seed0/spg_green_bright.ckpt": "99ce30499628f47e2c740501d0c7ccf6",
             "seed0/spg_high_contrast.ckpt": "c253f8ea32b712b1425f726c431f70c8",
             "seed0/spg_warm_hazy.ckpt": "ef125507cb3c94c38e181483dc122bae",
-            "seed1/apf.ckpt": "7fdb3bdc77ac9a68bdcf1c170db85913",
+            "seed1/apf.ckpt": "9fbd072c001dcc53349c6a0e2573aa75",
             "seed1/spg_cool_dim.ckpt": "d035f15327eed51155ca1e6423dc0f6e",
             "seed1/spg_green_bright.ckpt": "379911e2e517a6ce15aca495012aafc5",
             "seed1/spg_high_contrast.ckpt": "537faa520cd6fb705c5d6599aadf2d5a",
@@ -96,8 +98,8 @@ GOLDEN = {
     },
     "Haswell": {
         "run": {
-            "attention.csv": "05c5f3fc4ad2fc0e2cab2b76ff9536bf",
-            "attention_report.csv": "c1e14598eee34d2955fa7b1da4d7d7e9",
+            "attention.csv": "2a9663e25d61db0a2d45bf1c55d0908b",
+            "attention_report.csv": "ecf53f2012afd0dfbbe034facc028873",
             "data/base_train.dom": "7a8c9f0bfc6b54f72bc2833f2c53f0b4",
             "data/base_val.dom": "9ea765fb8a9b3726bf5e179eae23dc15",
             "data/cool_dim_train.dom": "0d731f27657afadac11bd61b869d443a",
@@ -112,12 +114,12 @@ GOLDEN = {
             "data/warm_hazy_val.dom": "7c379e258da5cdabb05370c39e597cfa",
             "oracle.ckpt": "a65f59d18a74c64c612fb2db80ac1376",
             "report.csv": "0c0930af2c28f7cd063c0b80654d4da5",
-            "seed0/apf.ckpt": "9dd9e1e6a0ec7272f69dd6c26888b330",
+            "seed0/apf.ckpt": "9d1811872bee37805502d1ccc4276a32",
             "seed0/spg_cool_dim.ckpt": "174da4113559e992ef91610b04f3e16a",
             "seed0/spg_green_bright.ckpt": "5b93ac443c3068a1aca2c7eab16c368c",
             "seed0/spg_high_contrast.ckpt": "5b2c33e763a01c64ab772f18b09a4813",
             "seed0/spg_warm_hazy.ckpt": "ef9a7ca29434f3fc1dca8e5c9d79efc1",
-            "seed1/apf.ckpt": "086c5c7be7c365e6854d443c72be2628",
+            "seed1/apf.ckpt": "74aef06016d5b14ecd0e292e6a2296a5",
             "seed1/spg_cool_dim.ckpt": "6bb554372e18c7cddb8470c2f0f6e438",
             "seed1/spg_green_bright.ckpt": "e35617653ef4bf5a3c2bd48a428136f7",
             "seed1/spg_high_contrast.ckpt": "94baeb27db4492f79731aab3768f1b66",
@@ -188,25 +190,50 @@ def _contract_files(run_dir):
     return out
 
 
+def run_config(tmp_path):
+    return tiny_experiment(seeds=(0, 1), out_dir=str(tmp_path / "runs"))
+
+
+def run_digests(tmp_path):
+    """{file: digest} of a two-seed ``run-all`` and its attention report."""
+    cfg = run_config(tmp_path)
+    _cli(tmp_path, cfg, "run-all")
+    _cli(tmp_path, cfg, "attention-report")
+    return _contract_files(run_dir_for(cfg))
+
+
+def fusion_table_digests(tmp_path):
+    """{file: digest} of the fusion ablation's table files."""
+    cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+    _cli(tmp_path, cfg, "ablate", "--suite", "fusion")
+    run_dir = run_dir_for(cfg)
+    return {name: _digest(os.path.join(run_dir, name))
+            for name in ("ablate_fusion.csv", "ablate_fusion.md")}
+
+
+SUITES = ("fusion", "init", "generators")
+
+
+def measure(tmp_path):
+    """Every table of ``GOLDEN`` as the running kernel computes it, in its order."""
+    (tmp_path / "run").mkdir()
+    (tmp_path / "tables").mkdir()
+    tables = {"run": dict(sorted(run_digests(tmp_path / "run").items())),
+              "fusion_tables": fusion_table_digests(tmp_path / "tables")}
+    return tables | {suite: ablate(tiny_experiment(), suite).arm_means() for suite in SUITES}
+
+
 class TestGoldenRun:
     def test_run_all_artifacts_match_recorded_digests(self, tmp_path):
-        cfg = tiny_experiment(seeds=(0, 1), out_dir=str(tmp_path / "runs"))
-        _cli(tmp_path, cfg, "run-all")
-        _cli(tmp_path, cfg, "attention-report")
-        run_dir = run_dir_for(cfg)
+        cfg = run_config(tmp_path)
         assert config_hash(cfg) == RUN_HASH
-        assert os.path.basename(run_dir) == RUN_HASH
-        assert _contract_files(run_dir) == golden("run")
+        assert os.path.basename(run_dir_for(cfg)) == RUN_HASH
+        assert run_digests(tmp_path) == golden("run")
 
 
 class TestGoldenAblations:
     def test_fusion_table_files_match_recorded_digests(self, tmp_path):
-        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
-        _cli(tmp_path, cfg, "ablate", "--suite", "fusion")
-        run_dir = run_dir_for(cfg)
-        files = ("ablate_fusion.csv", "ablate_fusion.md")
-        got = {name: _digest(os.path.join(run_dir, name)) for name in files}
-        assert got == golden("fusion_tables")
+        assert fusion_table_digests(tmp_path) == golden("fusion_tables")
 
     def test_fusion_arm_means(self):
         assert ablate(tiny_experiment(), "fusion").arm_means() == golden("fusion")

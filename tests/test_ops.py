@@ -25,7 +25,8 @@ from promptseg.autograd.layers import (
     tensor_arrays,
 )
 from promptseg.autograd.tensor import add, current_dtype, reshape
-from promptseg.prompts import SIDES, BorderTemplate, FullTemplate
+from promptseg.fusion import collect_prompts, fuse_prompts
+from promptseg.prompts import SIDES, BorderTemplate, FullTemplate, StylePromptGenerator
 from promptseg.seeding import stream
 
 from conftest import (
@@ -669,15 +670,6 @@ class TestStructuralOps:
         k = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]], np.float32))
         np.testing.assert_allclose(ops.bilinear_scores(q, k).data, [[1.0, 2.0, 3.0]], rtol=1e-6)
 
-    def test_weighted_sum_selects_with_onehot(self, rng):
-        stack = rng.normal(size=(2, 3, 1, 4, 4)).astype(np.float32)
-        w = np.zeros((2, 3), np.float32)
-        w[0, 1] = 1.0
-        w[1, 2] = 1.0
-        out = ops.weighted_sum(Tensor(w), stack)
-        np.testing.assert_allclose(out.data[0], stack[0, 1], rtol=1e-6)
-        np.testing.assert_allclose(out.data[1], stack[1, 2], rtol=1e-6)
-
 
 def _gradcheck_registry(rng):
     """One entry per differentiable op: returns (loss builder, leaf arrays)."""
@@ -762,11 +754,20 @@ def _gradcheck_registry(rng):
 
         return make
 
-    def wsum_case():
-        w = rng.normal(size=(2, 3))
-        stack = rng.normal(size=(2, 3, 1, 3, 3))
-        r = rng.normal(size=(2, 1, 3, 3))
-        return lambda w_: project(ops.weighted_sum(w_, stack), r), [w]
+    def fuse_case(variants, per_channel=True):
+        def make():
+            gens = [StylePromptGenerator(f"s{i}", v, height=8, width=8, pad=2, depth=2,
+                                         init="normal", seed=int(rng.integers(1 << 16)))
+                    for i, v in enumerate(variants)]
+            lows = [None if v in ("border", "full") else
+                    rng.normal(size=(2, 4, 3) if v == "a_border" else (2, 3, 1, 1))
+                    for v in variants]
+            norms = collect_prompts(gens, lows, 2, per_channel)[1]
+            r = rng.normal(size=(2, 3, 8, 8))
+            w = rng.normal(size=(2, len(variants)))
+            return lambda w_: project(fuse_prompts(w_, gens, lows, norms), r), [w]
+
+        return make
 
     def add_case():
         a = rng.normal(size=(2, 3, 4))
@@ -808,7 +809,10 @@ def _gradcheck_registry(rng):
         "border_canvas": canvas_case(coeffs=False),
         "border_canvas_coeffs": canvas_case(coeffs=True),
         "bilinear_scores": scores_case,
-        "weighted_sum": wsum_case,
+        "fuse_prompts_border": fuse_case(["border", "border"]),
+        "fuse_prompts_border_coeffs": fuse_case(["a_border", "a_border", "border"]),
+        "fuse_prompts_full_map": fuse_case(["a_full", "full"]),
+        "fuse_prompts_per_sample": fuse_case(["a_border", "a_full"], per_channel=False),
         "add": add_case,
         "full_canvas": full_case(pixel_map=False),
         "full_canvas_map": full_case(pixel_map=True),

@@ -341,6 +341,23 @@ class TestStageErrors:
         with pytest.raises(StageError, match=f"'train-apf' changed the .*{frozen}"):
             run_pipeline(tiny_config(out_dir=""))
 
+    @pytest.mark.parametrize("attr, stage", [("stage_oracle", "pretrain-oracle"),
+                                             ("stage_spg", "train-spg"),
+                                             ("stage_apf", "train-apf")])
+    def test_training_stage_that_reads_a_target_domain_fails(self, monkeypatch, attr, stage):
+        # a training stage sees the *_train domains only: one that reads a
+        # target domain fails, naming itself and the domain
+        train = getattr(pipeline, attr)
+
+        def peeking(cfg, domains, *rest):
+            len(domains["dusk_val"])
+            return train(cfg, domains, *rest)
+
+        monkeypatch.setattr(pipeline, attr, peeking)
+        cfg = tiny_config(out_dir="")
+        with pytest.raises(StageError, match=f"'{stage}' read domain 'dusk_val'"):
+            pipeline.run_arms(cfg, {"": cfg}, last=stage)
+
     def test_old_domain_file_is_named(self, tmp_path):
         # a run directory from before domains became checkpoint tables
         cfg = tiny_config(out_dir=str(tmp_path))
