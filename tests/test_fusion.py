@@ -303,6 +303,13 @@ def fuse_setup(variants, per_channel=True, size=16):
 
 class TestFusePrompts:
     def test_one_hot_selects_single_prompt(self):
+        gens, lows, stack, norms = fuse_setup(["a_border", "a_full", "border"])
+        w = np.zeros((2, 3), np.float32)
+        w[:, 1] = 1.0
+        fused = fuse_prompts(Tensor(w), gens, lows, norms)
+        np.testing.assert_allclose(fused.data, stack[:, 1], atol=1e-7)
+
+    def test_one_hot_selects_per_row(self):
         gens, lows, stack, norms = fuse_setup(["a_border"] * 3)
         w = np.zeros((2, 3), np.float32)
         w[0, 1] = w[1, 2] = 1.0
