@@ -10,11 +10,13 @@ walks the module's attributes in assignment order.  A ``Tensor`` or array
 is named by itself, a sub-module prefixes its own table with ``name.``, and
 a list of modules numbers its items ``name0.``, ``name1.`` and so on;
 nothing else is state.  That table is the checkpoint layout and what the
-seal fingerprints hash.  Its trainable parameters are the ``Tensor``
+seal fingerprints hash (``fingerprint()``).  Its trainable parameters are the ``Tensor``
 entries; batch-norm running statistics are plain arrays and fall outside.
 A conv and its batch norm run as one pair, ``conv_bn``, whose eval mode
 folds the norm into the conv: it is for inference, with no parameter gradients.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -35,6 +37,23 @@ class Module:
                 for i, item in enumerate(value):
                     out.update(item.tensors(f"{prefix}{name}{i}."))
         return out
+
+    def fingerprint(self):
+        """The hash of ``tensors()`` (``fingerprint_tensors``)."""
+        return fingerprint_tensors(self.tensors())
+
+
+def fingerprint_tensors(tensors) -> int:
+    """64-bit content hash over named arrays (names, shapes, and bytes)."""
+    h = hashlib.blake2b(digest_size=8)
+    for name in sorted(tensors):
+        arr = tensors[name]
+        data = arr.data if isinstance(arr, Tensor) else arr
+        a = np.ascontiguousarray(data, dtype="<f4")
+        h.update(name.encode())
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return int.from_bytes(h.digest(), "little")
 
 
 class Conv2d(Module):

@@ -23,9 +23,11 @@ from .datasets import Sample, load_domain, save_domain
 from .errors import FormatError, StageError
 from .fusion import infer
 from .pipeline import (
+    SOURCE_DOMAINS,
     STAGES,
     STYLE_NAMES,
     SUITES,
+    TARGET_DOMAINS,
     ablate,
     eval_domains,
     evaluate_run,
@@ -185,9 +187,11 @@ def cmd_run_all(cfg, args):
     results = run_pipeline(cfg)
     if cfg.out_dir:  # an empty one keeps the run in memory
         print(f"report -> {os.path.join(run_dir_for(cfg), 'report.csv')}")
-    base, fused = results.arm_means("baseline_miou")[""], results.arm_means()[""]
-    print(f"target mIoU: baseline {base:.4f}, fused {fused:.4f} "
-          f"({fused - base:+.4f})  [{time.perf_counter() - t0:.0f}s]")
+    lines = []  # the source styles' rows first: a recipe is chosen on them
+    for label, names in (("source-style", SOURCE_DOMAINS), ("target", TARGET_DOMAINS)):
+        base, fused = (results.arm_means(c, names)[""] for c in ("baseline_miou", "sage_miou"))
+        lines.append(f"{label} mIoU: baseline {base:.4f}, fused {fused:.4f} ({fused - base:+.4f})")
+    print("\n".join(lines) + f"  [{time.perf_counter() - t0:.0f}s]")
 
 
 COMMANDS = {

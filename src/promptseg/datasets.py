@@ -16,7 +16,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, loader, save_checkpoint
 from .errors import FormatError
-from .scenes import CLASS_COUNT, Sample, SceneSpec, render_scene
+from .scenes import CHANNELS, CLASS_COUNT, Sample, SceneSpec, render_scene
 from .seeding import mix_seed
 from .styles import StyleJitter, StyleParams, apply_style, jittered
 
@@ -77,7 +77,7 @@ def load_domain(path) -> list[Sample]:
     n, _, h, w = images.shape  # ValueError, hence FormatError, unless 4-D
     if not n:
         raise FormatError(f"{path}: the domain holds no images")
-    if (images.shape[1], masks.shape) != (3, (n, h, w)):
+    if (images.shape[1], masks.shape) != (CHANNELS, (n, h, w)):
         raise FormatError(f"{path}: images and masks do not pair up")
     if not np.isfinite(images).all():
         raise FormatError(f"{path}: non-finite pixel values")

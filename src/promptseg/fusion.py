@@ -1,11 +1,12 @@
 """Adaptive fusion of style prompts.
 
 At inference nobody announces the test style, so the n per-style prompts are
-blended: a frozen shared encoder embeds the input and every normalized
-prompt, two small linear heads map those embeddings to a query and keys,
-and the resulting attention row is squashed through tanh(softmax(.)) into
-fusion weights.  Only the two heads ever train; encoder, generators, and
-the segmentation oracle stay byte-identical through the whole phase.
+blended: a frozen shared encoder, a copy of the oracle's stages, embeds the
+input and every normalized prompt, two small linear heads map those
+embeddings to a query and keys, and the resulting attention row is squashed
+through tanh(softmax(.)) into fusion weights.  Only the two heads ever
+train; encoder, generators, and the segmentation oracle stay byte-identical
+through the whole phase (``pipeline.run_arms`` checks all three).
 
 So a sample's frozen half of the pass never changes.  Training and
 evaluation keep it in a table, one row per sample (``FrozenTable``): a batch
@@ -19,8 +20,12 @@ templates' support (a border template's four strips, a full template's one
 canvas) with the weights over the norms, which come from the same support.
 A (B, n, C, H, W) stack of whole normalized prompts exists only as the
 encoder's input (``collect_prompts``), where fresh prompt rows are embedded:
-a table row's first fill, or a call without table rows.
+a table row's first fill, or a call without table rows.  A call builds each
+generator's support once and hands it to both.  C is ``scenes.CHANNELS``;
+the canvas size is the generators' template's.
 """
+
+import copy
 
 import numpy as np
 
@@ -29,9 +34,7 @@ from .autograd import ops
 from .autograd.layers import (
     Linear,
     Module,
-    conv_bn_stages,
     freeze,
-    load_tensor_arrays,
     parameters,
     run_stages,
     tensor_arrays,
@@ -40,48 +43,41 @@ from .autograd.optim import AdamW, CosineWarmRestarts
 from .autograd.tensor import ShapeError, apply_op, guard_finite, reshape
 from .checkpoint import load_module, loader, pack_u64, save_checkpoint, unpack_u64
 from .datasets import stack_images
-from .oracle import fingerprint_tensors
 from .prompts import attach_prompt, paint, span
+from .scenes import CHANNELS
 from .seeding import stream
 from .train import fit
 
 
 class SharedEncoder(Module):
-    """Frozen feature extractor: three stride-2 conv-bn-relu stages, then a pool.
+    """Frozen feature extractor: conv-bn-relu ``stages`` (``ConvBn``), then a pool.
 
     The same weights embed images and prompts.  Batch norm always runs on
     stored running statistics, so encoding is a pure function.
     """
 
-    def __init__(self, rng, widths=(16, 32, 64), kernel=5):
-        self.widths = tuple(widths)
-        self.kernel = kernel
-        self.stage = conv_bn_stages(self.widths, kernel, rng)
+    def __init__(self, stages):
+        self.stage = stages
         freeze(self.tensors())
         self.tables = None  # (key, tables) of frozen_tables
 
     @classmethod
     def from_seg_model(cls, model):
         """Reuse the segmentation model's encoder stages (copied, then frozen)."""
-        enc = cls(stream(0, "enc-shell"), model.widths, model.kernel)
-        load_tensor_arrays(enc.tensors(), tensor_arrays(model.tensors()))
-        return enc
+        return cls(copy.deepcopy(model.stage))
 
     @property
     def feature_dim(self):
-        return self.widths[-1]
+        return self.stage[-1].conv.weight.shape[0]
 
     def encode(self, x):
         """Feature vector (B, D) for images or prompts alike."""
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, np.float32))
-        if x.ndim != 4 or x.shape[1] != 3:
-            raise ShapeError(f"encoder expects (B, 3, H, W), got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != CHANNELS:
+            raise ShapeError(f"encoder expects (B, {CHANNELS}, H, W), got {x.shape}")
         pooled = ops.adaptive_avg_pool_to_1(run_stages(self.stage, x, training=False))
         return reshape(pooled, (x.shape[0], self.feature_dim))
-
-    def fingerprint(self):
-        return fingerprint_tensors(self.tensors())
 
 
 class FusionHeads(Module):
@@ -125,7 +121,8 @@ class FrozenTable:
 
         def prompt(group):
             lows = self.rows("base", group, base)[1:]
-            return _prompt_rows(generators, lows, len(group), enc, per_channel)
+            supports = [gen.support(low) for gen, low in zip(generators, lows)]
+            return _prompt_rows(generators, supports, len(group), enc, per_channel)
 
         image_emb, *lows = self.rows("base", idx, base)
         return (image_emb, lows, *self.rows(per_channel, idx, prompt))
@@ -136,8 +133,7 @@ def frozen_tables(enc, generators, oracle):
     the identity of every sample.  The tables hang off the encoder and hold
     one set of frozen weights, named by the fingerprints of the encoder, of
     every generator and of the oracle: other weights replace them with none."""
-    key = (enc.fingerprint(), tuple(fingerprint_tensors(g.tensors()) for g in generators),
-           oracle.fingerprint)
+    key = (enc.fingerprint(), tuple(g.fingerprint() for g in generators), oracle.fingerprint)
     if enc.tables is None or enc.tables[0] != key:
         enc.tables = key, {}
     tables = enc.tables[1]
@@ -151,9 +147,9 @@ def _base_rows(x, generators, enc):
         return [enc.encode(x).data] + [low if low is None else low.data for low in lows]
 
 
-def _prompt_rows(generators, lows, batch, enc, per_channel):
+def _prompt_rows(generators, supports, batch, enc, per_channel):
     """A batch's (B, n, D) prompt embeddings and its norms."""
-    prompts, norms = collect_prompts(generators, lows, batch, per_channel)
+    prompts, norms = collect_prompts(generators, supports, batch, per_channel)
     with no_grad():
         emb = enc.encode(prompts.reshape((-1,) + prompts.shape[2:])).data
     return emb.reshape(prompts.shape[:2] + emb.shape[1:]), norms
@@ -170,41 +166,38 @@ def _norms(pieces, batch, per_channel):
     return ops.l2_norms(np.stack(parts, axis=-1), (2,) if per_channel else (1, 2))[..., 0]
 
 
-def collect_prompts(generators, lows, batch, per_channel=True):
-    """A batch's prompts from its modulator outputs ``lows`` (None for a fixed
-    variant), each divided by its L2 norm into one (B, n, C, H, W) stack, and
-    the (B, n, C or 1) norms, per channel or per sample.  Only the encoder
-    reads whole canvases: this runs where it embeds fresh prompt rows."""
+def collect_prompts(generators, supports, batch, per_channel=True):
+    """A batch's prompts from its generators' ``support`` pieces, each divided
+    by its L2 norm into one (B, n, C, H, W) stack, and the (B, n, C or 1)
+    norms, per channel or per sample.  Only the encoder reads whole canvases:
+    this runs where it embeds fresh prompt rows."""
     if not generators:
         raise ValueError("no generators given")
-    supports = [gen.support(low) for gen, low in zip(generators, lows)]
     norms = np.stack([_norms(pieces, batch, per_channel) for pieces in supports], axis=1)
-    first = generators[0]
-    stack = np.zeros((batch, len(generators), first.channels, first.height, first.width),
-                     norms.dtype)
+    size = generators[0].template.size
+    stack = np.zeros((batch, len(generators), CHANNELS, size, size), norms.dtype)
     for i, pieces in enumerate(supports):
         paint(stack[:, i], pieces, 1 / norms[:, i])
     guard_finite(stack, "collect_prompts")
     return stack, norms
 
 
-def fuse_prompts(weights, generators, lows, norms):
+def fuse_prompts(weights, generators, supports, norms):
     """P_fused = sum_i w[:, i] * P_i / norm_i for (B, n) weights, from the
-    prompts' ``paint`` pieces, so no prompt canvas is built.  A piece counts
-    times w / norm and its own scale; the pieces at one place (a border
+    generators' ``support`` pieces, so no prompt canvas is built.  A piece
+    counts times w / norm and its own scale; the pieces at one place (a border
     template's side, say) mix in one batched matmul over their m generators.
     The prompts are constants: the gradient flows into the weights only."""
     w = weights.data
     if w.ndim != 2 or w.shape[1] != len(generators) or norms.shape[:2] != w.shape:
         raise ShapeError(f"fuse_prompts mismatch: weights {w.shape}, {len(generators)} "
                          f"generators, norms {norms.shape}")
-    first = generators[0]
-    b, c = len(w), first.channels
+    b, c, size = len(w), CHANNELS, generators[0].template.size
     groups = {}  # (top, left, values shape) -> [(generator index, values, scale)]
-    for i, (gen, low) in enumerate(zip(generators, lows)):
-        for top, left, values, scale in gen.support(low):
+    for i, pieces in enumerate(supports):
+        for top, left, values, scale in pieces:
             groups.setdefault((top, left) + values.shape, []).append((i, values, scale))
-    out = np.zeros((b, c, first.height, first.width), np.result_type(w, norms))
+    out = np.zeros((b, c, size, size), np.result_type(w, norms))
     ones, mixes = np.ones((b, c), out.dtype), []
     for (top, left, *_), members in groups.items():
         idx, values, scales = zip(*members)
@@ -252,12 +245,14 @@ def fusion_forward(x, generators, enc, heads, per_channel=True,
     x = np.asarray(x, np.float32)
     if rows is None:
         image_emb, *lows = _base_rows(x, generators, enc)
-        prompt_emb, norms = _prompt_rows(generators, lows, len(x), enc, per_channel)
     else:
         image_emb, lows, prompt_emb, norms = rows
+    supports = [gen.support(low) for gen, low in zip(generators, lows)]  # once a call
+    if rows is None:
+        prompt_emb, norms = _prompt_rows(generators, supports, len(x), enc, per_channel)
     scores = attention_scores(heads, Tensor(image_emb), Tensor(prompt_emb))
     weights = fusion_weights(scores, use_softmax, use_tanh)
-    fused = fuse_prompts(weights, generators, lows, norms)
+    fused = fuse_prompts(weights, generators, supports, norms)
     return attach_prompt(x, fused), weights
 
 

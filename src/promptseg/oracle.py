@@ -9,8 +9,6 @@ caller tape can reach through the boundary, and internal weights never
 receive gradients.
 """
 
-import hashlib
-
 import numpy as np
 
 from .autograd import Tape, Tensor, no_grad
@@ -19,6 +17,7 @@ from .autograd.layers import (
     Conv2d,
     Module,
     conv_bn_stages,
+    fingerprint_tensors,
     freeze,
     parameters,
     run_stages,
@@ -26,6 +25,7 @@ from .autograd.layers import (
 )
 from .autograd.optim import AdamW, MultiStepLr
 from .checkpoint import load_module, save_checkpoint
+from .scenes import CHANNELS
 from .seeding import stream
 from .train import fit
 
@@ -67,19 +67,6 @@ def pretrain_oracle(model, samples, o):
                o.iters, o.batch, "oracle pretrain")
 
 
-def fingerprint_tensors(tensors) -> int:
-    """64-bit content hash over named arrays (names, shapes, and bytes)."""
-    h = hashlib.blake2b(digest_size=8)
-    for name in sorted(tensors):
-        arr = tensors[name]
-        data = arr.data if isinstance(arr, Tensor) else arr
-        a = np.ascontiguousarray(data, dtype="<f4")
-        h.update(name.encode())
-        h.update(repr(a.shape).encode())
-        h.update(a.tobytes())
-    return int.from_bytes(h.digest(), "little")
-
-
 class OracleHandle:
     """Sealed model: exposes prediction and input-gradient, nothing else.
 
@@ -108,8 +95,8 @@ class OracleHandle:
 
     def _check_input(self, x, query):
         x = np.asarray(x, dtype=np.float32)
-        if x.ndim != 4 or x.shape[1] != 3:
-            raise ValueError(f"expected (B, 3, H, W) input, got {x.shape}")
+        if x.ndim != 4 or x.shape[1] != CHANNELS:
+            raise ValueError(f"expected (B, {CHANNELS}, H, W) input, got {x.shape}")
         if x.shape[2] % 8 or x.shape[3] % 8:
             raise ValueError(f"spatial dims must be divisible by 8, got {x.shape[2]}x{x.shape[3]}")
         if not np.all(np.isfinite(x)):

@@ -52,6 +52,8 @@ log = logging.getLogger(__name__)
 STYLE_NAMES = tuple(style_presets())
 TARGET_NAMES = tuple(TARGET_STYLES)
 TARGET_DOMAINS = tuple(f"{t}_val" for t in TARGET_NAMES)
+# the source styles' validation rows: a recipe is chosen on these, never on the targets
+SOURCE_DOMAINS = tuple(f"{s}_val" for s in STYLE_NAMES)
 # the chain of a run, in order; a stage's name is also its CLI command
 STAGES = ("gen-data", "pretrain-oracle", "train-spg", "train-apf", "eval")
 
@@ -85,18 +87,18 @@ class Results:
     def attention(self) -> list:
         return [a for _, _, _, attention in self.cells for a in attention]
 
-    def target_means(self, column="sage_miou") -> dict:
-        """{arm: {seed: mean of ``column`` over the TARGET_DOMAINS rows}}."""
+    def target_means(self, column="sage_miou", names=TARGET_DOMAINS) -> dict:
+        """{arm: {seed: mean of ``column`` over the rows of domains ``names``}}."""
         means = {}
         for arm, seed, rows, _ in self.cells:
-            vals = [r[column] for r in rows if r["domain"] in TARGET_DOMAINS]
+            vals = [r[column] for r in rows if r["domain"] in names]
             means.setdefault(arm, {})[seed] = float(np.mean(vals))
         return means
 
-    def arm_means(self, column="sage_miou") -> dict:
+    def arm_means(self, column="sage_miou", names=TARGET_DOMAINS) -> dict:
         """{arm: mean of its ``target_means`` over seeds, in run order}."""
         return {arm: float(np.mean(list(per_seed.values())))
-                for arm, per_seed in self.target_means(column).items()}
+                for arm, per_seed in self.target_means(column, names).items()}
 
     def attention_means(self, names) -> list:
         """Mean fusion weight per (domain, style) over every cell, ``names`` in order."""
@@ -227,30 +229,24 @@ def stage_oracle(cfg, domains, run_dir=None):
 
 @_stage("train-spg")
 def stage_spg(cfg, domains, oracle, seed, seed_dir=None) -> dict:
-    """Train one generator per style against the sealed oracle; loaded when
-    ``seed_dir`` holds every style's checkpoint (a partial set is trained again)."""
-    paths = {} if seed_dir is None else {
-        name: os.path.join(seed_dir, f"spg_{name}.ckpt") for name in STYLE_NAMES}
-    s = cfg.spg
-    gens = {
-        name: StylePromptGenerator(
-            name, s.variant, height=cfg.data.size, width=cfg.data.size,
-            pad=s.pad, depth=s.depth, init=s.init, seed=seed,
-        )
-        for name in STYLE_NAMES
-    }
-    if paths and all(os.path.exists(p) for p in paths.values()):
-        for name, p in paths.items():
-            load_generator(p, gens[name])
-    else:
-        for name, gen in gens.items():
-            subset = domains[f"{name}_train"]
-            if s.init == "meta":  # a short warm-up on the same subset first
-                train_spg(gen, subset, oracle, dataclasses.replace(s, iters=s.meta_iters),
-                          seed=mix_seed(seed, "meta"))
-            train_spg(gen, subset, oracle, s, seed=seed)
-            if paths:
-                save_generator(paths[name], gen)
+    """Train one generator per style against the sealed oracle; a style's is
+    loaded where ``seed_dir`` holds its checkpoint.  Generators share no
+    state, so one trained alone has the bits of one trained with the rest."""
+    s, gens = cfg.spg, {}
+    for name in STYLE_NAMES:
+        gen = gens[name] = StylePromptGenerator(name, s.variant, cfg.data.size, s.pad, s.depth,
+                                                s.init, seed)
+        path = None if seed_dir is None else os.path.join(seed_dir, f"spg_{name}.ckpt")
+        if path is not None and os.path.exists(path):
+            load_generator(path, gen)
+            continue
+        subset = domains[f"{name}_train"]
+        if s.init == "meta":  # a short warm-up on the same subset first
+            train_spg(gen, subset, oracle, dataclasses.replace(s, iters=s.meta_iters),
+                      seed=mix_seed(seed, "meta"))
+        train_spg(gen, subset, oracle, s, seed=seed)
+        if path is not None:
+            save_generator(path, gen)
     return gens
 
 
@@ -279,7 +275,7 @@ def stage_apf(cfg, domains, gens, enc, oracle, seed, seed_dir=None):
 
 def eval_domains(cfg) -> tuple:
     """Names of the validation domains a report covers."""
-    return ("base_val",) + tuple(f"{s}_val" for s in STYLE_NAMES) + TARGET_DOMAINS
+    return ("base_val",) + SOURCE_DOMAINS + TARGET_DOMAINS
 
 
 @_stage("eval")
@@ -346,7 +342,9 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
     The training stages see only the ``*_train`` domains (``TrainingDomains``).
     After every stage from the oracle's on, the runtime seal check compares
     the live weights of the oracle and of the encoder with their
-    fingerprints at build; a change raises ``StageError`` naming the stage.
+    fingerprints at build, and those of each seed's generators with theirs
+    when "train-spg" returned them; a change raises ``StageError`` naming
+    the stage.
     ``Results`` holds one cell per pair, the number of seal checks passed,
     the oracle's query counts (in all and per stage) and each stage's seconds.
     """
@@ -374,14 +372,16 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
              for stage in ("pretrain-oracle", "train-spg", "train-apf")}
     model, oracle, _ = run("pretrain-oracle", stage_oracle, cfg, train["pretrain-oracle"], run_dir)
     enc = SharedEncoder.from_seg_model(model)
-    enc_fingerprint, seal_checks = enc.fingerprint(), 0
+    seal_checks = 0
+    # (what, its live fingerprint, its fingerprint when sealed)
+    sealed = [("sealed oracle", oracle.current_fingerprint, oracle.fingerprint),
+              ("frozen encoder", enc.fingerprint, enc.fingerprint())]
 
     def check_seal(stage):
         nonlocal seal_checks
-        if oracle.current_fingerprint() != oracle.fingerprint:
-            raise StageError(f"stage {stage!r} changed the sealed oracle's weights")
-        if enc.fingerprint() != enc_fingerprint:
-            raise StageError(f"stage {stage!r} changed the frozen encoder's weights")
+        for what, live, fingerprint in sealed:
+            if live() != fingerprint:
+                raise StageError(f"stage {stage!r} changed the {what}'s weights")
         seal_checks += 1
 
     check_seal("pretrain-oracle")
@@ -394,6 +394,8 @@ def run_arms(cfg, arms, run_dir=None, names=None, last="eval"):
             if arm_cfg.spg not in shared:
                 shared[arm_cfg.spg] = run("train-spg", stage_spg, arm_cfg, train["train-spg"],
                                           oracle, seed, sdir)
+                sealed.extend((f"frozen {name} generator", gen.fingerprint, gen.fingerprint())
+                              for name, gen in shared[arm_cfg.spg].items())
             gens = shared[arm_cfg.spg]
             rows, attention = [], []
             if "train-apf" in done:

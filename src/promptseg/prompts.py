@@ -12,7 +12,9 @@ Variants:
   full      fixed full-canvas template
   a_full    full-canvas template reweighted by an upsampled pixel map
 
-Each template assembles its canvas in one tape op (``border_canvas`` or
+A generator works on square RGB images: its template holds the canvas
+``size``, and every channel count is ``scenes.CHANNELS``.  Each template
+assembles its canvas in one tape op (``border_canvas`` or
 ``full_canvas``), which SPG trains through, and describes the same canvas as
 ``support`` pieces: a strip's or the canvas's values at a place, with a
 per-image scale.  Fusion reads the pieces (``paint``), so a border prompt's
@@ -38,6 +40,7 @@ from .autograd.layers import (
 from .autograd.optim import MultiStepLr, SgdMomentum
 from .autograd.tensor import ShapeError, add, apply_op, reshape
 from .checkpoint import load_module, save_checkpoint
+from .scenes import CHANNELS
 from .seeding import stream
 from .train import fit
 
@@ -73,23 +76,22 @@ def paint(canvas, pieces, coeff=None):
 
 
 class BorderTemplate(Module):
-    """Four learnable edge strips, the attributes ``top``, ``bottom``, ``left``
-    and ``right``; the assembled canvas has an exactly zero center.
+    """Four learnable edge strips of a ``size`` x ``size`` canvas, the
+    attributes ``top``, ``bottom``, ``left`` and ``right``; the assembled
+    canvas has an exactly zero center.
 
     Top and bottom span the full width; left and right cover only the middle
     rows, so the corners belong to the horizontal strips.
     """
 
-    def __init__(self, channels, height, width, pad, strategy, rng):
-        if pad <= 0 or 2 * pad >= min(height, width):
-            raise ShapeError(f"pad {pad} does not fit a {height}x{width} canvas")
-        self.channels = channels
-        self.height = height
-        self.width = width
+    def __init__(self, size, pad, strategy, rng):
+        if pad <= 0 or 2 * pad >= size:
+            raise ShapeError(f"pad {pad} does not fit a {size}x{size} canvas")
+        self.size = size
         self.pad = pad
-        mid = height - 2 * pad
-        for name, shape in zip(SIDES, [(pad, width)] * 2 + [(mid, pad)] * 2):
-            values = _init_values((channels,) + shape, strategy, rng)
+        mid = size - 2 * pad
+        for name, shape in zip(SIDES, [(pad, size)] * 2 + [(mid, pad)] * 2):
+            values = _init_values((CHANNELS,) + shape, strategy, rng)
             setattr(self, name, Tensor(values, requires_grad=True))
 
     def support(self, alpha=None):
@@ -97,8 +99,8 @@ class BorderTemplate(Module):
         strip's (C, h, w) values at its corner, scaled by its (B, C)
         coefficients ``alpha[:, side]`` (None: the bare template).  ``alpha``
         is a plain (B, 4, C) array.  The center is in no piece."""
-        h, w, p = self.height, self.width, self.pad
-        corners = [(0, 0), (h - p, 0), (p, 0), (p, w - p)]
+        s, p = self.size, self.pad
+        corners = [(0, 0), (s - p, 0), (p, 0), (p, s - p)]
         return [(r, c, s.data, None if alpha is None else alpha[:, i])
                 for i, (s, (r, c)) in enumerate(zip(self.strips(), corners))]
 
@@ -113,14 +115,14 @@ class BorderTemplate(Module):
         writes the scaled strips into one canvas.
         """
         if alpha is not None:
-            if alpha.ndim != 3 or alpha.shape[1] != 4 or alpha.shape[2] != self.channels:
-                raise ShapeError(f"alpha must be (B, 4, {self.channels}), got {alpha.shape}")
+            if alpha.ndim != 3 or alpha.shape[1:] != (4, CHANNELS):
+                raise ShapeError(f"alpha must be (B, 4, {CHANNELS}), got {alpha.shape}")
             batch = alpha.shape[0]
         strips = self.strips()
         pieces = self.support(None if alpha is None else alpha.data)
         # disjoint strips: painted onto zeros, the canvas is their exact sum
-        canvas = paint(np.zeros((batch, self.channels, self.height, self.width),
-                                strips[0].data.dtype), pieces)
+        canvas = paint(np.zeros((batch, CHANNELS, self.size, self.size), strips[0].data.dtype),
+                       pieces)
 
         def backward_fn(g):
             gs = [np.ascontiguousarray(g[span(*piece[:3])]) for piece in pieces]
@@ -137,15 +139,12 @@ class BorderTemplate(Module):
 
 
 class FullTemplate(Module):
-    """A single learnable canvas covering the whole image."""
+    """A single learnable ``size`` x ``size`` canvas covering the whole image."""
 
-    def __init__(self, channels, height, width, strategy, rng):
-        self.channels = channels
-        self.height = height
-        self.width = width
-        self.canvas = Tensor(
-            _init_values((channels, height, width), strategy, rng), requires_grad=True
-        )
+    def __init__(self, size, strategy, rng):
+        self.size = size
+        self.canvas = Tensor(_init_values((CHANNELS, size, size), strategy, rng),
+                             requires_grad=True)
 
     def support(self, pixel_map=None):
         """The canvas as one ``paint`` piece: the (C, H, W) template, or its
@@ -165,8 +164,8 @@ class FullTemplate(Module):
 
             return apply_op("full_canvas", out, (canvas,), backward_fn)
         if pixel_map.ndim != 4 or pixel_map.shape[1:] != canvas.shape:
-            raise ShapeError(f"pixel map must be (B, {self.channels}, {self.height}, "
-                             f"{self.width}), got {pixel_map.shape}")
+            raise ShapeError(f"pixel map must be (B, {CHANNELS}, {self.size}, {self.size}), "
+                             f"got {pixel_map.shape}")
 
         def backward_fn(g):
             return (g * pixel_map.data).sum(axis=0), g * canvas.data
@@ -193,27 +192,26 @@ class ModulatorBlock(Module):
 
 
 class ModulatorNetwork(Module):
-    """Three stride-2 blocks (d, 2d, 4d channels) and a 1x1 head.
+    """Three stride-2 blocks (d, 2d, 4d channels) over RGB and a 1x1 head.
 
-    mode "coeffs": head emits 4C channels, pooled to per-side per-channel
-    coefficients (B, 4, C).  mode "map": head emits C channels, upsampled
-    back to the input resolution for pixel-level reweighting.  Coefficients
+    C is ``CHANNELS``.  mode "coeffs": head emits 4C channels, pooled to
+    per-side per-channel coefficients (B, 4, C).  mode "map": head emits C
+    channels, upsampled back to the input resolution for pixel-level
+    reweighting.  Coefficients
     are raw linear outputs; no squashing is applied.  The pass is split in
     two, ``low_res`` then ``expand``, so that a caller can keep the small
     low-resolution result and skip the network on a batch it has seen.
     """
 
-    def __init__(self, in_channels, out_channels, depth, mode, rng):
+    def __init__(self, depth, mode, rng):
         if mode not in ("coeffs", "map"):
             raise ValueError(f"unknown modulator mode {mode!r}")
         self.mode = mode
-        self.out_channels = out_channels
         widths = (depth, 2 * depth, 4 * depth)
         # one attribute, named ``block``, so the table reads block0., block1., ...
         self.block = [ModulatorBlock(c_in, c_out, rng)
-                      for c_in, c_out in zip((in_channels,) + widths, widths)]
-        head_out = 4 * out_channels if mode == "coeffs" else out_channels
-        self.head = Conv2d(widths[-1], head_out, 1, rng)
+                      for c_in, c_out in zip((CHANNELS,) + widths, widths)]
+        self.head = Conv2d(widths[-1], 4 * CHANNELS if mode == "coeffs" else CHANNELS, 1, rng)
 
     def low_res(self, x, training=False):
         """Everything below the input resolution: the (B, 4, C) coefficients
@@ -226,48 +224,40 @@ class ModulatorNetwork(Module):
         feats = self.head(run_stages(self.block, x, training))
         if self.mode == "coeffs":
             pooled = ops.adaptive_avg_pool_to_1(feats)
-            return reshape(pooled, (b, 4, self.out_channels))
+            return reshape(pooled, (b, 4, CHANNELS))
         return feats
 
-    def expand(self, low, height, width):
+    def expand(self, low, size):
         """``low_res``'s output at the input resolution: coefficients pass
-        through, a map is upsampled to ``height`` x ``width``."""
+        through, a map is upsampled to ``size`` x ``size``."""
         if self.mode == "coeffs":
             return low
-        return ops.bilinear_upsample(low, height, width)
+        return ops.bilinear_upsample(low, size, size)
 
 
 class StylePromptGenerator(Module):
-    """One style's prompt generator: template, variant, and optional modulator."""
+    """One style's prompt generator for ``size`` x ``size`` images: template,
+    variant, and optional modulator."""
 
-    def __init__(self, style, variant="a_border", channels=3, height=64, width=64,
-                 pad=6, depth=8, init="normal", seed=0):
+    def __init__(self, style, variant="a_border", size=64, pad=6, depth=8, init="normal",
+                 seed=0):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if init not in INIT_STRATEGIES:
             raise ValueError(f"unknown init strategy {init!r}")
         self.style = style
-        self.channels = channels
-        self.height = height
-        self.width = width
         rng = stream(seed, "spg", style, variant)
         if variant in ("border", "a_border"):
-            self.template = BorderTemplate(channels, height, width, pad, init, rng)
+            self.template = BorderTemplate(size, pad, init, rng)
         else:
-            self.template = FullTemplate(channels, height, width, init, rng)
-        if variant == "a_border":
-            self.modulator = ModulatorNetwork(channels, channels, depth, "coeffs", rng)
-        elif variant == "a_full":
-            self.modulator = ModulatorNetwork(channels, channels, depth, "map", rng)
-        else:
-            self.modulator = None
+            self.template = FullTemplate(size, init, rng)
+        mode = {"a_border": "coeffs", "a_full": "map"}.get(variant)
+        self.modulator = None if mode is None else ModulatorNetwork(depth, mode, rng)
 
     def _check_input(self, x):
-        if x.ndim != 4 or x.shape[1:] != (self.channels, self.height, self.width):
-            raise ShapeError(
-                f"generator expects (B, {self.channels}, {self.height}, {self.width}), "
-                f"got {x.shape}"
-            )
+        size = self.template.size
+        if x.ndim != 4 or x.shape[1:] != (CHANNELS, size, size):
+            raise ShapeError(f"generator expects (B, {CHANNELS}, {size}, {size}), got {x.shape}")
 
     def modulate(self, x, training=False):
         """The modulator's low-resolution output for a batch (see
@@ -277,22 +267,18 @@ class StylePromptGenerator(Module):
         self._check_input(x)
         return None if self.modulator is None else self.modulator.low_res(x, training)
 
-    def prompt(self, low, batch):
-        """The prompts of a batch of ``batch`` from its ``modulate`` output."""
-        coeff = None if low is None else self.modulator.expand(low, self.height, self.width)
-        return self.template.assemble(coeff, batch)
-
     def support(self, low):
         """The prompts of a batch as its template's ``paint`` pieces, from its
         ``modulate`` output as a plain array (None for a fixed variant)."""
         if low is None:
             return self.template.support()
-        return self.template.support(
-            self.modulator.expand(Tensor(low), self.height, self.width).data)
+        return self.template.support(self.modulator.expand(Tensor(low), self.template.size).data)
 
     def generate(self, x, training=False):
         """The style prompt for a batch, shaped like the batch itself."""
-        return self.prompt(self.modulate(x, training), x.shape[0])
+        low = self.modulate(x, training)
+        coeff = None if low is None else self.modulator.expand(low, self.template.size)
+        return self.template.assemble(coeff, x.shape[0])
 
 
 def attach_prompt(x, prompt):

@@ -26,6 +26,8 @@ PALETTE = np.array(
 )
 # the world's one label space: every mask labels pixels in [0, CLASS_COUNT)
 CLASS_COUNT = len(PALETTE)
+# and its one color space: every image, and every prompt, has CHANNELS planes
+CHANNELS = PALETTE.shape[1]
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,7 @@ def render_scene(spec: SceneSpec, index: int) -> Sample:
         _disc(mask, cy, cx, r, 3)
 
     image = PALETTE[mask].transpose(2, 0, 1).astype(np.float32)
-    tint = rng.normal(0.0, 0.015, (3, 1, 1))
+    tint = rng.normal(0.0, 0.015, (CHANNELS, 1, 1))
     noise = rng.normal(0.0, 0.015, image.shape)
     image = np.clip(image + tint + noise, 0.0, 1.0).astype(np.float32)
     return Sample(image=image, mask=mask)

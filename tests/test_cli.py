@@ -19,7 +19,7 @@ from promptseg.cli import main
 from promptseg.config import save_config
 from promptseg.datasets import domain_digest, load_domain, save_domain
 from promptseg.oracle import OracleHandle
-from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for
+from promptseg.pipeline import STYLE_NAMES, eval_domains, run_dir_for, seed_dir
 from promptseg.scenes import CLASS_COUNT
 
 
@@ -287,6 +287,27 @@ class TestStagedData:
         digests = {n: domain_digest(s) for n, s in domains.items()}
         assert digests == {n: domain_digest(s) for n, s in saved.items()}
 
+    def test_only_missing_generators_are_trained(self, tmp_path, monkeypatch):
+        # generators share no state: the one whose checkpoint is gone trains
+        # alone and comes back byte for byte; the others load
+        cfg = tiny_experiment(out_dir=str(tmp_path / "runs"))
+        domains = pipeline.stage_data(cfg)
+        _, oracle, _ = pipeline.stage_oracle(cfg, domains)
+        sdir = seed_dir(run_dir_for(cfg), 0)
+        pipeline.stage_spg(cfg, domains, oracle, 0, sdir)
+        path = os.path.join(sdir, "spg_cool_dim.ckpt")
+        with open(path, "rb") as f:
+            blob = f.read()
+        os.remove(path)
+        calls = []
+        train = pipeline.train_spg
+        monkeypatch.setattr(pipeline, "train_spg",
+                            lambda gen, *a, **k: calls.append(gen.style) or train(gen, *a, **k))
+        pipeline.stage_spg(cfg, domains, oracle, 0, sdir)
+        assert calls == ["cool_dim"]
+        with open(path, "rb") as f:
+            assert f.read() == blob
+
 
 class TestRunAll:
     def test_run_all_and_seed_override(self, tmp_path, capsys):
@@ -297,6 +318,17 @@ class TestRunAll:
         out = capsys.readouterr().out
         assert "target mIoU" in out
         run_dir = run_dir_for(cfg)
+        # beside it, the fused gain over the source styles' validation rows,
+        # the rows a recipe is chosen on
+        with open(os.path.join(run_dir, "report.csv")) as f:
+            header, *lines = [line.strip().split(",") for line in f]
+        rows = [dict(zip(header, line)) for line in lines]
+        gains = [float(r["sage_miou"]) - float(r["baseline_miou"]) for r in rows
+                 if r["domain"] in {f"{s}_val" for s in STYLE_NAMES}]
+        assert len(gains) == len(STYLE_NAMES)
+        printed = next(line for line in out.splitlines() if line.startswith("source-style mIoU"))
+        gain = float(printed.split("(")[1].split(")")[0])
+        assert gain == pytest.approx(np.mean(gains), abs=5e-5 + 1e-6)
         # the hash leaves the seed list out: --seed 1 fills seed1/ of the
         # config's own run directory
         assert os.listdir(str(tmp_path / "runs")) == [os.path.basename(run_dir)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from promptseg.autograd import Tape, Tensor, no_grad, shadow_precision
-from promptseg.autograd.layers import tensor_arrays
+from promptseg.autograd.layers import conv_bn_stages, tensor_arrays
 from promptseg.autograd.tensor import ShapeError, reshape
 from promptseg.errors import FormatError
 from promptseg.config import ApfConfig, ExperimentConfig
@@ -46,14 +46,14 @@ def toy_oracle(seed=0, classes=4):
 
 def random_encoder(seed):
     """A frozen encoder with random weights drawn from its own seed stream."""
-    return SharedEncoder(stream(seed, "enc-random"), widths=(4, 6, 8), kernel=3)
+    return SharedEncoder(conv_bn_stages((4, 6, 8), 3, stream(seed, "enc-random")))
 
 
 def toy_setup(n=3, size=16, variant="border", seed=0):
     model, handle = toy_oracle(seed)
     enc = SharedEncoder.from_seg_model(model)
     gens = [
-        StylePromptGenerator(f"s{i}", variant, height=size, width=size, pad=3,
+        StylePromptGenerator(f"s{i}", variant, size=size, pad=3,
                              depth=8, seed=seed + i)
         for i in range(n)
     ]
@@ -69,9 +69,14 @@ def modulated(gens, x):
         return [None if low is None else low.data for low in (g.modulate(x) for g in gens)]
 
 
+def supports(gens, lows):
+    """Each generator's ``support`` pieces from its modulator output."""
+    return [gen.support(low) for gen, low in zip(gens, lows)]
+
+
 def prompt_stack(gens, x, per_channel=True):
     """``collect_prompts``' stack for images ``x``, the modulators run afresh."""
-    return collect_prompts(gens, modulated(gens, x), len(x), per_channel)[0]
+    return collect_prompts(gens, supports(gens, modulated(gens, x)), len(x), per_channel)[0]
 
 
 def encoded_scores(enc, heads, x, prompts):
@@ -175,7 +180,7 @@ class TestCollectPrompts:
     def test_zero_prompt_survives_normalization(self):
         # the epsilon guard must return zeros, not NaN
         _, _, _, _, _, x = toy_setup()
-        gen = StylePromptGenerator("z", "border", height=16, width=16, pad=3,
+        gen = StylePromptGenerator("z", "border", size=16, pad=3,
                                   init="zero")
         stack = prompt_stack([gen], x)
         assert np.all(stack == 0.0)
@@ -217,7 +222,7 @@ class TestAttentionScores:
     def test_head_gradients_match_finite_differences(self):
         with shadow_precision():
             _, _, enc, gens, heads, x = toy_setup(n=2, size=8)
-            gens = [StylePromptGenerator(f"s{i}", "border", height=8, width=8,
+            gens = [StylePromptGenerator(f"s{i}", "border", size=8,
                                          pad=2, seed=i) for i in range(2)]
             prompts = prompt_stack(gens, x[:, :, :8, :8])
             xs = x[:, :, :8, :8]
@@ -291,42 +296,42 @@ class TestFusionWeights:
 
 
 def fuse_setup(variants, per_channel=True, size=16):
-    """Generators of ``variants``, the modulator outputs of two random
+    """Generators of ``variants``, their support pieces for two random
     images, and the prompt stack and norms ``collect_prompts`` gives them."""
-    gens = [StylePromptGenerator(f"s{i}", v, height=size, width=size, pad=3, depth=8, seed=i)
+    gens = [StylePromptGenerator(f"s{i}", v, size=size, pad=3, depth=8, seed=i)
             for i, v in enumerate(variants)]
     x = np.random.default_rng(7).uniform(0.0, 1.0, (2, 3, size, size)).astype(np.float32)
-    lows = modulated(gens, x)
-    stack, norms = collect_prompts(gens, lows, len(x), per_channel)
-    return gens, lows, stack, norms
+    sup = supports(gens, modulated(gens, x))
+    stack, norms = collect_prompts(gens, sup, len(x), per_channel)
+    return gens, sup, stack, norms
 
 
 class TestFusePrompts:
     def test_one_hot_selects_single_prompt(self):
-        gens, lows, stack, norms = fuse_setup(["a_border", "a_full", "border"])
+        gens, sup, stack, norms = fuse_setup(["a_border", "a_full", "border"])
         w = np.zeros((2, 3), np.float32)
         w[:, 1] = 1.0
-        fused = fuse_prompts(Tensor(w), gens, lows, norms)
+        fused = fuse_prompts(Tensor(w), gens, sup, norms)
         np.testing.assert_allclose(fused.data, stack[:, 1], atol=1e-7)
 
     def test_one_hot_selects_per_row(self):
-        gens, lows, stack, norms = fuse_setup(["a_border"] * 3)
+        gens, sup, stack, norms = fuse_setup(["a_border"] * 3)
         w = np.zeros((2, 3), np.float32)
         w[0, 1] = w[1, 2] = 1.0
-        fused = fuse_prompts(Tensor(w), gens, lows, norms)
+        fused = fuse_prompts(Tensor(w), gens, sup, norms)
         np.testing.assert_allclose(fused.data[0], stack[0, 1], atol=1e-7)
         np.testing.assert_allclose(fused.data[1], stack[1, 2], atol=1e-7)
 
     def test_zero_weights_give_zero(self):
-        gens, lows, _, norms = fuse_setup(["a_border", "a_full", "full"])
-        fused = fuse_prompts(Tensor(np.zeros((2, 3), np.float32)), gens, lows, norms)
+        gens, sup, _, norms = fuse_setup(["a_border", "a_full", "full"])
+        fused = fuse_prompts(Tensor(np.zeros((2, 3), np.float32)), gens, sup, norms)
         assert np.all(fused.data == 0.0)
 
     def test_linear_in_weights(self, rng):
-        gens, lows, _, norms = fuse_setup(["a_border", "border", "a_full", "full"])
+        gens, sup, _, norms = fuse_setup(["a_border", "border", "a_full", "full"])
         w = rng.uniform(0, 1, (2, 4)).astype(np.float32)
-        once = fuse_prompts(Tensor(w.copy()), gens, lows, norms)
-        twice = fuse_prompts(Tensor(2.0 * w), gens, lows, norms)
+        once = fuse_prompts(Tensor(w.copy()), gens, sup, norms)
+        twice = fuse_prompts(Tensor(2.0 * w), gens, sup, norms)
         assert np.array_equal(twice.data, 2.0 * once.data)
 
     def test_matches_explicit_sum(self, rng):
@@ -334,23 +339,23 @@ class TestFusePrompts:
         # and for a list that mixes border and full templates, both norms
         for variants, per_channel in itertools.product(
                 [[v] * 3 for v in VARIANTS] + [["a_border", "a_full", "a_border"]], [True, False]):
-            gens, lows, stack, norms = fuse_setup(variants, per_channel)
+            gens, sup, stack, norms = fuse_setup(variants, per_channel)
             w = rng.uniform(0, 1, (2, 3)).astype(np.float32)
-            fused = fuse_prompts(Tensor(w.copy()), gens, lows, norms)
+            fused = fuse_prompts(Tensor(w.copy()), gens, sup, norms)
             manual = sum(w[:, i, None, None, None] * stack[:, i] for i in range(3))
             np.testing.assert_allclose(fused.data, manual, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("variant", ["border", "a_border"])
     def test_border_prompt_is_zero_off_the_ring(self, rng, variant):
-        gens, lows, _, norms = fuse_setup([variant] * 3)
-        fused = fuse_prompts(Tensor(rng.uniform(0.5, 1, (2, 3))), gens, lows, norms)
+        gens, sup, _, norms = fuse_setup([variant] * 3)
+        fused = fuse_prompts(Tensor(rng.uniform(0.5, 1, (2, 3))), gens, sup, norms)
         assert np.all(fused.data[:, :, 3:-3, 3:-3] == 0.0)
         assert np.all(fused.data[:, :, :3] != 0.0)
 
     def test_rejects_weights_of_another_shape(self):
-        gens, lows, _, norms = fuse_setup(["a_border"] * 3)
+        gens, sup, _, norms = fuse_setup(["a_border"] * 3)
         with pytest.raises(ShapeError):
-            fuse_prompts(Tensor(np.ones((2, 2), np.float32)), gens, lows, norms)
+            fuse_prompts(Tensor(np.ones((2, 2), np.float32)), gens, sup, norms)
 
 
 class TestFusionForward:
@@ -358,11 +363,11 @@ class TestFusionForward:
         _, _, enc, gens, heads, x = toy_setup(n=3, variant="a_border")
         with no_grad():
             prompted, weights = fusion_forward(x, gens, enc, heads)
-            lows = modulated(gens, x)
-            manual_prompts, norms = collect_prompts(gens, lows, len(x))
+            sup = supports(gens, modulated(gens, x))
+            manual_prompts, norms = collect_prompts(gens, sup, len(x))
             scores = encoded_scores(enc, heads, x, manual_prompts)
             manual_w = fusion_weights(scores)
-            manual = x + fuse_prompts(manual_w, gens, lows, norms).data
+            manual = x + fuse_prompts(manual_w, gens, sup, norms).data
         assert np.array_equal(weights.data, manual_w.data)
         assert np.array_equal(prompted.data, manual)
 
@@ -371,7 +376,7 @@ class TestFusionForward:
         # a pool whose rows are computed as one group, then gathered in
         # another order: the pass equals one computed afresh on that order
         _, handle, enc, gens, heads, _ = toy_setup(n=3, variant="a_border")
-        gens[1] = StylePromptGenerator("s1", "a_full", height=16, width=16, depth=8, seed=1)
+        gens[1] = StylePromptGenerator("s1", "a_full", size=16, depth=8, seed=1)
         dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=43, height=16, width=16),
                                      count=4))
         table = frozen_tables(enc, gens, handle)(dom)
@@ -383,7 +388,7 @@ class TestFusionForward:
             got = fusion_forward(x, gens, enc, heads, per_channel, rows=rows)
             want = fusion_forward(x, gens, enc, heads, per_channel)
             _, lows, _, stored = rows
-            norms = collect_prompts(gens, lows, 4, per_channel)[1]
+            norms = collect_prompts(gens, supports(gens, lows), 4, per_channel)[1]
         assert np.array_equal(norms, stored)  # a prompt's norm is its own
         for a, b in zip(got, want):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-5, atol=1e-6)
@@ -408,6 +413,17 @@ class TestFusionForward:
                                          heads, rows=rows)
         tape.backward(prompted, seed=np.ones_like(prompted.data))
         assert heads.wx.weight.grad is not None
+
+    def test_a_call_without_rows_builds_each_support_once(self, monkeypatch):
+        # the encoder's prompt stack and the blend read one support per
+        # generator: an a_full support holds an upsampled map times the canvas
+        _, handle, enc, gens, heads, x = toy_setup(n=3, variant="a_full")
+        calls = []
+        for gen in gens:
+            monkeypatch.setattr(gen, "support", lambda low, gen=gen, support=gen.support:
+                                calls.append(gen.style) or support(low))
+        infer(x, gens, enc, heads, handle)
+        assert calls == [gen.style for gen in gens]
 
     def test_single_generator_reduces_to_tanh_one_attachment(self):
         model, handle, enc, gens, heads, x = toy_setup(n=1)
@@ -462,7 +478,7 @@ class TestEndToEndGradient:
         """
         with shadow_precision():
             model, handle, enc, gens, heads, _ = toy_setup(n=2, size=8)
-            gens = [StylePromptGenerator(f"s{i}", "border", height=8, width=8,
+            gens = [StylePromptGenerator(f"s{i}", "border", size=8,
                                          pad=2, seed=i) for i in range(2)]
             rng = np.random.default_rng(5)
             x = rng.uniform(0, 1, (2, 3, 8, 8))
@@ -497,7 +513,7 @@ def apf_smoke():
     """A short training run on a toy world, shared by the mechanism tests."""
     model, handle = toy_oracle(classes=6)
     enc = SharedEncoder.from_seg_model(model)
-    gens = [StylePromptGenerator(f"s{i}", "border", height=16, width=16, pad=3,
+    gens = [StylePromptGenerator(f"s{i}", "border", size=16, pad=3,
                                  seed=i) for i in range(2)]
     heads = FusionHeads(feature_dim=enc.feature_dim, embed_dim=8, seed=0)
     dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=40, height=16, width=16),
@@ -561,7 +577,7 @@ class TestHeadsPersistence:
         assert states_equal(clone_state(heads), clone_state(loaded))
 
     def test_wrong_kind_rejected(self, tmp_path):
-        gen = StylePromptGenerator("s", "border", height=16, width=16, pad=3)
+        gen = StylePromptGenerator("s", "border", size=16, pad=3)
         path = tmp_path / "gen.ckpt"
         save_generator(path, gen)
         with pytest.raises(FormatError):
@@ -584,7 +600,7 @@ def memo_world():
 def memo_gens():
     """One generator per kind of memo entry: ``a_border`` keeps (B, 4, C)
     coefficients, ``a_full`` a (B, C, H/8, W/8) map, ``border`` nothing."""
-    return [StylePromptGenerator(f"s{i}", v, height=32, width=32, pad=3, depth=4, seed=i)
+    return [StylePromptGenerator(f"s{i}", v, size=32, pad=3, depth=4, seed=i)
             for i, v in enumerate(("a_border", "a_full", "border"))]
 
 
@@ -717,7 +733,7 @@ class TestFrozenMemo:
         model = SegModel(6, stream(0, "memo-size"), widths=cfg.oracle.widths,
                          kernel=cfg.oracle.kernel)
         enc = SharedEncoder.from_seg_model(model)
-        gens = [StylePromptGenerator(f"s{i}", "a_full", height=size, width=size,
+        gens = [StylePromptGenerator(f"s{i}", "a_full", size=size,
                                      pad=cfg.spg.pad, depth=cfg.spg.depth, seed=i)
                 for i in range(4)]
         dom = make_domain(DomainSpec(name="toy", scene=SceneSpec(seed=42, height=size,
@@ -733,7 +749,7 @@ class TestFrozenMemo:
 
 def eval_gens():
     """``memo_gens`` plus a ``full`` generator: one per report style."""
-    gens = memo_gens() + [StylePromptGenerator("s3", "full", height=32, width=32,
+    gens = memo_gens() + [StylePromptGenerator("s3", "full", size=32,
                                                pad=3, depth=4, seed=3)]
     return {f"s{i}": g for i, g in enumerate(gens)}
 

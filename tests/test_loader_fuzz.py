@@ -64,7 +64,7 @@ def oracle(seed=0):
 
 
 def generator(seed=0):
-    return StylePromptGenerator("s", "a_border", height=16, width=16, pad=2, depth=2,
+    return StylePromptGenerator("s", "a_border", size=16, pad=2, depth=2,
                                 seed=seed)
 
 

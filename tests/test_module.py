@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from promptseg.autograd import Tensor
-from promptseg.autograd.layers import BatchNorm2d, Conv2d, Module, parameters
+from promptseg.autograd.layers import BatchNorm2d, Conv2d, Module, conv_bn_stages, parameters
 from promptseg.fusion import FusionHeads, SharedEncoder
 from promptseg.oracle import SegModel
 from promptseg.prompts import VARIANTS, StylePromptGenerator
@@ -124,7 +124,7 @@ def build(name):
     if name == "SegModel":
         return SegModel(6, stream(0, "tables"))
     if name == "SharedEncoder":
-        return SharedEncoder(stream(0, "tables"))
+        return SharedEncoder(conv_bn_stages((16, 32, 64), 5, stream(0, "tables")))
     if name == "FusionHeads":
         return FusionHeads()
     return StylePromptGenerator("s", name)

@@ -741,9 +741,9 @@ def _gradcheck_registry(rng):
 
     def canvas_case(coeffs):
         def make():
-            t = BorderTemplate(2, 7, 8, 2, "normal", rng)
-            alpha = [rng.normal(size=(3, 4, 2))] if coeffs else []
-            r = rng.normal(size=(3 if coeffs else 2, 2, 7, 8))
+            t = BorderTemplate(7, 2, "normal", rng)
+            alpha = [rng.normal(size=(3, 4, 3))] if coeffs else []
+            r = rng.normal(size=(3 if coeffs else 2, 3, 7, 7))
 
             def loss(*leaves):
                 for side, leaf in zip(SIDES, leaves):
@@ -756,16 +756,17 @@ def _gradcheck_registry(rng):
 
     def fuse_case(variants, per_channel=True):
         def make():
-            gens = [StylePromptGenerator(f"s{i}", v, height=8, width=8, pad=2, depth=2,
+            gens = [StylePromptGenerator(f"s{i}", v, size=8, pad=2, depth=2,
                                          init="normal", seed=int(rng.integers(1 << 16)))
                     for i, v in enumerate(variants)]
             lows = [None if v in ("border", "full") else
                     rng.normal(size=(2, 4, 3) if v == "a_border" else (2, 3, 1, 1))
                     for v in variants]
-            norms = collect_prompts(gens, lows, 2, per_channel)[1]
+            supports = [gen.support(low) for gen, low in zip(gens, lows)]
+            norms = collect_prompts(gens, supports, 2, per_channel)[1]
             r = rng.normal(size=(2, 3, 8, 8))
             w = rng.normal(size=(2, len(variants)))
-            return lambda w_: project(fuse_prompts(w_, gens, lows, norms), r), [w]
+            return lambda w_: project(fuse_prompts(w_, gens, supports, norms), r), [w]
 
         return make
 
@@ -777,9 +778,9 @@ def _gradcheck_registry(rng):
 
     def full_case(pixel_map):
         def make():
-            t = FullTemplate(2, 7, 8, "normal", rng)
-            m = [rng.normal(size=(3, 2, 7, 8))] if pixel_map else []
-            r = rng.normal(size=(3, 2, 7, 8))
+            t = FullTemplate(7, "normal", rng)
+            m = [rng.normal(size=(3, 3, 7, 7))] if pixel_map else []
+            r = rng.normal(size=(3, 3, 7, 7))
 
             def loss(canvas, *leaves):
                 t.canvas = canvas

@@ -16,6 +16,7 @@ import pytest
 from conftest import sgwd_v1, tiny_experiment
 
 from promptseg import pipeline
+from promptseg.autograd.layers import parameters
 from promptseg.cli import ablation_tables
 from promptseg.config import SpgConfig, config_hash, load_config
 from promptseg.datasets import domain_digest, make_domain
@@ -326,15 +327,17 @@ class TestStageErrors:
         with pytest.raises(StageError, match="train-spg"):
             run_pipeline(tiny_config(out_dir=""))
 
-    @pytest.mark.parametrize("frozen", ["encoder", "oracle"])
+    @pytest.mark.parametrize("frozen", ["encoder", "oracle", "generator"])
     def test_weight_drift_fails_the_seal_check(self, monkeypatch, frozen):
-        # a stage that writes into frozen weights is caught right after it
+        # a stage that writes into frozen weights is caught right after it;
+        # a seed's generators are frozen from the end of train-spg on
         train = pipeline.stage_apf
 
         def drifting(cfg, domains, gens, enc, oracle, *rest):
             heads = train(cfg, domains, gens, enc, oracle, *rest)
-            module = enc if frozen == "encoder" else oracle._model
-            module.stage[0].conv.weight.data[0, 0, 0, 0] += 1.0
+            module = {"encoder": enc, "oracle": oracle._model,
+                      "generator": gens[STYLE_NAMES[-1]]}[frozen]
+            parameters(module.tensors())[0].data.flat[0] += 1.0
             return heads
 
         monkeypatch.setattr(pipeline, "stage_apf", drifting)

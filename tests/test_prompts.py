@@ -31,9 +31,9 @@ from promptseg.styles import style_presets
 from conftest import conv_bn_reference, numeric_grad, rel_err, tiny_experiment, vary_bn_state
 
 
-def border_template(strategy, seed, height=64, width=64, pad=6):
-    """A fresh 3-channel border template drawn with the named strategy."""
-    return BorderTemplate(3, height, width, pad, strategy, stream(seed, "template", strategy))
+def border_template(strategy, seed, size=64, pad=6):
+    """A fresh border template drawn with the named strategy."""
+    return BorderTemplate(size, pad, strategy, stream(seed, "template", strategy))
 
 
 @pytest.fixture(scope="module")
@@ -57,20 +57,20 @@ class TestInitStrategies:
 
     def test_normal_std_in_window(self):
         # larger dims push the parameter count past 1e4 so the window is tight
-        t = border_template("normal", seed=2, height=128, width=128, pad=8)
+        t = border_template("normal", seed=2, size=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert flat.size >= 10_000
         assert 0.08 < flat.std() < 0.12
         assert abs(flat.mean()) < 0.01
 
     def test_uniform_mean_in_window(self):
-        t = border_template("uniform", seed=3, height=128, width=128, pad=8)
+        t = border_template("uniform", seed=3, size=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert 0.45 < flat.mean() < 0.55
         assert flat.min() >= 0.0 and flat.max() <= 1.0
 
     def test_meta_draws_like_normal_until_pretrained(self):
-        t = border_template("meta", seed=4, height=128, width=128, pad=8)
+        t = border_template("meta", seed=4, size=128, pad=8)
         flat = np.concatenate([s.data.ravel() for s in t.tensors().values()])
         assert 0.08 < flat.std() < 0.12
 
@@ -129,7 +129,7 @@ class TestBorderTemplate:
 
     def test_bad_pad_rejected(self):
         with pytest.raises(ShapeError):
-            BorderTemplate(3, 64, 64, 32, "zero", stream(0, "t"))
+            BorderTemplate(64, 32, "zero", stream(0, "t"))
 
     def test_bad_alpha_shape_rejected(self):
         t = border_template("zero", seed=0)
@@ -139,33 +139,33 @@ class TestBorderTemplate:
 
 class TestModulator:
     def test_coefficient_shape(self, rng):
-        m = ModulatorNetwork(3, 3, depth=8, mode="coeffs", rng=stream(0, "m"))
+        m = ModulatorNetwork(depth=8, mode="coeffs", rng=stream(0, "m"))
         x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
         out = m.low_res(x)
         assert out.shape == (2, 4, 3)
-        assert m.expand(out, 64, 64) is out
+        assert m.expand(out, 64) is out
 
     def test_backbone_is_eighth_resolution(self, rng):
-        m = ModulatorNetwork(3, 3, depth=8, mode="coeffs", rng=stream(0, "m"))
+        m = ModulatorNetwork(depth=8, mode="coeffs", rng=stream(0, "m"))
         x = Tensor(rng.normal(size=(2, 3, 64, 64)).astype(np.float32))
         feats = run_stages(m.block, x, training=False)
         assert feats.shape == (2, 32, 8, 8)
 
     def test_map_mode_matches_input_resolution(self, rng):
-        m = ModulatorNetwork(3, 3, depth=4, mode="map", rng=stream(0, "m"))
+        m = ModulatorNetwork(depth=4, mode="map", rng=stream(0, "m"))
         x = Tensor(rng.normal(size=(2, 3, 16, 16)).astype(np.float32))
         low = m.low_res(x)
         assert low.shape == (2, 3, 2, 2)
-        assert m.expand(low, 16, 16).shape == (2, 3, 16, 16)
+        assert m.expand(low, 16).shape == (2, 3, 16, 16)
 
     def test_rejects_unaligned_input(self, rng):
-        m = ModulatorNetwork(3, 3, depth=4, mode="coeffs", rng=stream(0, "m"))
+        m = ModulatorNetwork(depth=4, mode="coeffs", rng=stream(0, "m"))
         with pytest.raises(ShapeError):
             m.low_res(Tensor(np.zeros((1, 3, 12, 12), np.float32)))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            ModulatorNetwork(3, 3, depth=4, mode="pool", rng=stream(0, "m"))
+            ModulatorNetwork(depth=4, mode="pool", rng=stream(0, "m"))
 
     def test_eval_block_matches_float64_conv_then_batch_norm(self, rng):
         block = ModulatorBlock(3, 4, stream(0, "block"))
@@ -184,7 +184,7 @@ class TestModulator:
         # batch-norm curvature makes f32 differencing too noisy; build the
         # network in f64 shadow precision for a clean comparison
         with shadow_precision():
-            m = ModulatorNetwork(3, 3, depth=4, mode="coeffs", rng=stream(1, "fd"))
+            m = ModulatorNetwork(depth=4, mode="coeffs", rng=stream(1, "fd"))
             x = Tensor(rng.normal(size=(2, 3, 8, 8)))
         r = rng.normal(size=(2, 4, 3))
 
@@ -232,7 +232,7 @@ class TestGeneratorVariants:
         np.testing.assert_array_equal(p.data[1], gen.template.canvas.data)
 
     def test_bad_pixel_map_shape_rejected(self):
-        t = FullTemplate(3, 16, 16, "zero", stream(0, "t"))
+        t = FullTemplate(16, "zero", stream(0, "t"))
         for shape in ((1, 3, 16, 8), (3, 16, 16), (2, 1, 16, 16)):
             with pytest.raises(ShapeError):
                 t.assemble(Tensor(np.zeros(shape, np.float32)))
@@ -289,7 +289,7 @@ class TestAttach:
 class TestEndToEndGradient:
     def test_template_and_modulator_grads_through_sealed_oracle(self, rng):
         oracle = OracleHandle(SegModel(4, stream(9, "toy"), widths=(4, 6, 8)))
-        gen = StylePromptGenerator("s", "a_border", channels=3, height=8, width=8,
+        gen = StylePromptGenerator("s", "a_border", size=8,
                                    pad=2, depth=4, seed=2)
         xb = rng.uniform(0.2, 0.8, (2, 3, 8, 8)).astype(np.float32)
         yb = rng.integers(0, 4, (2, 8, 8))

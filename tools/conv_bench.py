@@ -56,7 +56,7 @@ def default_shapes(batch):
     try:
         with no_grad():
             SegModel(CLASS_COUNT, stream(0, "bench"), o.widths, o.kernel).forward(x)
-            StylePromptGenerator("bench", "a_border", 3, size, size, spg.pad, spg.depth).modulate(x)
+            StylePromptGenerator("bench", "a_border", size, spg.pad, spg.depth).modulate(x)
     finally:
         ops.conv2d = real
     return seen
