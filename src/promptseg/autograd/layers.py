@@ -125,10 +125,10 @@ class ConvBn(Module):
         return ops.relu(conv_bn(self.conv, self.bn, x, training))
 
 
-def conv_bn_stages(widths, kernel, rng):
-    """``ConvBn`` stages from RGB through ``widths``."""
+def conv_bn_stages(channels, widths, kernel, rng):
+    """``ConvBn`` stages from ``channels`` input channels through ``widths``."""
     return [ConvBn(c_in, c_out, kernel, rng)
-            for c_in, c_out in zip((3,) + tuple(widths), widths)]
+            for c_in, c_out in zip((channels,) + tuple(widths), widths)]
 
 
 def run_stages(stages, x, training):

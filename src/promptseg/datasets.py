@@ -33,12 +33,18 @@ class DomainSpec:
     style_jitter: StyleJitter | None = None
 
 
-def make_domain(spec: DomainSpec) -> list[Sample]:
+def make_domain(spec: DomainSpec, scenes: dict | None = None) -> list[Sample]:
+    """The samples of ``spec``.  ``scenes``, shared by the domains of one world
+    build, holds each render by ``(SceneSpec, index)``, so a scene is drawn once
+    however many domains restyle it; a styled sample shares its render's mask."""
     if spec.count < 1:
         raise ValueError("domain count must be >= 1")
     samples = []
     for i in range(spec.count):
-        s = render_scene(spec.scene, i)
+        if scenes is None:
+            s = render_scene(spec.scene, i)
+        elif (s := scenes.get((spec.scene, i))) is None:
+            s = scenes[spec.scene, i] = render_scene(spec.scene, i)
         if spec.style_mean is not None:
             rng = np.random.default_rng((spec.style_seed, i))
             params = (

@@ -35,10 +35,8 @@ class SegModel(Module):
 
     def __init__(self, class_count, rng, widths=(16, 32, 64), kernel=5):
         self.class_count = class_count
-        self.widths = tuple(widths)
-        self.kernel = kernel
-        self.stage = conv_bn_stages(self.widths, kernel, rng)
-        self.head = Conv2d(self.widths[-1], class_count, 1, rng)
+        self.stage = conv_bn_stages(CHANNELS, widths, kernel, rng)
+        self.head = Conv2d(widths[-1], class_count, 1, rng)
 
     def forward(self, x, training=False):
         _, _, h_in, w_in = x.shape

@@ -199,14 +199,15 @@ def seed_dir(run_dir, seed) -> str:
 @_stage("gen-data")
 def stage_data(cfg, run_dir=None) -> dict:
     """Every domain: loaded from ``run_dir/data`` where saved there, else
-    rendered (and saved there, given ``run_dir``)."""
-    domains = {}
+    rendered (and saved there, given ``run_dir``).  The rendered domains
+    share one render of each scene."""
+    domains, scenes = {}, {}
     for name, spec in domain_specs(cfg).items():
         path = None if run_dir is None else os.path.join(run_dir, "data", f"{name}.dom")
         if path is not None and os.path.exists(path):
             domains[name] = load_domain(path)
             continue
-        domains[name] = make_domain(spec)
+        domains[name] = make_domain(spec, scenes)
         if path is not None:
             save_domain(path, domains[name])
     return domains

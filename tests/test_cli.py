@@ -234,7 +234,8 @@ class TestStagedData:
         calls = []
         render = pipeline.make_domain
         monkeypatch.setattr(pipeline, "make_domain",
-                            lambda spec: calls.append(spec.name) or render(spec))
+                            lambda spec, scenes=None:
+                            calls.append(spec.name) or render(spec, scenes))
         assert main(["--config", cfg_path, "train-apf"]) == 0
         assert main(["--config", cfg_path, "eval"]) == 0
         assert calls == []
@@ -279,7 +280,8 @@ class TestStagedData:
         calls = []
         render = pipeline.make_domain
         monkeypatch.setattr(pipeline, "make_domain",
-                            lambda spec: calls.append(spec.name) or render(spec))
+                            lambda spec, scenes=None:
+                            calls.append(spec.name) or render(spec, scenes))
         domains = pipeline.stage_data(cfg, run_dir)
         assert calls == ["dusk_val"]
         with open(path, "rb") as f:

@@ -31,7 +31,7 @@ from promptseg.datasets import DomainSpec, make_domain
 from promptseg.oracle import OracleHandle, SegModel
 from promptseg.pipeline import stage_eval
 from promptseg.prompts import VARIANTS, ModulatorNetwork, StylePromptGenerator, save_generator
-from promptseg.scenes import SceneSpec
+from promptseg.scenes import CHANNELS, SceneSpec
 from promptseg.seeding import stream
 
 from conftest import rel_err
@@ -46,7 +46,7 @@ def toy_oracle(seed=0, classes=4):
 
 def random_encoder(seed):
     """A frozen encoder with random weights drawn from its own seed stream."""
-    return SharedEncoder(conv_bn_stages((4, 6, 8), 3, stream(seed, "enc-random")))
+    return SharedEncoder(conv_bn_stages(CHANNELS, (4, 6, 8), 3, stream(seed, "enc-random")))
 
 
 def toy_setup(n=3, size=16, variant="border", seed=0):

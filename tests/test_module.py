@@ -15,6 +15,7 @@ from promptseg.autograd.layers import BatchNorm2d, Conv2d, Module, conv_bn_stage
 from promptseg.fusion import FusionHeads, SharedEncoder
 from promptseg.oracle import SegModel
 from promptseg.prompts import VARIANTS, StylePromptGenerator
+from promptseg.scenes import CHANNELS
 from promptseg.seeding import stream
 
 TABLES = {
@@ -124,7 +125,7 @@ def build(name):
     if name == "SegModel":
         return SegModel(6, stream(0, "tables"))
     if name == "SharedEncoder":
-        return SharedEncoder(conv_bn_stages((16, 32, 64), 5, stream(0, "tables")))
+        return SharedEncoder(conv_bn_stages(CHANNELS, (16, 32, 64), 5, stream(0, "tables")))
     if name == "FusionHeads":
         return FusionHeads()
     return StylePromptGenerator("s", name)

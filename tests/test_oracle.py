@@ -18,6 +18,14 @@ from promptseg.seeding import stream
 from conftest import numeric_grad, pretrained, rel_err
 
 
+def shell(model, narrow=1):
+    """``model``'s architecture, its widths divided by ``narrow``, built as
+    the config builds one, from another draw of weights."""
+    widths = tuple(s.conv.weight.shape[0] // narrow for s in model.stage)
+    kernel = model.stage[0].conv.weight.shape[-1]
+    return SegModel(model.class_count, stream(1, "shell"), widths, kernel)
+
+
 def tiny_domain(seed, count=16, size=64):
     spec = DomainSpec(name="base", scene=SceneSpec(seed=seed, height=size, width=size), count=count)
     return make_domain(spec)
@@ -177,7 +185,7 @@ class TestPersistence:
         path = tmp_path / "oracle.ckpt"
         save_oracle(path, model)
         # a model built as the config builds it, from another draw of weights
-        back = SegModel(model.class_count, stream(1, "shell"), model.widths, model.kernel)
+        back = shell(model)
         assert OracleHandle(back).fingerprint != handle.fingerprint
         load_oracle(path, back)
         assert OracleHandle(back).fingerprint == handle.fingerprint
@@ -192,8 +200,7 @@ class TestPersistence:
         path = tmp_path / "other.ckpt"
         save_checkpoint(path, "SPGN", {"a": np.zeros(3, np.float32)})
         with pytest.raises(KindMismatchError):
-            load_oracle(path, SegModel(model.class_count, stream(1, "shell"),
-                                       model.widths, model.kernel))
+            load_oracle(path, shell(model))
 
     def test_rejects_another_architecture(self, tmp_path, trained):
         # the config builds the model: a file of other widths is refused, not
@@ -203,7 +210,6 @@ class TestPersistence:
         model = trained[0]
         path = tmp_path / "oracle.ckpt"
         save_oracle(path, model)
-        narrow = SegModel(model.class_count, stream(1, "shell"),
-                          tuple(w // 2 for w in model.widths), model.kernel)
+        narrow = shell(model, narrow=2)
         with pytest.raises(FormatError, match="oracle.ckpt"):
             load_oracle(path, narrow)

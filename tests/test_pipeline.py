@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from conftest import sgwd_v1, tiny_experiment
 
-from promptseg import pipeline
+from promptseg import datasets, pipeline
 from promptseg.autograd.layers import parameters
 from promptseg.cli import ablation_tables
-from promptseg.config import SpgConfig, config_hash, load_config
+from promptseg.config import SpgConfig, config_hash, default_config, load_config
 from promptseg.datasets import domain_digest, make_domain
 from promptseg.errors import StageError
 from promptseg.fusion import SharedEncoder
@@ -88,6 +88,23 @@ class TestDomainSpecs:
         names = eval_domains(tiny_config())
         assert names[0] == "base_val"
         assert len(names) == 1 + len(STYLE_NAMES) + len(TARGET_NAMES)
+
+    @pytest.mark.parametrize("config, scenes", [(default_config, 160), (tiny_config, 16)],
+                             ids=["default", "tiny"])
+    def test_stage_data_draws_each_scene_once(self, monkeypatch, config, scenes):
+        # styled twins restyle their base split's renders and both targets
+        # share theirs, yet every domain equals a build of its spec alone
+        cfg = config()
+        specs = domain_specs(cfg)
+        alone = {name: domain_digest(make_domain(spec)) for name, spec in specs.items()}
+        calls = []
+        render = datasets.render_scene
+        monkeypatch.setattr(datasets, "render_scene",
+                            lambda scene, i: calls.append((scene, i)) or render(scene, i))
+        domains = pipeline.stage_data(cfg)
+        assert len(calls) == len(set(calls)) == scenes
+        assert set(calls) == {(s.scene, i) for s in specs.values() for i in range(s.count)}
+        assert {name: domain_digest(d) for name, d in domains.items()} == alone
 
 
 class TestRunLayout:
